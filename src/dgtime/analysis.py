@@ -16,16 +16,16 @@ floating-point floor (below ``EOC_FLOOR``) give ``math.nan``, rendered as
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .dgsolver import SolverOptions, solve_constrained, solve_mixed
+from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
-from .timecore import BrokenFunction, Quadrature, build_uniform_mesh, gauss_legendre
+from .timecore import (BrokenFunction, Quadrature, _slab_integral, _slab_values,
+                       _weight_matrix, build_uniform_mesh, gauss_legendre)
 
 __all__ = [
     "EOC_FLOOR",
@@ -43,39 +43,29 @@ EOC_FLOOR = 1e-13
 STUDY_NORMS = ("energy", "nodal", "multiplier")
 
 
+def _l2_error(U: BrokenFunction, exact, W, quad: Quadrature, field: str) -> float:
+    W = _weight_matrix(W, U.dim)
+    ts = _slab_nodes(U.mesh.breakpoints, quad)
+    D = _slab_values(U.coeffs, quad.nodes) - _sample(exact, ts, field, U.dim)
+    return float(np.sqrt(_slab_integral(D, W, D, U.mesh.widths, quad)))
+
+
 def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
     """L2-in-time error (sum_n int_{I_n} ||U - exact||_normU^2 dt)^(1/2)."""
-    W = np.asarray(normU, dtype=float)
-    if W.ndim == 0:
-        W = float(W) * np.eye(U.dim)
-    if W.shape != (U.dim, U.dim):
-        raise ValueError(f"norm matrix must be {U.dim}x{U.dim}, got {W.shape}")
-    total = 0.0
-    for n in range(U.mesh.N):
-        s = U.slab(n)
-        ts = s.a + s.width * quad.nodes
-        diff = s.eval_many(ts) - np.stack(
-            [np.atleast_1d(np.asarray(exact(t), dtype=float)) for t in ts], axis=1)
-        total += s.width * np.einsum("an,ab,bn,n->", diff, W, diff, quad.weights)
-    return float(np.sqrt(total))
+    return _l2_error(U, exact, normU, quad, "exact_u")
 
 
 def error_nodal_max(U: BrokenFunction, exact, M) -> float:
     """max_n ||U^n - exact(t_n)||_M over the breakpoints t_1 .. t_N."""
-    W = np.asarray(M, dtype=float)
-    if W.ndim == 0:
-        W = float(W) * np.eye(U.dim)
-    worst = 0.0
-    for n in range(1, U.mesh.N + 1):
-        d = U.node_value(n) - np.atleast_1d(
-            np.asarray(exact(U.mesh.breakpoints[n]), dtype=float))
-        worst = max(worst, float(np.sqrt(d @ W @ d)))
-    return worst
+    W = _weight_matrix(M, U.dim)
+    ts = U.mesh.breakpoints[1:, None]
+    d = U.coeffs.sum(axis=1) - _sample(exact, ts, "exact_u", U.dim)[:, 0]
+    return float(np.sqrt(((d @ W) * d).sum(axis=-1)).max())
 
 
 def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) -> float:
     """L2-in-time error of the Lagrange multiplier."""
-    return error_l2_energy(P, exact_p, normQ1, quad)
+    return _l2_error(P, exact_p, normQ1, quad, "exact_p")
 
 
 def eoc(errors: Sequence[float], Ns: Sequence[int], floor: float = EOC_FLOOR) -> list:
@@ -103,18 +93,7 @@ def l2_project_broken(phi, mesh, dim: int, q: int, quad: Quadrature) -> BrokenFu
     generally misses the breakpoint values; useful for comparing the two
     data treatments.
     """
-    from numpy.polynomial import legendre as npleg
-
-    bp = mesh.breakpoints
-    V = npleg.legvander(2.0 * quad.nodes - 1.0, q - 1)  # (npts, q)
-    out = np.empty((mesh.N, q, dim))
-    for n in range(mesh.N):
-        a, b = float(bp[n]), float(bp[n + 1])
-        ts = a + (b - a) * quad.nodes
-        vals = np.stack([np.atleast_1d(np.asarray(phi(t), dtype=float)) for t in ts])
-        mom = (b - a) * V.T @ (quad.weights[:, None] * vals)
-        out[n] = ((2.0 * np.arange(q) + 1.0) / (b - a))[:, None] * mom
-    return BrokenFunction(mesh, out)
+    return BrokenFunction(mesh, _slab_coeffs(phi, mesh.breakpoints, quad, q, "phi", dim, False))
 
 
 @dataclass(frozen=True)
@@ -159,17 +138,6 @@ def _resolve_problem(problem: Union[str, ConstrainedSystem], n_elements: int) ->
                      "or a ConstrainedSystem)")
 
 
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get("DGTIME_THREADS", "").strip()
-    if env:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError("DGTIME_THREADS must be a positive integer")
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
-
-
 def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
               use_projection: bool = True, norms: Sequence[str] = ("energy", "nodal"),
               T: float = 1.0, quad_points: Optional[int] = None,
@@ -179,9 +147,6 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     ``problem`` is "heat1d", "stokes3", or a ConstrainedSystem with
     manufactured exact solutions.  Each N gets a uniform mesh on (0, T];
     the solve path (lifted vs multiplier) follows the constraint blocks.
-    Independent Ns run concurrently, capped by the DGTIME_THREADS
-    environment variable (default: available cores); the table is a
-    deterministic reduction ordered by N.
     """
     Ns = [int(N) for N in Ns]
     if len(Ns) == 0:
@@ -213,12 +178,7 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
             rec["err_p"] = error_l2_multiplier(sol.P, system.exact_p, system.normQ1, errquad)
         return rec
 
-    workers = _max_workers(len(Ns))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            recs = list(pool.map(one, Ns))
-    else:
-        recs = [one(N) for N in Ns]
+    recs = [one(N) for N in Ns]
 
     orders = {}
     for key in ("err_energy", "err_nodal", "err_p"):

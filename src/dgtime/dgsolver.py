@@ -12,8 +12,14 @@ where Dmat collects the weak time derivative plus the upwind jump term,
 Smat = diag(k / (2j+1)) is the slab mass matrix, e_i = phi_i(t_{n-1}+)
 = (-1)^i, F_i = int_{I_n} phi_i f dt, and u_prev is the terminal value of
 the previous slab (the initial state for n = 1).  Slabs are solved in
-sequence; each dense system is LU-factored once per distinct slab width
-and reused.
+sequence, but only the u_prev term links one slab to the next: all data
+(load moments, projected constraint data, lift coefficients) is computed
+for every slab at once, and for every distinct slab width the dense
+system K is factored once and solved for that width's data right-hand
+sides Y in one call.  Marching is then x_n = Y_n + K^{-1} E u_{n-1}, with
+E u_prev the u_prev term: a width with at least as many slabs as E has
+columns stores the propagator H = K^{-1} E in place of its factors and
+pays one product per slab, any other width one solve per slab.
 
 Constraint data enters through G_i.  With the projection switch on, g1 is
 replaced by its endpoint-interpolating slab projection, which makes the
@@ -35,10 +41,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
+from scipy.linalg.lapack import dgecon
 
-from .projection import ProjectionSpec, project_slab
+from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
 from .timecore import BrokenFunction, Quadrature, TimeMesh, gauss_legendre
 
 __all__ = [
@@ -61,10 +67,6 @@ class SlabSolveError(RuntimeError):
     def __init__(self, slab: int, message: str):
         super().__init__(f"slab {slab}: {message}")
         self.slab = slab
-
-
-class DataError(ValueError):
-    """Non-finite values encountered in problem data."""
 
 
 @dataclass(frozen=True)
@@ -120,44 +122,40 @@ def assemble_temporal_matrices(q: int, width: float):
     return Dmat, Smat, e
 
 
-def _basis_rows(quad: Quadrature, q: int) -> np.ndarray:
-    """phi_i at the reference quadrature nodes; shape (q, npoints)."""
-    return npleg.legvander(2.0 * quad.nodes - 1.0, q - 1).T
+@dataclass(frozen=True, eq=False)
+class _SlabData:
+    """The data side of the slab equations, for all N slabs at once.
+
+    S holds the diagonals of the slab mass matrices, (N, q).  F are the load
+    moments int phi_i f dt, (N, q, m); G the constraint-row data S times the
+    g1 coefficients, (N, q, r1); D2 the g2 coefficients, (N, q, r2); C the
+    lift coefficients D2 L^T, (N, q, m).  Constraint data is projected
+    (endpoint-interpolating) or L2-projected as the options say.
+    """
+
+    S: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    D2: np.ndarray
+    C: np.ndarray
 
 
-def _moments(func, a: float, b: float, quad: Quadrature, Phi: np.ndarray, slab: int) -> np.ndarray:
-    """int_a^b phi_i(t) func(t) dt by quadrature; shape (q, dim)."""
-    k = b - a
-    vals = np.stack([np.atleast_1d(np.asarray(func(a + k * x), dtype=float))
-                     for x in quad.nodes])
-    if not np.all(np.isfinite(vals)):
-        raise DataError(f"non-finite data on slab {slab}")
-    return k * (Phi * quad.weights) @ vals
+def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
+    """Sample f, g1 and g2 once over all slabs and reduce them to slab data."""
+    q, quad = opts.q, opts.quadrature()
+    bp, widths, N = mesh.breakpoints, mesh.widths, mesh.N
+    S = widths[:, None] / (2.0 * np.arange(q) + 1.0)
+    F = _moments(_sample(system.f, _slab_nodes(bp, quad), "f", system.m), widths, quad, q)
 
+    def coeffs(g, field, dim):
+        if dim == 0:
+            return np.zeros((N, q, 0))
+        return _slab_coeffs(g, bp, quad, q, field, dim, opts.use_projection)
 
-def _l2_slab_coeffs(func, a: float, b: float, quad: Quadrature, q: int,
-                    Phi: np.ndarray, slab: int) -> np.ndarray:
-    """Modal coefficients of the plain L2 projection of func onto the slab."""
-    mom = _moments(func, a, b, quad, Phi, slab)
-    return ((2.0 * np.arange(q) + 1.0) / (b - a))[:, None] * mom
-
-
-def _lift_coeffs(system, a, b, opts, quad, Phi, spec, slab) -> np.ndarray:
-    """Slab coefficients of the lifted explicit-constraint data L g2."""
-
-    def Gfun(t):
-        return system.lift @ np.atleast_1d(np.asarray(system.g2(t), dtype=float))
-
-    if opts.use_projection:
-        return project_slab(Gfun, (a, b), spec).coeffs
-    return _l2_slab_coeffs(Gfun, a, b, quad, q=spec.q, Phi=Phi, slab=slab)
-
-
-def _g1_target(system, a, b, opts, quad, Phi, spec, Smat, slab) -> np.ndarray:
-    """Right-hand side of the weak constraint rows, shape (q, r1)."""
-    if opts.use_projection:
-        return Smat @ project_slab(system.g1, (a, b), spec).coeffs
-    return _moments(system.g1, a, b, quad, Phi, slab)
+    G = S[:, :, None] * coeffs(system.g1, "g1", system.r1)
+    D2 = coeffs(system.g2, "g2", system.r2)
+    C = D2 @ system.lift.T if system.r2 else np.zeros_like(F)
+    return _SlabData(S, F, G, D2, C)
 
 
 def _slab_matrix(Dmat, Smat, Mmat, Amat, B1mat) -> np.ndarray:
@@ -172,6 +170,7 @@ def _slab_matrix(Dmat, Smat, Mmat, Amat, B1mat) -> np.ndarray:
 
 
 def _factor(K: np.ndarray, slab: int):
+    """LU factors of K and the LAPACK gecon estimate of its 1-norm condition."""
     with warnings.catch_warnings():
         # singularity is detected below and raised as SlabSolveError
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -179,7 +178,8 @@ def _factor(K: np.ndarray, slab: int):
     d = np.abs(np.diag(lu))
     if d.size == 0 or d.min() <= d.max() * K.shape[0] * np.finfo(float).eps:
         raise SlabSolveError(slab, "singular slab system (check constraint ranks / inf-sup)")
-    return lu, piv
+    rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
+    return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
 def _kernel_basis(system) -> np.ndarray:
@@ -192,44 +192,87 @@ def _kernel_basis(system) -> np.ndarray:
     return Z
 
 
+class _SlabOperator:
+    """Spatial blocks on ker B2 and the slab coupling, shared by every solver.
+
+    The slab unknown x stacks the q kernel coefficients y_j (u_j = Z y_j +
+    c_j) and the q multiplier coefficients.  E maps the previous terminal
+    value u_prev to its right-hand side term, e (x) Z^T M u_prev, and Pend
+    maps x to the kernel part of the slab's terminal value, Z sum_j y_j.
+    Without explicit constraints Z is the identity and c = 0.
+    """
+
+    def __init__(self, system, q: int):
+        m, r1 = system.m, system.r1
+        self.system, self.q = system, q
+        self.Z = _kernel_basis(system) if system.r2 > 0 else None
+        Z = np.eye(m) if self.Z is None else self.Z
+        self.mz = Z.shape[1]
+        ZtM = Z.T @ system.M
+        self.Mz, self.Az = ZtM @ Z, Z.T @ system.A @ Z
+        self.B1z = system.B1 @ Z if r1 else None
+        self.Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+        self.s = q * (self.mz + r1)
+        self.E = np.zeros((self.s, m))
+        self.E[: q * self.mz] = np.kron(e[:, None], ZtM)
+        self.Pend = np.zeros((m, self.s))
+        self.Pend[:, : q * self.mz] = np.kron(np.ones((1, q)), Z)
+
+    def matrix(self, width: float) -> np.ndarray:
+        _, Smat, _ = assemble_temporal_matrices(self.q, width)
+        return _slab_matrix(self.Dmat, Smat, self.Mz, self.Az, self.B1z)
+
+    def rhs(self, data: _SlabData) -> np.ndarray:
+        """Data part of every slab right-hand side, (N, s)."""
+        sysm, N = self.system, data.F.shape[0]
+        F, G = data.F, data.G
+        if self.Z is not None:
+            S, C = data.S[:, :, None], data.C
+            F = (F - self.Dmat @ (C @ sysm.M.T) - S * (C @ sysm.A.T)) @ self.Z
+            G = G - S * (C @ sysm.B1.T)
+        return np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
+
+    def solution(self, mesh: TimeMesh, X: np.ndarray, data: _SlabData,
+                 conds: np.ndarray) -> MixedSolution:
+        q, mz, r1 = self.q, self.mz, self.system.r1
+        y = X[:, : q * mz].reshape(mesh.N, q, mz)
+        U = BrokenFunction(mesh, y if self.Z is None else y @ self.Z.T + data.C)
+        P = BrokenFunction(mesh, X[:, q * mz:].reshape(mesh.N, q, r1)) if r1 else None
+        return MixedSolution(U, P, conds)
+
+
+def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
+    """Sequential solve, slab data batched per width class."""
+    data = _slab_data(system, mesh, opts)
+    op = _SlabOperator(system, opts.q)
+    E = op.E
+    X = op.rhs(data)
+    widths, first, cls = np.unique(mesh.widths, return_index=True, return_inverse=True)
+    step = [None] * widths.size  # u_prev -> K^{-1} E u_prev, per width class
+    conds = np.empty(widths.size)
+    for c in np.argsort(first):
+        lu, conds[c] = _factor(op.matrix(widths[c]), int(first[c]) + 1)
+        idx = cls == c
+        X[idx] = lu_solve(lu, X[idx].T, check_finite=False).T
+        # H costs one solve per column of E, so it pays only for a width
+        # with at least that many slabs.
+        if np.count_nonzero(idx) >= E.shape[1]:
+            step[c] = lu_solve(lu, E, check_finite=False).__matmul__
+        else:
+            step[c] = lambda u, lu=lu: lu_solve(lu, E @ u, check_finite=False)
+    u = system.u0
+    cend = data.C.sum(axis=1)
+    for n, c in enumerate(cls.tolist()):
+        X[n] += step[c](u)
+        u = op.Pend @ X[n] + cend[n]
+    return op.solution(mesh, X, data, conds[cls])
+
+
 def solve_mixed(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Sequential slab-by-slab solve of the multiplier formulation (r2 = 0)."""
     if system.r2 != 0:
         raise ValueError("solve_mixed requires r2 = 0; use solve_constrained")
-    q = opts.q
-    quad = opts.quadrature()
-    Phi = _basis_rows(quad, q)
-    spec = ProjectionSpec(q, quad)
-    m, r1 = system.m, system.r1
-    M, A, B1 = system.M, system.A, system.B1
-    bp = mesh.breakpoints
-    N = mesh.N
-    ucoef = np.empty((N, q, m))
-    pcoef = np.empty((N, q, r1))
-    conds = np.empty(N)
-    cache = {}
-    u_prev = system.u0
-    for n in range(N):
-        a, b = float(bp[n]), float(bp[n + 1])
-        k = b - a
-        if k not in cache:
-            Dmat, Smat, e = assemble_temporal_matrices(q, k)
-            K = _slab_matrix(Dmat, Smat, M, A, B1 if r1 else None)
-            cache[k] = (_factor(K, n + 1), float(np.linalg.cond(K, 1)), Dmat, Smat, e)
-        lu, conds[n], Dmat, Smat, e = cache[k]
-        F = _moments(system.f, a, b, quad, Phi, n + 1)
-        rhs = (F + np.outer(e, M @ u_prev)).ravel()
-        if r1:
-            G = _g1_target(system, a, b, opts, quad, Phi, spec, Smat, n + 1)
-            rhs = np.concatenate([rhs, G.ravel()])
-        sol = lu_solve(lu, rhs, check_finite=False)
-        ucoef[n] = sol[: q * m].reshape(q, m)
-        if r1:
-            pcoef[n] = sol[q * m:].reshape(q, r1)
-        u_prev = ucoef[n].sum(axis=0)
-    U = BrokenFunction(mesh, ucoef)
-    P = BrokenFunction(mesh, pcoef) if r1 else None
-    return MixedSolution(U, P, conds)
+    return _march(system, mesh, opts)
 
 
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -243,46 +286,7 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
     """
     if system.r2 == 0:
         raise ValueError("solve_constrained requires r2 >= 1; use solve_mixed")
-    q = opts.q
-    quad = opts.quadrature()
-    Phi = _basis_rows(quad, q)
-    spec = ProjectionSpec(q, quad)
-    m, r1 = system.m, system.r1
-    M, A, B1 = system.M, system.A, system.B1
-    Z = _kernel_basis(system)
-    mz = Z.shape[1]
-    Mz, Az = Z.T @ M @ Z, Z.T @ A @ Z
-    B1z = B1 @ Z if r1 else None
-    bp = mesh.breakpoints
-    N = mesh.N
-    ucoef = np.empty((N, q, m))
-    pcoef = np.empty((N, q, r1))
-    conds = np.empty(N)
-    cache = {}
-    u_prev = system.u0
-    for n in range(N):
-        a, b = float(bp[n]), float(bp[n + 1])
-        k = b - a
-        if k not in cache:
-            Dmat, Smat, e = assemble_temporal_matrices(q, k)
-            K = _slab_matrix(Dmat, Smat, Mz, Az, B1z)
-            cache[k] = (_factor(K, n + 1), float(np.linalg.cond(K, 1)), Dmat, Smat, e)
-        lu, conds[n], Dmat, Smat, e = cache[k]
-        c = _lift_coeffs(system, a, b, opts, quad, Phi, spec, n + 1)
-        F = _moments(system.f, a, b, quad, Phi, n + 1)
-        R = F + np.outer(e, M @ u_prev) - Dmat @ (c @ M.T) - Smat @ (c @ A.T)
-        rhs = (R @ Z).ravel()
-        if r1:
-            G = _g1_target(system, a, b, opts, quad, Phi, spec, Smat, n + 1)
-            rhs = np.concatenate([rhs, (G - Smat @ (c @ B1.T)).ravel()])
-        sol = lu_solve(lu, rhs, check_finite=False)
-        ucoef[n] = sol[: q * mz].reshape(q, mz) @ Z.T + c
-        if r1:
-            pcoef[n] = sol[q * mz:].reshape(q, r1)
-        u_prev = ucoef[n].sum(axis=0)
-    U = BrokenFunction(mesh, ucoef)
-    P = BrokenFunction(mesh, pcoef) if r1 else None
-    return MixedSolution(U, P, conds)
+    return _march(system, mesh, opts)
 
 
 def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -291,71 +295,23 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     Produces the same solution as the sequential solvers (cross-check path;
     the global matrix is dense, so keep N small).
     """
-    q = opts.q
-    quad = opts.quadrature()
-    Phi = _basis_rows(quad, q)
-    spec = ProjectionSpec(q, quad)
-    m, r1 = system.m, system.r1
-    M, A, B1 = system.M, system.A, system.B1
-    if system.r2 > 0:
-        Z = _kernel_basis(system)
-        Mred, Ared = Z.T @ M @ Z, Z.T @ A @ Z
-        B1red = B1 @ Z if r1 else None
-    else:
-        Z = None
-        Mred, Ared, B1red = M, A, (B1 if r1 else None)
-    mz = Mred.shape[0]
-    bp = mesh.breakpoints
-    N = mesh.N
-    s = q * mz + q * r1
+    data = _slab_data(system, mesh, opts)
+    op = _SlabOperator(system, opts.q)
+    N, s = mesh.N, op.s
+    rhs = op.rhs(data)
+    rhs[0] += op.E @ system.u0
+    # the lift part of the previous terminal value stays on the right-hand side
+    rhs[1:] += data.C[:-1].sum(axis=1) @ op.E.T
+    couple = op.E @ op.Pend
     Kg = np.zeros((N * s, N * s))
-    rhs_g = np.zeros(N * s)
-    lifts = []
-    Dmat = Smat = e = None
-    for n in range(N):
-        a, b = float(bp[n]), float(bp[n + 1])
-        k = b - a
-        Dmat, Smat, e = assemble_temporal_matrices(q, k)
+    for n, k in enumerate(mesh.widths):
         row = n * s
-        Kg[row: row + s, row: row + s] = _slab_matrix(Dmat, Smat, Mred, Ared, B1red)
+        Kg[row: row + s, row: row + s] = op.matrix(k)
         if n > 0:
-            # terminal value of the previous slab: sum of its coefficients
-            Kg[row: row + q * mz, row - s: row - s + q * mz] -= np.kron(
-                np.outer(e, np.ones(q)), Mred)
-        F = _moments(system.f, a, b, quad, Phi, n + 1)
-        if Z is not None:
-            c = _lift_coeffs(system, a, b, opts, quad, Phi, spec, n + 1)
-            lifts.append(c)
-            R = F - Dmat @ (c @ M.T) - Smat @ (c @ A.T)
-            if n == 0:
-                R = R + np.outer(e, M @ system.u0)
-            rhs_slab = R @ Z
-            if n > 0:
-                # lift part of the previous terminal value stays on the RHS
-                rhs_slab = rhs_slab + np.outer(e, Z.T @ (M @ lifts[n - 1].sum(axis=0)))
-        else:
-            rhs_slab = F
-            if n == 0:
-                rhs_slab = rhs_slab + np.outer(e, M @ system.u0)
-        rhs_g[row: row + q * mz] = rhs_slab.ravel()
-        if r1:
-            G = _g1_target(system, a, b, opts, quad, Phi, spec, Smat, n + 1)
-            if Z is not None:
-                G = G - Smat @ (lifts[n] @ B1.T)
-            rhs_g[row + q * mz: row + s] = G.ravel()
-    sol = lu_solve(_factor(Kg, 0), rhs_g, check_finite=False)
-    cond = float(np.linalg.cond(Kg, 1))
-    ucoef = np.empty((N, q, m))
-    pcoef = np.empty((N, q, r1))
-    for n in range(N):
-        blk = sol[n * s: (n + 1) * s]
-        y = blk[: q * mz].reshape(q, mz)
-        ucoef[n] = y @ Z.T + lifts[n] if Z is not None else y
-        if r1:
-            pcoef[n] = blk[q * mz:].reshape(q, r1)
-    U = BrokenFunction(mesh, ucoef)
-    P = BrokenFunction(mesh, pcoef) if r1 else None
-    return MixedSolution(U, P, np.full(N, cond))
+            Kg[row: row + s, row - s: row] = -couple
+    lu, cond = _factor(Kg, 0)
+    X = lu_solve(lu, rhs.ravel(), check_finite=False).reshape(N, s)
+    return op.solution(mesh, X, data, np.full(N, cond))
 
 
 def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
@@ -369,39 +325,25 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     """
     if U.dim != system.m or U.degree != opts.q - 1:
         raise ValueError("solution shape does not match system/options")
-    q = opts.q
-    quad = opts.quadrature()
-    Phi = _basis_rows(quad, q)
-    spec = ProjectionSpec(q, quad)
-    m, r1 = system.m, system.r1
-    M, A, B1 = system.M, system.A, system.B1
+    r1 = system.r1
     if r1 and (P is None or P.dim != r1):
         raise ValueError("multiplier P of dimension r1 required")
+    M, A, B1 = system.M, system.A, system.B1
     Z = _kernel_basis(system) if system.r2 > 0 else None
-    bp = mesh.breakpoints
-    out = np.empty(mesh.N)
-    u_prev = system.u0
-    for n in range(mesh.N):
-        a, b = float(bp[n]), float(bp[n + 1])
-        Dmat, Smat, e = assemble_temporal_matrices(q, b - a)
-        uc = U.coeffs[n]
-        F = _moments(system.f, a, b, quad, Phi, n + 1)
-        R = Dmat @ (uc @ M.T) + Smat @ (uc @ A.T) - F - np.outer(e, M @ u_prev)
-        if r1:
-            R = R + Smat @ (P.coeffs[n] @ B1)
-        parts = [np.abs(R @ Z).max() if Z is not None else np.abs(R).max()]
-        if r1:
-            G = _g1_target(system, a, b, opts, quad, Phi, spec, Smat, n + 1)
-            parts.append(np.abs(Smat @ (uc @ B1.T) - G).max())
-        if system.r2 > 0:
-            if opts.use_projection:
-                d2 = project_slab(system.g2, (a, b), spec).coeffs
-            else:
-                d2 = _l2_slab_coeffs(system.g2, a, b, quad, q, Phi, n + 1)
-            parts.append(np.abs(uc @ system.B2.T - d2).max())
-        out[n] = max(parts)
-        u_prev = uc.sum(axis=0)
-    return out
+    data = _slab_data(system, mesh, opts)
+    Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
+    S = data.S[:, :, None]
+    uc = U.coeffs
+    u_prev = np.vstack([system.u0, uc[:-1].sum(axis=1)])
+    R = Dmat @ (uc @ M.T) + S * (uc @ A.T) - data.F - e[:, None] * (u_prev @ M.T)[:, None, :]
+    if r1:
+        R = R + S * (P.coeffs @ B1)
+    parts = [np.abs(R if Z is None else R @ Z).max(axis=(1, 2))]
+    if r1:
+        parts.append(np.abs(S * (uc @ B1.T) - data.G).max(axis=(1, 2)))
+    if system.r2 > 0:
+        parts.append(np.abs(uc @ system.B2.T - data.D2).max(axis=(1, 2)))
+    return np.max(parts, axis=0)
 
 
 def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
@@ -412,20 +354,10 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
     the projection switch is on: the discrete constraint holds as a
     polynomial identity on every slab, not just in quadrature.
     """
-    q = opts.q
     quad = opts.quadrature()
-    spec = ProjectionSpec(q, quad)
-    bp = mesh.breakpoints
     out = np.zeros(mesh.N)
-    for n in range(mesh.N):
-        a, b = float(bp[n]), float(bp[n + 1])
-        uc = U.coeffs[n]
-        parts = [0.0]
-        if system.r1 > 0:
-            d1 = project_slab(system.g1, (a, b), spec).coeffs
-            parts.append(float(np.abs(uc @ system.B1.T - d1).max()))
-        if system.r2 > 0:
-            d2 = project_slab(system.g2, (a, b), spec).coeffs
-            parts.append(float(np.abs(uc @ system.B2.T - d2).max()))
-        out[n] = max(parts)
+    for B, g, field in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):
+        if B.shape[0]:
+            d = _slab_coeffs(g, mesh.breakpoints, quad, opts.q, field, B.shape[0], True)
+            out = np.maximum(out, np.abs(U.coeffs @ B.T - d).max(axis=(1, 2)))
     return out

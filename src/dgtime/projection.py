@@ -35,7 +35,11 @@ from numpy.polynomial import legendre as npleg
 
 from .timecore import BrokenFunction, Quadrature, SlabPoly, TimeMesh
 
-__all__ = ["ProjectionSpec", "project_slab", "project_broken"]
+__all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
+
+
+class DataError(ValueError):
+    """Problem data that is non-finite or of the wrong shape; names the field and slab."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,15 +59,85 @@ class ProjectionSpec:
             )
 
 
-def _eval_vector(phi, t: float) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(phi(t), dtype=float))
-    if v.ndim != 1:
-        raise ValueError("data function must return a scalar or 1-D vector")
-    return v
+def _batched(func, flat: np.ndarray, dim: int):
+    """func(flat) as (n, dim) if func maps n times to (dim, n), else None.
+
+    The array call is kept only if its last column agrees with a scalar
+    probe call, which catches callables that broadcast the times wrongly.
+    """
+    try:
+        vals = np.asarray(func(flat), dtype=float)
+    except Exception:  # scalar-only callable; the per-time loop reports real errors
+        return None
+    if vals.shape != (dim, flat.size):
+        return None
+    probe = np.atleast_1d(np.asarray(func(float(flat[-1])), dtype=float))
+    if probe.shape != (dim,) or not (
+            np.abs(vals[:, -1] - probe).max() <= 1e-12 * np.abs(probe).max()):
+        return None
+    return vals.T
+
+
+def _sample(func, ts: np.ndarray, field: str, dim: int) -> np.ndarray:
+    """Values of the data callable func at the times ts, shape (N, k, dim).
+
+    Row n of ts (shape (N, k)) lies in slab n + 1.  A callable that maps an
+    array of times (n,) to (dim, n) is called once; any other is called one
+    time at a time.  Wrong shapes and non-finite values raise DataError
+    naming the field and the 1-based slab.
+    """
+    N, k = ts.shape
+    flat = ts.ravel()
+    vals = _batched(func, flat, dim)
+    if vals is None:
+        vals = np.empty((flat.size, dim))
+        for i, t in enumerate(flat.tolist()):
+            v = np.atleast_1d(np.asarray(func(t), dtype=float))
+            if v.shape != (dim,):
+                raise DataError(f"{field} returned shape {v.shape} on slab {i // k + 1}, "
+                                f"expected ({dim},)")
+            vals[i] = v
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise DataError(f"non-finite {field} data on slab {int(np.argmax(bad)) // k + 1}")
+    return vals.reshape(N, k, dim)
+
+
+def _slab_nodes(bp: np.ndarray, quad: Quadrature) -> np.ndarray:
+    """Quadrature nodes mapped into every slab of the breakpoints bp; shape (N, npts)."""
+    return bp[:-1, None] + np.diff(bp)[:, None] * quad.nodes
+
+
+def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> np.ndarray:
+    """int_{I_n} phi_i v dt, i < q, from node values vals (N, npts, d); shape (N, q, d)."""
+    Phiw = npleg.legvander(2.0 * quad.nodes - 1.0, q - 1).T * quad.weights  # (q, npts)
+    return widths[:, None, None] * (Phiw @ vals)
+
+
+def _slab_coeffs(func, bp: np.ndarray, quad: Quadrature, q: int, field: str, dim: int,
+                 interpolate_end: bool) -> np.ndarray:
+    """Modal coefficients (N, q, dim) of func projected slab-wise onto degree q - 1.
+
+    interpolate_end selects the endpoint-interpolating projection; otherwise
+    the plain L2 projection, which matches q moments instead.
+    """
+    widths = np.diff(bp)
+    n_mom = q - 1 if interpolate_end else q
+    coeffs = np.zeros((widths.size, q, dim))
+    if n_mom:
+        vals = _sample(func, _slab_nodes(bp, quad), field, dim)
+        scale = (2.0 * np.arange(n_mom) + 1.0) / widths[:, None]
+        coeffs[:, :n_mom] = scale[:, :, None] * _moments(vals, widths, quad, n_mom)
+    if interpolate_end:
+        end = _sample(func, bp[1:, None], field, dim)[:, 0]
+        coeffs[:, q - 1] = end - coeffs[:, : q - 1].sum(axis=1)
+    return coeffs
 
 
 def project_slab(phi, interval, spec: ProjectionSpec) -> SlabPoly:
     """Project a scalar- or vector-valued function onto one slab.
+
+    The N = 1 case of :func:`project_broken`.
 
     Parameters
     ----------
@@ -76,20 +150,11 @@ def project_slab(phi, interval, spec: ProjectionSpec) -> SlabPoly:
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("interval must satisfy b > a")
-    q = spec.q
-    end = _eval_vector(phi, b)
-    d = end.shape[0]
-    coeffs = np.zeros((q, d))
-    if q > 1:
-        quad = spec.quadrature
-        ts = a + (b - a) * quad.nodes
-        vals = np.stack([_eval_vector(phi, t) for t in ts])  # (npts, d)
-        # P_0..P_{q-2} at the mapped nodes; rows phi_i(t) for the moments.
-        V = npleg.legvander(2.0 * quad.nodes - 1.0, q - 2)  # (npts, q-1)
-        moments = (b - a) * V.T @ (quad.weights[:, None] * vals)  # (q-1, d)
-        coeffs[: q - 1] = ((2.0 * np.arange(q - 1) + 1.0) / (b - a))[:, None] * moments
-    coeffs[q - 1] = end - coeffs[: q - 1].sum(axis=0)
-    return SlabPoly(a, b, coeffs)
+    end = np.atleast_1d(np.asarray(phi(b), dtype=float))
+    if end.ndim != 1:
+        raise ValueError("data function must return a scalar or 1-D vector")
+    coeffs = _slab_coeffs(phi, np.array([a, b]), spec.quadrature, spec.q, "phi", end.size, True)
+    return SlabPoly(a, b, coeffs[0])
 
 
 def project_broken(phi, mesh: TimeMesh, dim: int, spec: ProjectionSpec) -> BrokenFunction:
@@ -98,13 +163,8 @@ def project_broken(phi, mesh: TimeMesh, dim: int, spec: ProjectionSpec) -> Broke
     The result interpolates phi at every breakpoint t_n, n >= 1.  phi must
     be evaluable at the breakpoints and at interior quadrature nodes; data
     with (removable) breakpoint discontinuities is read as its limit from
-    within each slab.
+    within each slab.  A phi that maps an array of times (n,) to (dim, n)
+    is called once for all nodes and once for all breakpoints.
     """
-    bp = mesh.breakpoints
-    out = np.empty((mesh.N, spec.q, dim))
-    for n in range(mesh.N):
-        p = project_slab(phi, (bp[n], bp[n + 1]), spec)
-        if p.dim != dim:
-            raise ValueError(f"data dimension {p.dim} does not match dim={dim}")
-        out[n] = p.coeffs
-    return BrokenFunction(mesh, out)
+    coeffs = _slab_coeffs(phi, mesh.breakpoints, spec.quadrature, spec.q, "phi", dim, True)
+    return BrokenFunction(mesh, coeffs)

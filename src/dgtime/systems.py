@@ -57,7 +57,12 @@ def _readonly(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedSystem:
-    """Immutable system data; function fields must be pure and reentrant."""
+    """Immutable system data; function fields must be pure and reentrant.
+
+    A function field maps one time to a scalar or (d,) vector; it may also
+    map an array of times (n,) to (d, n), which lets the solvers sample it
+    once for all slabs; they probe for this and otherwise call it per time.
+    """
 
     M: np.ndarray
     A: np.ndarray
@@ -237,7 +242,11 @@ def validate_system(system: ConstrainedSystem, tol: float = 1e-12) -> Validation
 
 @dataclass(frozen=True)
 class ManufacturedSolution1D:
-    """Space-time solution handle; callables of (x, t), vectorized in x."""
+    """Space-time solution handle; callables of (x, t), vectorized in x.
+
+    Callables that also broadcast over an array of times (x of shape (P, 1),
+    t of shape (n,)) let the solvers sample the data once for all slabs.
+    """
 
     u: Callable
     u_t: Callable
@@ -269,6 +278,17 @@ def _p2_shapes(xi):
     )
 
 
+def _at_points(fn, x: np.ndarray, t) -> np.ndarray:
+    """fn(x, t) as (len(x),) for a scalar t and as (len(x), n) for n times.
+
+    The sum with zeros broadcasts handles that ignore x or t to full shape.
+    """
+    if np.ndim(t) == 0:
+        return np.zeros(x.size) + fn(x, t)
+    t = np.asarray(t, dtype=float)
+    return np.zeros((x.size, t.size)) + fn(x[:, None], t)
+
+
 def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = None) -> ConstrainedSystem:
     """Heat equation u_t - u_xx = f on (0, 1) with Dirichlet data, P2 elements.
 
@@ -291,27 +311,28 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
         M[idx, idx] += (h / 30.0) * EL_MASS
         A[idx, idx] += (1.0 / (3.0 * h)) * EL_STIFF
 
-    shp = _p2_shapes(_GAUSS3_X)  # (3 gauss, 3 shapes)
-    x_gauss = x_nodes[:-1:2][:, None] + h * _GAUSS3_X[None, :]  # (n_el, 3)
+    # f(t) = L v(t): v holds u_t - u_xx at the element Gauss points and L
+    # assembles h * weight * shape into the P2 load vector.
+    x_gauss = (x_nodes[:-1:2][:, None] + h * _GAUSS3_X[None, :]).ravel()
+    L = np.zeros((m, x_gauss.size))
+    el_load = h * (_GAUSS3_W[:, None] * _p2_shapes(_GAUSS3_X)).T  # (3 shapes, 3 gauss)
+    for e in range(n_elements):
+        L[2 * e: 2 * e + 3, 3 * e: 3 * e + 3] += el_load
 
-    def f(t: float) -> np.ndarray:
-        vals = sol.u_t(x_gauss, t) - sol.u_xx(x_gauss, t)  # (n_el, 3)
-        contrib = h * np.einsum("eg,g,gi->ei", vals, _GAUSS3_W, shp)
-        out = np.zeros(m)
-        for e in range(n_elements):
-            out[2 * e : 2 * e + 3] += contrib[e]
-        return out
+    def f(t):
+        return L @ (_at_points(sol.u_t, x_gauss, t) - _at_points(sol.u_xx, x_gauss, t))
 
     B2 = np.zeros((2, m))
     B2[0, 0] = 1.0
     B2[1, m - 1] = 1.0
     lift = B2.T.copy()
+    x_boundary = x_nodes[[0, -1]]
 
-    def g2(t: float) -> np.ndarray:
-        return np.array([sol.u(0.0, t), sol.u(1.0, t)])
+    def g2(t):
+        return _at_points(sol.u, x_boundary, t)
 
-    def exact_u(t: float) -> np.ndarray:
-        return sol.u(x_nodes, t)
+    def exact_u(t):
+        return _at_points(sol.u, x_nodes, t)
 
     u0 = sol.u(x_nodes, 0.0)
 

@@ -312,6 +312,28 @@ def _weight_matrix(M, dim: int) -> np.ndarray:
     return M
 
 
+def _slab_values(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Values of broken coefficients (N, q, d) at reference nodes in [0, 1]; (N, npts, d)."""
+    return npleg.legvander(2.0 * nodes - 1.0, coeffs.shape[1] - 1) @ coeffs
+
+
+def _slab_derivative_values(F: BrokenFunction, nodes: np.ndarray) -> np.ndarray:
+    """Values of F' at reference nodes of every slab; (N, npts, d)."""
+    dc = npleg.legder(F.coeffs, axis=1) * (2.0 / F.mesh.widths)[:, None, None]
+    return _slab_values(dc, nodes)
+
+
+def _slab_integral(Yv: np.ndarray, M: np.ndarray, Xv: np.ndarray, widths: np.ndarray,
+                   quad: Quadrature) -> float:
+    """sum_n int_{I_n} (Y, X)_M dt from node values (N, npts, d)."""
+    return float((((Yv @ M) * Xv).sum(axis=-1) @ quad.weights) @ widths)
+
+
+def _starts(F: BrokenFunction) -> np.ndarray:
+    """Right limits F(t_{n-1}+) of every slab; (N, d)."""
+    return (-1.0) ** np.arange(F.coeffs.shape[1]) @ F.coeffs
+
+
 def dh_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
     """DG time-derivative form D(Y, X) with M-weighted inner products.
 
@@ -320,17 +342,12 @@ def dh_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
     """
     _check_same_domain(Y, X)
     M = _weight_matrix(M, Y.dim)
-    bp = Y.mesh.breakpoints
-    total = 0.0
-    for n in range(Y.mesh.N):
-        sy, sx = Y.slab(n), X.slab(n)
-        ts = sy.a + sy.width * quad.nodes
-        dy = sy.derivative().eval_many(ts)
-        xv = sx.eval_many(ts)
-        total += sy.width * np.einsum("an,ab,bn,n->", dy, M, xv, quad.weights)
-    for n in range(1, Y.mesh.N):
-        total += Y.jump(n) @ M @ X.eval(bp[n], side="right")
-    total += Y.initial_value() @ M @ X.initial_value()
+    total = _slab_integral(_slab_derivative_values(Y, quad.nodes), M,
+                           _slab_values(X.coeffs, quad.nodes), Y.mesh.widths, quad)
+    ys, xs = _starts(Y), _starts(X)
+    jumps = ys[1:] - Y.coeffs[:-1].sum(axis=1)
+    total += ((jumps @ M) * xs[1:]).sum()
+    total += ys[0] @ M @ xs[0]
     return float(total)
 
 
@@ -338,14 +355,10 @@ def dh_star_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> f
     """Adjoint form D*(Y, X); satisfies dh_form(Y, X) = -dh_star_form(Y, X)."""
     _check_same_domain(Y, X)
     M = _weight_matrix(M, Y.dim)
-    total = 0.0
-    for n in range(Y.mesh.N):
-        sy, sx = Y.slab(n), X.slab(n)
-        ts = sy.a + sy.width * quad.nodes
-        yv = sy.eval_many(ts)
-        dx = sx.derivative().eval_many(ts)
-        total += sy.width * np.einsum("an,ab,bn,n->", yv, M, dx, quad.weights)
-    for n in range(1, Y.mesh.N):
-        total += Y.node_value(n) @ M @ X.jump(n)
-    total -= Y.node_value(Y.mesh.N) @ M @ X.node_value(X.mesh.N)
+    total = _slab_integral(_slab_values(Y.coeffs, quad.nodes), M,
+                           _slab_derivative_values(X, quad.nodes), Y.mesh.widths, quad)
+    ye, xe = Y.coeffs.sum(axis=1), X.coeffs.sum(axis=1)
+    jumps = _starts(X)[1:] - xe[:-1]
+    total += ((ye[:-1] @ M) * jumps).sum()
+    total -= ye[-1] @ M @ xe[-1]
     return float(total)

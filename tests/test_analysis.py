@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgtime import (
     BrokenFunction,
+    DataError,
     EOC_FLOOR,
     SolverOptions,
     build_saddle_dae,
@@ -19,7 +20,6 @@ from dgtime import (
     run_study,
     solve_mixed,
 )
-from dgtime.cli import format_csv
 
 
 def _zero_broken(mesh, q=1, d=1):
@@ -223,14 +223,14 @@ def test_run_study_accepts_custom_system_without_name():
     assert all(r.err_nodal <= 1e-14 for r in table.rows)
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    table_par = run_study("stokes3", 2, [4, 8, 16], norms=("energy", "nodal"))
-    monkeypatch.setenv("DGTIME_THREADS", "1")
-    table_ser = run_study("stokes3", 2, [4, 8, 16], norms=("energy", "nodal"))
-    assert format_csv(table_par) == format_csv(table_ser)
-
-
-def test_thread_cap_must_be_positive(monkeypatch):
-    monkeypatch.setenv("DGTIME_THREADS", "0")
-    with pytest.raises(ValueError):
-        run_study("stokes3", 2, [4, 8])
+def test_nonfinite_exact_solution_raises_data_error():
+    system = build_saddle_dae("stokes3")
+    sol = solve_mixed(system, build_uniform_mesh(1.0, 4), SolverOptions(q=2))
+    quad = gauss_legendre(5)
+    nan_u = lambda t: system.exact_u(t) + np.where(np.asarray(t) > 0.6, np.nan, 0.0)
+    with pytest.raises(DataError, match="non-finite exact_u data on slab 3"):
+        error_l2_energy(sol.U, nan_u, system.normU, quad)
+    with pytest.raises(DataError, match="non-finite exact_u data on slab 3"):
+        error_nodal_max(sol.U, nan_u, system.M)
+    with pytest.raises(DataError, match="exact_p returned shape"):
+        error_l2_multiplier(sol.P, lambda t: np.zeros(2), system.normQ1, quad)

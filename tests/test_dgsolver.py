@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import null_space
 
 from dgtime import (
     ConstrainedSystem,
@@ -423,3 +427,123 @@ def test_bad_lift_rejected():
         lift=np.array([[0.5], [0.0]]))  # B2 @ lift = 0.5 != 1
     with pytest.raises(ValueError, match="right inverse"):
         solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions(q=1))
+
+
+# ---------------------------------------------------------------------------
+# condition estimates (LAPACK gecon on the slab LU factors)
+
+
+def _exact_slab_conditions(system, mesh, q):
+    """1-norm condition of every slab matrix, assembled here from scratch."""
+    M, A, B1 = system.M, system.A, system.B1
+    if system.r2:
+        Z = null_space(system.B2)  # the kernel basis the solver uses
+        M, A, B1 = Z.T @ M @ Z, Z.T @ A @ Z, B1 @ Z
+    out = []
+    for k in mesh.widths:
+        Dmat, Smat, _ = assemble_temporal_matrices(q, k)
+        K = np.kron(Dmat, M) + np.kron(Smat, A)
+        if system.r1:
+            nc = q * system.r1
+            K = np.block([[K, np.kron(Smat, B1.T)],
+                          [np.kron(Smat, B1), np.zeros((nc, nc))]])
+        out.append(np.linalg.cond(K, 1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("problem", ["stokes3", "heat1d"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_condition_estimates_bound_exact_condition(problem, q):
+    system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
+    solve = solve_mixed if problem == "stokes3" else solve_constrained
+    mesh = TimeMesh(np.array([0.0, 0.3, 0.5, 0.7, 1.0]))
+    est = solve(system, mesh, SolverOptions(q=q)).condition_estimates
+    exact = _exact_slab_conditions(system, mesh, q)
+    assert np.all(exact / 10.0 <= est)
+    assert np.all(est <= exact * (1.0 + 1e-8))
+
+
+# ---------------------------------------------------------------------------
+# data sampling: one call per field, typed errors naming field and slab
+
+
+def _scalar_only(fn):
+    def call(t):
+        if np.ndim(t):
+            raise TypeError("scalar times only")
+        return fn(t)
+    return call
+
+
+def _with_scalar_only_data(system):
+    return replace(system, **{name: _scalar_only(getattr(system, name))
+                              for name in ("f", "g1", "g2") if getattr(system, name)})
+
+
+def _nan_after(fn, t0):
+    """fn with NaN data for t > t0, evaluable at one time or an array of times."""
+    return lambda t: fn(t) + np.where(np.asarray(t) > t0, np.nan, 0.0)
+
+
+def _bad_data_cases():
+    st3, heat = build_saddle_dae("stokes3"), build_heat_1d(3)
+    return [
+        (replace(st3, g1=_nan_after(st3.g1, 0.6)), "non-finite g1 data on slab 3"),
+        (replace(st3, g1=_scalar_only(_nan_after(st3.g1, 0.6))), "non-finite g1 data on slab 3"),
+        (replace(st3, f=lambda t: np.zeros(2)), "f returned shape (2,) on slab 1, expected (3,)"),
+        (replace(heat, g2=_nan_after(heat.g2, 0.6)), "non-finite g2 data on slab 3"),
+        (replace(heat, f=_scalar_only(lambda t: np.zeros(2))),
+         "f returned shape (2,) on slab 1, expected (7,)"),
+        (replace(heat, f=_nan_after(heat.f, 0.3)), "non-finite f data on slab 2"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("use_projection", [True, False])
+def test_bad_data_raises_data_error_naming_field_and_slab(case, use_projection):
+    system, message = _bad_data_cases()[case]
+    solve = solve_constrained if system.r2 else solve_mixed
+    with pytest.raises(DataError, match=re.escape(message)):
+        solve(system, build_uniform_mesh(1.0, 4), SolverOptions(q=2, use_projection=use_projection))
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=8),
+       q=st.integers(1, 4), use_projection=st.booleans(),
+       problem=st.sampled_from(["stokes3", "heat1d"]))
+def test_scalar_only_data_matches_vectorized_data(widths, q, use_projection, problem):
+    system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
+    solve = solve_mixed if problem == "stokes3" else solve_constrained
+    mesh = TimeMesh(np.r_[0.0, np.cumsum(widths)])
+    opts = SolverOptions(q=q, use_projection=use_projection)
+    vec = solve(system, mesh, opts)
+    ref = solve(_with_scalar_only_data(system), mesh, opts)
+    assert np.abs(vec.U.coeffs - ref.U.coeffs).max() <= 1e-13
+    if vec.P is not None:
+        assert np.abs(vec.P.coeffs - ref.P.coeffs).max() <= 1e-13
+
+
+def _counting(system):
+    calls = [0]
+
+    def wrap(fn):
+        def call(t):
+            calls[0] += 1
+            return fn(t)
+        return call
+
+    return replace(system, **{name: wrap(getattr(system, name))
+                              for name in ("f", "g1", "g2") if getattr(system, name)}), calls
+
+
+@pytest.mark.parametrize("problem", ["stokes3", "heat1d"])
+@pytest.mark.parametrize("use_projection", [True, False])
+def test_data_calls_per_solve_do_not_grow_with_N(problem, use_projection):
+    system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
+    solve = solve_mixed if problem == "stokes3" else solve_constrained
+    counts = []
+    for N in (16, 512):
+        counted, calls = _counting(system)
+        solve(counted, build_uniform_mesh(1.0, N), SolverOptions(q=3, use_projection=use_projection))
+        counts.append(calls[0])
+    assert counts[0] == counts[1]

@@ -185,3 +185,16 @@ def test_characterization_projection_error_invisible_to_dh_form(d):
         val = dh_form(E, X, 1.0, quad)
         scale = 1.0 + abs(dh_form(w, X, 1.0, quad))
         assert abs(val) <= 1e-10 * scale
+
+
+def test_misbroadcasting_data_falls_back_to_per_time_calls():
+    # Reverses an array of times: the shape is right, the scalar probe at
+    # the last time disagrees, so the projection evaluates time by time.
+    def reversed_ramp(t):
+        t = np.asarray(t, dtype=float)
+        return t[None, ::-1] if t.ndim else np.array([t])
+
+    mesh = build_uniform_mesh(1.0, 3)
+    ref = project_broken(lambda t: t, mesh, 1, _spec(3))
+    got = project_broken(reversed_ramp, mesh, 1, _spec(3))
+    np.testing.assert_array_equal(got.coeffs, ref.coeffs)

@@ -24,8 +24,8 @@ import numpy as np
 from .dgsolver import SolverOptions, solve_constrained, solve_mixed
 from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
-from .timecore import (BrokenFunction, Quadrature, _slab_integral, _slab_values,
-                       _weight_matrix, build_uniform_mesh, gauss_legendre)
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _slab_integral,
+                       _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
 
 __all__ = [
     "EOC_FLOOR",
@@ -127,27 +127,33 @@ class EOCTable:
         return [getattr(r, name) for r in self.rows]
 
 
-def _resolve_problem(problem: Union[str, ConstrainedSystem], n_elements: int) -> ConstrainedSystem:
+# The built-in problems by name; each builder sets the system's name to its key.
+_PROBLEMS = {"heat1d": lambda: build_heat_1d(4), "stokes3": lambda: build_saddle_dae("stokes3")}
+
+
+def _resolve_problem(problem: Union[str, ConstrainedSystem]) -> ConstrainedSystem:
     if isinstance(problem, ConstrainedSystem):
         return problem
-    if problem == "heat1d":
-        return build_heat_1d(n_elements)
-    if problem == "stokes3":
-        return build_saddle_dae("stokes3")
-    raise ValueError(f"unknown problem {problem!r} (expected 'heat1d', 'stokes3', "
-                     "or a ConstrainedSystem)")
+    if problem not in _PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r} (expected "
+                         f"{', '.join(map(repr, _PROBLEMS))}, or a ConstrainedSystem)")
+    return _PROBLEMS[problem]()
 
 
 def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
-              use_projection: bool = True, norms: Sequence[str] = ("energy", "nodal"),
-              T: float = 1.0, quad_points: Optional[int] = None,
-              n_elements: int = 4) -> EOCTable:
+              use_projection: bool = True,
+              norms: Sequence[str] = ("energy", "nodal")) -> EOCTable:
     """Solve a problem over a sequence of slab counts and tabulate errors.
 
     ``problem`` is "heat1d", "stokes3", or a ConstrainedSystem with
-    manufactured exact solutions.  Each N gets a uniform mesh on (0, T];
-    the solve path (lifted vs multiplier) follows the constraint blocks.
+    manufactured exact solutions; the table carries the system's name.
+    Each N gets a uniform mesh on (0, 1]; the solve path (lifted vs
+    multiplier) follows the constraint blocks.
     """
+    opts = SolverOptions(q=q, use_projection=use_projection)
+    if q + 3 > _MAX_POINTS:
+        raise ValueError(f"q must be at most {_MAX_POINTS - 3} for a study, whose error "
+                         f"quadrature has q + 3 points; got {q}")
     Ns = [int(N) for N in Ns]
     if len(Ns) == 0:
         raise ValueError("need at least one slab count")
@@ -157,19 +163,17 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     unknown = set(norms) - set(STUDY_NORMS)
     if unknown:
         raise ValueError(f"unknown norms {sorted(unknown)} (choose from {STUDY_NORMS})")
-    system = _resolve_problem(problem, n_elements)
+    system = _resolve_problem(problem)
     if system.exact_u is None:
         raise ValueError("convergence study needs a system with exact_u")
     if "multiplier" in norms and (system.r1 == 0 or system.exact_p is None):
         raise ValueError("multiplier norm requires r1 >= 1 and exact_p")
-    opts = SolverOptions(q=q, use_projection=use_projection, quad_points=quad_points)
     errquad = gauss_legendre(q + 3)
     solve = solve_constrained if system.r2 > 0 else solve_mixed
 
     def one(N: int) -> dict:
-        mesh = build_uniform_mesh(T, N)
-        sol = solve(system, mesh, opts)
-        rec = {"N": N, "k": T / N}
+        sol = solve(system, build_uniform_mesh(1.0, N), opts)
+        rec = {"N": N, "k": 1.0 / N}
         if "energy" in norms:
             rec["err_energy"] = error_l2_energy(sol.U, system.exact_u, system.normU, errquad)
         if "nodal" in norms:
@@ -195,5 +199,4 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
         )
         for i, r in enumerate(recs)
     )
-    name = system.name if isinstance(problem, ConstrainedSystem) else problem
-    return EOCTable(problem=name, q=q, use_projection=use_projection, rows=rows)
+    return EOCTable(problem=system.name, q=q, use_projection=use_projection, rows=rows)

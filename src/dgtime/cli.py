@@ -24,11 +24,11 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import EOCTable, StudyRow, run_study
-from .dgsolver import DataError, SlabSolveError
+from .analysis import _PROBLEMS, STUDY_NORMS, EOCTable, StudyRow, _resolve_problem, run_study
+from .dgsolver import DataError, SlabSolveError, SolverOptions
 from .projection import ProjectionSpec, project_broken
-from .systems import PRESET_FUNCTIONS, load_system, validate_system
-from .timecore import build_uniform_mesh, gauss_legendre
+from .systems import PRESET_FUNCTIONS, ConstrainedSystem, load_system, validate_system
+from .timecore import build_uniform_mesh
 
 __all__ = ["main", "StudyConfig", "format_csv", "format_markdown", "parse_table_csv"]
 
@@ -48,7 +48,6 @@ class StudyConfig:
     norms: tuple = ("energy", "nodal")
     output: Optional[str] = None
     format: str = "md"
-    seed: int = 0  # reserved for randomized validation checks
 
     def __post_init__(self):
         if self.q < 1 or self.q > 6:
@@ -61,7 +60,7 @@ class StudyConfig:
             raise ValueError("projection must be on, off, or both")
         if self.format not in ("csv", "md"):
             raise ValueError("format must be csv or md")
-        bad = set(self.norms) - {"energy", "nodal", "multiplier"}
+        bad = set(self.norms) - set(STUDY_NORMS)
         if bad:
             raise ValueError(f"unknown norms: {sorted(bad)}")
 
@@ -73,35 +72,27 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(s) for s in items)
 
 
+# StudyConfig fields that a config file and a flag give as they are
+_PLAIN_FIELDS = ("problem", "q", "projection", "format", "output")
+
+
 def _study_config(args) -> StudyConfig:
     fields: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        for key in ("problem", "q", "projection", "format", "output", "seed"):
-            if key in raw:
-                fields[key] = raw[key]
+        fields.update((key, raw[key]) for key in _PLAIN_FIELDS if key in raw)
         if "Ns" in raw:
             fields["Ns"] = tuple(int(n) for n in raw["Ns"])
         if "norms" in raw:
             fields["norms"] = tuple(raw["norms"])
     # command-line flags override file values
-    if args.problem is not None:
-        fields["problem"] = args.problem
-    if args.q is not None:
-        fields["q"] = args.q
+    fields.update((key, getattr(args, key)) for key in _PLAIN_FIELDS
+                  if getattr(args, key) is not None)
     if args.Ns is not None:
         fields["Ns"] = _parse_int_list(args.Ns)
-    if args.projection is not None:
-        fields["projection"] = args.projection
     if args.norms is not None:
         fields["norms"] = tuple(s.strip() for s in args.norms.split(",") if s.strip())
-    if args.output is not None:
-        fields["output"] = args.output
-    if args.format is not None:
-        fields["format"] = args.format
-    if args.seed is not None:
-        fields["seed"] = args.seed
     if "problem" not in fields:
         raise ValueError("a problem must be given (--problem or config file)")
     return StudyConfig(**fields)
@@ -178,16 +169,15 @@ def format_markdown(table: EOCTable) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _resolve_problem_ref(ref: str):
-    if ref in ("heat1d", "stokes3"):
-        return ref
-    return load_system(ref)
+def _load_problem(ref: str) -> ConstrainedSystem:
+    """A built-in problem by name, otherwise a system JSON file."""
+    return _resolve_problem(ref) if ref in _PROBLEMS else load_system(ref)
 
 
 def _cmd_study(args) -> int:
     try:
         config = _study_config(args)
-        problem = _resolve_problem_ref(config.problem)
+        system = _load_problem(config.problem)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,7 +185,7 @@ def _cmd_study(args) -> int:
     tables = []
     for use_projection in variants:
         try:
-            tables.append(run_study(problem, config.q, config.Ns,
+            tables.append(run_study(system, config.q, config.Ns,
                                     use_projection=use_projection, norms=config.norms))
         except (SlabSolveError, DataError) as exc:
             print(f"error: solver failure (N sweep aborted): {exc}", file=sys.stderr)
@@ -227,12 +217,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        ref = _resolve_problem_ref(args.problem)
-        if isinstance(ref, str):
-            from .analysis import _resolve_problem
-            system = _resolve_problem(ref, n_elements=4)
-        else:
-            system = ref
+        system = _load_problem(args.problem)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -253,7 +238,7 @@ def _cmd_project(args) -> int:
         return 2
     try:
         mesh = build_uniform_mesh(args.T, args.N)
-        spec = ProjectionSpec(args.q, gauss_legendre(max(args.q + 2, 4)))
+        spec = ProjectionSpec(args.q, SolverOptions(q=args.q).quadrature())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -285,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--format", choices=("csv", "md"), default=None)
     p_study.add_argument("--output", default=None, help="output file (stdout if omitted)")
     p_study.add_argument("--config", default=None, help="JSON config file; flags override")
-    p_study.add_argument("--seed", type=int, default=None)
     p_study.set_defaults(handler=_cmd_study)
 
     p_val = sub.add_parser("validate", help="validate a problem or system file")

@@ -14,12 +14,12 @@ Smat = diag(k / (2j+1)) is the slab mass matrix, e_i = phi_i(t_{n-1}+)
 the previous slab (the initial state for n = 1).  Slabs are solved in
 sequence, but only the u_prev term links one slab to the next: all data
 (load moments, projected constraint data, lift coefficients) is computed
-for every slab at once, and for every distinct slab width the dense
-system K is factored once and solved for that width's data right-hand
-sides Y in one call.  Marching is then x_n = Y_n + K^{-1} E u_{n-1}, with
-E u_prev the u_prev term: a width with at least as many slabs as E has
-columns stores the propagator H = K^{-1} E in place of its factors and
-pays one product per slab, any other width one solve per slab.
+for every slab at once, and for every class of equal slab widths the
+dense system K is factored once and solved for that class's data
+right-hand sides Y in one call.  Marching is then x_n = Y_n + K^{-1} E u_{n-1}, with
+E u_prev the u_prev term: a width class with at least as many slabs as E
+has columns stores the propagator H = K^{-1} E in place of its factors
+and pays one product per slab, any other class one solve per slab.
 
 Constraint data enters through G_i.  With the projection switch on, g1 is
 replaced by its endpoint-interpolating slab projection, which makes the
@@ -45,7 +45,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
 from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
-from .timecore import BrokenFunction, Quadrature, TimeMesh, gauss_legendre
+from .timecore import _MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, gauss_legendre
 
 __all__ = [
     "SolverOptions",
@@ -71,20 +71,18 @@ class SlabSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """q temporal dofs per slab (degree q-1), projection switch, quadrature."""
+    """q temporal dofs per slab (degree q-1) and the projection switch."""
 
     q: int = 2
     use_projection: bool = True
-    quad_points: Optional[int] = None  # default max(q + 2, 4)
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.quad_points is not None and 2 * self.quad_points - 1 < 2 * self.q - 1:
-            raise ValueError("slab quadrature must be exact to degree >= 2q - 1")
+        if not 1 <= self.q <= _MAX_POINTS - 2:
+            raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q}")
 
     def quadrature(self) -> Quadrature:
-        return gauss_legendre(self.quad_points or max(self.q + 2, 4))
+        """The slab rule, max(q + 2, 4) Gauss points: exact beyond degree 2q - 1."""
+        return gauss_legendre(max(self.q + 2, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +120,38 @@ def assemble_temporal_matrices(q: int, width: float):
     return Dmat, Smat, e
 
 
+_WIDTH_ULPS = 4
+
+
+def _class_widths(widths: np.ndarray, T: float) -> np.ndarray:
+    """Width of the first slab of every slab's width class, (N,).
+
+    A class holds the widths within _WIDTH_ULPS ulps of T of its smallest
+    width.  Rounding spreads the widths of a uniform mesh by up to about
+    one ulp of T, so every uniform mesh is one class.
+    """
+    w = np.sort(widths)
+    lows, i = [], 0
+    while i < w.size:
+        lows.append(w[i])
+        i = int(np.searchsorted(w, w[i] + _WIDTH_ULPS * np.spacing(T), side="right"))
+    cls = np.searchsorted(lows, widths, side="right") - 1
+    return widths[np.unique(cls, return_index=True)[1]][cls]
+
+
 @dataclass(frozen=True, eq=False)
 class _SlabData:
     """The data side of the slab equations, for all N slabs at once.
 
-    S holds the diagonals of the slab mass matrices, (N, q).  F are the load
+    k holds the class width of every slab, at which its matrix is built,
+    (N,); S the slab mass matrix diagonals at k, (N, q).  F are the load
     moments int phi_i f dt, (N, q, m); G the constraint-row data S times the
     g1 coefficients, (N, q, r1); D2 the g2 coefficients, (N, q, r2); C the
     lift coefficients D2 L^T, (N, q, m).  Constraint data is projected
     (endpoint-interpolating) or L2-projected as the options say.
     """
 
+    k: np.ndarray
     S: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -144,7 +163,8 @@ def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
     """Sample f, g1 and g2 once over all slabs and reduce them to slab data."""
     q, quad = opts.q, opts.quadrature()
     bp, widths, N = mesh.breakpoints, mesh.widths, mesh.N
-    S = widths[:, None] / (2.0 * np.arange(q) + 1.0)
+    k = _class_widths(widths, mesh.T)
+    S = k[:, None] / (2.0 * np.arange(q) + 1.0)
     F = _moments(_sample(system.f, _slab_nodes(bp, quad), "f", system.m), widths, quad, q)
 
     def coeffs(g, field, dim):
@@ -155,7 +175,7 @@ def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
     G = S[:, :, None] * coeffs(system.g1, "g1", system.r1)
     D2 = coeffs(system.g2, "g2", system.r2)
     C = D2 @ system.lift.T if system.r2 else np.zeros_like(F)
-    return _SlabData(S, F, G, D2, C)
+    return _SlabData(k, S, F, G, D2, C)
 
 
 def _slab_matrix(Dmat, Smat, Mmat, Amat, B1mat) -> np.ndarray:
@@ -247,7 +267,7 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     op = _SlabOperator(system, opts.q)
     E = op.E
     X = op.rhs(data)
-    widths, first, cls = np.unique(mesh.widths, return_index=True, return_inverse=True)
+    widths, first, cls = np.unique(data.k, return_index=True, return_inverse=True)
     step = [None] * widths.size  # u_prev -> K^{-1} E u_prev, per width class
     conds = np.empty(widths.size)
     for c in np.argsort(first):
@@ -304,7 +324,7 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     rhs[1:] += data.C[:-1].sum(axis=1) @ op.E.T
     couple = op.E @ op.Pend
     Kg = np.zeros((N * s, N * s))
-    for n, k in enumerate(mesh.widths):
+    for n, k in enumerate(data.k):
         row = n * s
         Kg[row: row + s, row: row + s] = op.matrix(k)
         if n > 0:

@@ -33,6 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cholesky, eigh, null_space, svdvals
 
+from .timecore import _readonly
+
 __all__ = [
     "ConstrainedSystem",
     "ManufacturedSolution1D",
@@ -49,10 +51,17 @@ __all__ = [
 _COMPAT_TOL = 1e-10
 
 
-def _readonly(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _u0_mismatch(system) -> list:
+    """(label, residual) for every constraint block that u0 violates at t = 0."""
+    out = []
+    for B, g, label in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):
+        if B.shape[0] == 0:
+            continue
+        Bu0 = B @ system.u0
+        res = float(np.abs(Bu0 - np.atleast_1d(np.asarray(g(0.0), dtype=float))).max())
+        if res > _COMPAT_TOL * (1.0 + float(np.abs(Bu0).max())):
+            out.append((label, res))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,21 +121,11 @@ class ConstrainedSystem:
         for fld, val in (("M", M), ("A", A), ("B1", B1), ("B2", B2), ("u0", u0),
                          ("lift", lift), ("normU", normU), ("normQ1", normQ1)):
             object.__setattr__(self, fld, val)
-        self._warn_incompatible_u0()
-
-    def _warn_incompatible_u0(self):
-        for Bmat, g, label in ((self.B1, self.g1, "g1"), (self.B2, self.g2, "g2")):
-            if Bmat.shape[0] == 0:
-                continue
-            res = Bmat @ self.u0 - np.atleast_1d(np.asarray(g(0.0), dtype=float))
-            scale = 1.0 + float(np.abs(Bmat @ self.u0).max(initial=0.0))
-            if np.abs(res).max(initial=0.0) > _COMPAT_TOL * scale:
-                warnings.warn(
-                    f"initial state is incompatible with {label}(0) "
-                    f"(residual {np.abs(res).max():.3e}); reduced accuracy expected",
-                    UserWarning,
-                    stacklevel=3,
-                )
+        for label, res in _u0_mismatch(self):
+            # stacklevel 3 skips this method and the dataclass __init__
+            warnings.warn(f"initial state is incompatible with {label}(0) "
+                          f"(residual {res:.3e}); reduced accuracy expected",
+                          UserWarning, stacklevel=3)
 
     @property
     def m(self) -> int:
@@ -171,7 +170,6 @@ def validate_system(system: ConstrainedSystem, tol: float = 1e-12) -> Validation
     Initial-data compatibility is reported as a warning, never a failure.
     """
     checks = []
-    warns = []
     M, A = system.M, system.A
     m = system.m
 
@@ -226,15 +224,9 @@ def validate_system(system: ConstrainedSystem, tol: float = 1e-12) -> Validation
                             float(sv[-1]) if sv.size else 0.0,
                             f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}"))
 
-    for Bmat, g, label in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):
-        if Bmat.shape[0] == 0:
-            continue
-        res = Bmat @ system.u0 - np.atleast_1d(np.asarray(g(0.0), dtype=float))
-        if np.abs(res).max(initial=0.0) > _COMPAT_TOL * (1.0 + np.abs(Bmat @ system.u0).max(initial=0.0)):
-            warns.append(f"initial state incompatible with {label}(0) "
-                         f"(residual {np.abs(res).max():.3e})")
-
-    return ValidationReport(tuple(checks), tuple(warns))
+    warns = tuple(f"initial state incompatible with {label}(0) (residual {res:.3e})"
+                  for label, res in _u0_mismatch(system))
+    return ValidationReport(tuple(checks), warns)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +420,10 @@ def build_saddle_dae(preset: Optional[str] = None, *,
 # ---------------------------------------------------------------------------
 # JSON ingestion (named data presets only; no expression parsing)
 
+# Every preset maps an array of times to an array of the same shape.
 PRESET_FUNCTIONS = {
-    "zero": lambda t: 0.0,
-    "const1": lambda t: 1.0,
+    "zero": lambda t: np.zeros_like(t, dtype=float),
+    "const1": lambda t: np.ones_like(t, dtype=float),
     "t": lambda t: t,
     "tsq": lambda t: t * t,
     "sin4t": lambda t: np.sin(4.0 * t),
@@ -480,8 +473,6 @@ def load_system(path) -> ConstrainedSystem:
     r1 = 0 if B1 is None else B1.shape[0]
     r2 = 0 if B2 is None else B2.shape[0]
     lift = np.asarray(raw["lift"], dtype=float) if "lift" in raw else None
-    if r2 > 0 and lift is None:
-        raise ValueError("'lift' is required when B2 is present")
     return ConstrainedSystem(
         M=M, A=A,
         f=_preset_vector_fn(raw.get("f"), m, "f"),

@@ -136,10 +136,13 @@ class Quadrature:
         return self.nodes.size
 
 
+_MAX_POINTS = 16  # largest Gauss rule gauss_legendre builds
+
+
 def gauss_legendre(n: int) -> Quadrature:
     """n-point Gauss-Legendre rule on [0, 1]; exact up to degree 2n - 1."""
-    if not 1 <= n <= 16:
-        raise ValueError(f"point count must be in 1..16, got {n}")
+    if not 1 <= n <= _MAX_POINTS:
+        raise ValueError(f"point count must be in 1..{_MAX_POINTS}, got {n}")
     x, w = npleg.leggauss(n)
     return Quadrature((x + 1.0) / 2.0, w / 2.0, 2 * n - 1)
 
@@ -260,8 +263,7 @@ class BrokenFunction:
         """Jump [U]^n = U(t_n+) - U(t_n) at the interior breakpoint t_n."""
         if not 1 <= n <= self.mesh.N - 1:
             raise ValueError(f"jump index must be in 1..{self.mesh.N - 1}, got {n}")
-        e = (-1.0) ** np.arange(self.coeffs.shape[1])
-        return e @ self.coeffs[n] - self.coeffs[n - 1].sum(axis=0)
+        return self.slab(n).value_start() - self.coeffs[n - 1].sum(axis=0)
 
     def node_value(self, n: int) -> np.ndarray:
         """Terminal value U^n = U|_{I_n}(t_n) for n = 1..N."""
@@ -271,8 +273,7 @@ class BrokenFunction:
 
     def initial_value(self) -> np.ndarray:
         """Right limit U(0+)."""
-        e = (-1.0) ** np.arange(self.coeffs.shape[1])
-        return e @ self.coeffs[0]
+        return self.slab(0).value_start()
 
     def _pad_to(self, q: int) -> np.ndarray:
         c = self.coeffs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgtime import analysis
 from dgtime import (
     BrokenFunction,
     DataError,
@@ -213,6 +214,15 @@ def test_run_study_argument_validation():
         run_study("heat1d", 2, [4, 8], norms=("multiplier",))  # r1 = 0
     with pytest.raises(ValueError):
         run_study("wave2d", 2, [4, 8])
+
+
+def test_run_study_rejects_q_beyond_its_error_rule(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before rejecting q")
+
+    monkeypatch.setattr(analysis, "solve_mixed", no_solve)
+    with pytest.raises(ValueError, match="q must be at most 13 for a study"):
+        run_study("stokes3", 14, [4, 8])
 
 
 def test_run_study_accepts_custom_system_without_name():

@@ -154,6 +154,14 @@ def test_study_config_file_with_flag_override(tmp_path, capsys):
     assert rows[1].startswith("8,") and rows[2].startswith("16,")
 
 
+def test_study_config_file_ignores_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"problem": "stokes3", "Ns": [4, 8], "format": "csv",
+                               "seed": 3}))
+    assert main(["study", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
+
+
 @pytest.mark.parametrize("argv", [
     ["study", "--problem", "heat1d", "--Ns", ""],          # empty list
     ["study", "--problem", "heat1d", "--Ns", "16,8"],      # not increasing
@@ -161,6 +169,7 @@ def test_study_config_file_with_flag_override(tmp_path, capsys):
     ["study", "--problem", "nosuch.json"],                 # missing file
     ["study", "--Ns", "4,8"],                              # no problem given
     ["study", "--problem", "heat1d", "--norms", "multiplier"],  # r1 = 0
+    ["study", "--problem", "heat1d", "--seed", "1"],       # no such flag
 ])
 def test_study_unusable_configuration_exits_2(argv, capsys):
     assert main(argv) == 2

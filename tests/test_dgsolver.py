@@ -1,11 +1,14 @@
+import json
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import null_space
 
+from dgtime import dgsolver
 from dgtime import (
     ConstrainedSystem,
     DataError,
@@ -19,6 +22,7 @@ from dgtime import (
     build_uniform_mesh,
     constraint_residual,
     dg_residual,
+    load_system,
     solve_constrained,
     solve_mixed,
     solve_monolithic,
@@ -91,10 +95,14 @@ def test_temporal_matrix_argument_validation():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(q=0)
-    with pytest.raises(ValueError):
-        SolverOptions(q=2, quad_points=1)  # exactness 1 < 2q-1
     assert SolverOptions(q=2).quadrature().npoints == 4
     assert SolverOptions(q=5).quadrature().npoints == 7
+
+
+def test_solver_options_reject_q_beyond_the_largest_gauss_rule():
+    assert SolverOptions(q=14).quadrature().npoints == 16
+    with pytest.raises(ValueError, match=r"q must be in 1\.\.14, got 15"):
+        SolverOptions(q=15)
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +555,58 @@ def test_data_calls_per_solve_do_not_grow_with_N(problem, use_projection):
         solve(counted, build_uniform_mesh(1.0, N), SolverOptions(q=3, use_projection=use_projection))
         counts.append(calls[0])
     assert counts[0] == counts[1]
+
+
+def test_preset_data_is_sampled_in_one_call(tmp_path):
+    path = tmp_path / "presets.json"
+    path.write_text(json.dumps({
+        "M": [[1.0, 0.0], [0.0, 1.0]], "A": [[2.0, 0.0], [0.0, 1.0]], "u0": [1.0, 0.0],
+        "B1": [[1.0, 0.0]], "f": ["sin4t", "zero"], "g1": "const1",
+    }))
+    system = load_system(path)
+    counts = []
+    for N in (16, 512):
+        counted, calls = _counting(system)
+        solve_mixed(counted, build_uniform_mesh(1.0, N), SolverOptions(q=2))
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# width classes: one factorization per class of equal slab widths
+
+
+def _factor_calls(system, mesh, q):
+    solve = solve_constrained if system.r2 else solve_mixed
+    with mock.patch.object(dgsolver, "_factor", wraps=dgsolver._factor) as factor:
+        solve(system, mesh, SolverOptions(q=q))
+    return factor.call_count
+
+
+@settings(max_examples=30, deadline=None)
+@given(T=st.floats(1e-3, 10.0), N=st.integers(1, 3000), q=st.integers(1, 3))
+@example(T=1.0, N=25, q=2)
+@example(T=1.0, N=1000, q=1)
+@example(T=1.0, N=3000, q=1)
+@example(T=1.0, N=100000, q=1)
+def test_uniform_mesh_is_factored_once(T, N, q):
+    assert _factor_calls(build_saddle_dae("stokes3"), build_uniform_mesh(T, N), q) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 30),
+       problem=st.sampled_from(["stokes3", "heat1d"]))
+def test_random_mesh_is_factored_once_per_slab(seed, N, problem):
+    system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
+    widths = np.random.default_rng(seed).uniform(0.2, 1.0, N)
+    assert _factor_calls(system, TimeMesh(np.r_[0.0, np.cumsum(widths)]), 2) == N
+
+
+def test_merged_width_class_keeps_the_constraint_exact():
+    # The widths of this uniform mesh span several floats; its constraint
+    # rows must be scaled by the width its class is factored at.
+    system = build_saddle_dae("stokes3")
+    mesh, opts = build_uniform_mesh(1.0, 1000), SolverOptions(q=2)
+    assert np.unique(mesh.widths).size > 1
+    sol = solve_mixed(system, mesh, opts)
+    assert constraint_residual(system, mesh, opts, sol.U).max() <= 1e-14

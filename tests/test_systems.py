@@ -245,6 +245,16 @@ def test_incompatible_initial_data_warns():
             lift=np.array([[1.0], [0.0]]))
 
 
+def test_incompatible_initial_data_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="initial") as record:
+        ConstrainedSystem(
+            M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+            u0=np.array([0.0, 0.0]),
+            B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1),
+            lift=np.array([[1.0], [0.0]]))
+    assert record[0].filename == __file__
+
+
 def test_compatible_initial_data_is_silent(recwarn):
     ConstrainedSystem(
         M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),

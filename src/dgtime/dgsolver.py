@@ -11,15 +11,9 @@ form reduces to the dense linear system
 where Dmat collects the weak time derivative plus the upwind jump term,
 Smat = diag(k / (2j+1)) is the slab mass matrix, e_i = phi_i(t_{n-1}+)
 = (-1)^i, F_i = int_{I_n} phi_i f dt, and u_prev is the terminal value of
-the previous slab (the initial state for n = 1).  Slabs are solved in
-sequence, but only the u_prev term links one slab to the next: all data
-(load moments, projected constraint data, lift coefficients) is computed
-for every slab at once, and for every class of equal slab widths the
-dense system K is factored once and solved for that class's data
-right-hand sides Y in one call.  Marching is then x_n = Y_n + K^{-1} E u_{n-1}, with
-E u_prev the u_prev term: a width class with at least as many slabs as E
-has columns stores the propagator H = K^{-1} E in place of its factors
-and pays one product per slab, any other class one solve per slab.
+the previous slab (the initial state for n = 1).  All data (load moments,
+projected constraint data, lift coefficients) is computed for every slab
+at once.
 
 Constraint data enters through G_i.  With the projection switch on, g1 is
 replaced by its endpoint-interpolating slab projection, which makes the
@@ -32,19 +26,40 @@ Explicitly constrained components (B2 u = g2) are eliminated before the
 solve: the data lift G(t) = L g2(t) is projected slab-wise, the solution
 is written as U = Z y + (proj G) with Z an orthonormal kernel basis of B2,
 and the slab system above is posed for y on the kernel.
+
+The marching solvers never form this dense system.  With Q an
+orthonormal kernel basis of B1 Z, one generalized symmetric
+eigendecomposition of (Q^T Z^T A Z Q, Q^T Z^T M Z Q) gives sigma and V =
+Z Q W with V^T M V = I and V^T A V = diag(sigma).  Every coefficient is
+u_j = V w_j + kappa_j, where kappa_j, the lift plus the B1 data on L1 =
+Z pinv(B1 Z), is known from the data.  Tested with V, every slab, at any
+width k, splits into one q x q block per mode l,
+
+    (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l,
+
+and the blocks of all slabs and modes are solved in one batched call.
+Since V^T M V = I, the only sequential step is the scalar recurrence of
+the modal terminal value, w_end_n = alpha_n + r_n w_end_{n-1}, with
+r_n = 1^T K^{-1} e the DG stability function at k sigma.  The multiplier
+is the momentum residual tested with L1, divided by Smat.
+solve_monolithic assembles the kron system above for all slabs and is
+the independent check; the slab condition estimates factor it once per
+distinct width, when they are first read.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, null_space
 from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
+from .systems import _asymmetry
 from .timecore import _MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, gauss_legendre
 
 __all__ = [
@@ -59,6 +74,10 @@ __all__ = [
     "dg_residual",
     "constraint_residual",
 ]
+
+
+_EPS = np.finfo(float).eps
+_SINGULAR = "singular slab system (check constraint ranks / inf-sup)"
 
 
 class SlabSolveError(RuntimeError):
@@ -87,11 +106,19 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class MixedSolution:
-    """Broken state U, broken multiplier P (None when r1 = 0), diagnostics."""
+    """Broken state U, broken multiplier P (None when r1 = 0), diagnostics.
+
+    condition_estimates, (N,), is the LAPACK gecon estimate of the 1-norm
+    condition of every slab's matrix, computed on first access.
+    """
 
     U: BrokenFunction
     P: Optional[BrokenFunction]
-    condition_estimates: np.ndarray
+    _conditions: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def condition_estimates(self) -> np.ndarray:
+        return self._conditions()
 
 
 def assemble_temporal_matrices(q: int, width: float):
@@ -120,35 +147,16 @@ def assemble_temporal_matrices(q: int, width: float):
     return Dmat, Smat, e
 
 
-_WIDTH_ULPS = 4
-
-
-def _class_widths(widths: np.ndarray, T: float) -> np.ndarray:
-    """Width of the first slab of every slab's width class, (N,).
-
-    A class holds the widths within _WIDTH_ULPS ulps of T of its smallest
-    width.  Rounding spreads the widths of a uniform mesh by up to about
-    one ulp of T, so every uniform mesh is one class.
-    """
-    w = np.sort(widths)
-    lows, i = [], 0
-    while i < w.size:
-        lows.append(w[i])
-        i = int(np.searchsorted(w, w[i] + _WIDTH_ULPS * np.spacing(T), side="right"))
-    cls = np.searchsorted(lows, widths, side="right") - 1
-    return widths[np.unique(cls, return_index=True)[1]][cls]
-
-
 @dataclass(frozen=True, eq=False)
 class _SlabData:
     """The data side of the slab equations, for all N slabs at once.
 
-    k holds the class width of every slab, at which its matrix is built,
-    (N,); S the slab mass matrix diagonals at k, (N, q).  F are the load
-    moments int phi_i f dt, (N, q, m); G the constraint-row data S times the
-    g1 coefficients, (N, q, r1); D2 the g2 coefficients, (N, q, r2); C the
-    lift coefficients D2 L^T, (N, q, m).  Constraint data is projected
-    (endpoint-interpolating) or L2-projected as the options say.
+    k holds every slab's width, (N,); S the slab mass matrix diagonals,
+    (N, q).  F are the load moments int phi_i f dt, (N, q, m); G the
+    constraint-row data S times the g1 coefficients, (N, q, r1); D2 the g2
+    coefficients, (N, q, r2); C the lift coefficients D2 L^T, (N, q, m).
+    Constraint data is projected (endpoint-interpolating) or L2-projected
+    as the options say.
     """
 
     k: np.ndarray
@@ -162,10 +170,9 @@ class _SlabData:
 def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
     """Sample f, g1 and g2 once over all slabs and reduce them to slab data."""
     q, quad = opts.q, opts.quadrature()
-    bp, widths, N = mesh.breakpoints, mesh.widths, mesh.N
-    k = _class_widths(widths, mesh.T)
+    bp, k, N = mesh.breakpoints, mesh.widths, mesh.N
     S = k[:, None] / (2.0 * np.arange(q) + 1.0)
-    F = _moments(_sample(system.f, _slab_nodes(bp, quad), "f", system.m), widths, quad, q)
+    F = _moments(_sample(system.f, _slab_nodes(bp, quad), "f", system.m), k, quad, q)
 
     def coeffs(g, field, dim):
         if dim == 0:
@@ -180,7 +187,7 @@ def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
 
 def _slab_matrix(Dmat, Smat, Mmat, Amat, B1mat) -> np.ndarray:
     top = np.kron(Dmat, Mmat) + np.kron(Smat, Amat)
-    if B1mat is None or B1mat.shape[0] == 0:
+    if B1mat.shape[0] == 0:
         return top
     nc = Smat.shape[0] * B1mat.shape[0]
     return np.block([
@@ -196,8 +203,8 @@ def _factor(K: np.ndarray, slab: int):
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(K, check_finite=False)
     d = np.abs(np.diag(lu))
-    if d.size == 0 or d.min() <= d.max() * K.shape[0] * np.finfo(float).eps:
-        raise SlabSolveError(slab, "singular slab system (check constraint ranks / inf-sup)")
+    if d.size == 0 or d.min() <= d.max() * K.shape[0] * _EPS:
+        raise SlabSolveError(slab, _SINGULAR)
     rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
 
@@ -213,79 +220,118 @@ def _kernel_basis(system) -> np.ndarray:
 
 
 class _SlabOperator:
-    """Spatial blocks on ker B2 and the slab coupling, shared by every solver.
+    """Spatial blocks on ker B2, shared by every solver.
 
-    The slab unknown x stacks the q kernel coefficients y_j (u_j = Z y_j +
-    c_j) and the q multiplier coefficients.  E maps the previous terminal
-    value u_prev to its right-hand side term, e (x) Z^T M u_prev, and Pend
-    maps x to the kernel part of the slab's terminal value, Z sum_j y_j.
-    Without explicit constraints Z is the identity and c = 0.
+    Mz, Az and B1z are M, A and B1 on ker B2, Z an orthonormal kernel
+    basis of B2 (None without explicit constraints: Z is then the
+    identity and c = 0).  matrix(width) is the slab system for the q kernel
+    coefficients y_j (u_j = Z y_j + c_j) and the q multiplier coefficients;
+    modes() is the spatial eigenbasis the marching solvers use instead.
     """
 
     def __init__(self, system, q: int):
-        m, r1 = system.m, system.r1
+        m = system.m
         self.system, self.q = system, q
         self.Z = _kernel_basis(system) if system.r2 > 0 else None
         Z = np.eye(m) if self.Z is None else self.Z
         self.mz = Z.shape[1]
-        ZtM = Z.T @ system.M
-        self.Mz, self.Az = ZtM @ Z, Z.T @ system.A @ Z
-        self.B1z = system.B1 @ Z if r1 else None
-        self.Dmat, _, e = assemble_temporal_matrices(q, 1.0)
-        self.s = q * (self.mz + r1)
-        self.E = np.zeros((self.s, m))
-        self.E[: q * self.mz] = np.kron(e[:, None], ZtM)
-        self.Pend = np.zeros((m, self.s))
-        self.Pend[:, : q * self.mz] = np.kron(np.ones((1, q)), Z)
+        self.Mz, self.Az = Z.T @ system.M @ Z, Z.T @ system.A @ Z
+        self.B1z = system.B1 @ Z
+        self.Dmat, _, self.e = assemble_temporal_matrices(q, 1.0)
+        self.s = q * (self.mz + system.r1)
 
     def matrix(self, width: float) -> np.ndarray:
         _, Smat, _ = assemble_temporal_matrices(self.q, width)
         return _slab_matrix(self.Dmat, Smat, self.Mz, self.Az, self.B1z)
 
-    def rhs(self, data: _SlabData) -> np.ndarray:
-        """Data part of every slab right-hand side, (N, s)."""
-        sysm, N = self.system, data.F.shape[0]
-        F, G = data.F, data.G
-        if self.Z is not None:
-            S, C = data.S[:, :, None], data.C
-            F = (F - self.Dmat @ (C @ sysm.M.T) - S * (C @ sysm.A.T)) @ self.Z
-            G = G - S * (C @ sysm.B1.T)
-        return np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
+    def conditions(self, k: np.ndarray) -> np.ndarray:
+        """gecon estimates at the slab widths k, one factorization per distinct width."""
+        widths, first, cls = np.unique(k, return_index=True, return_inverse=True)
+        conds = [_factor(self.matrix(w), int(n) + 1)[1] for w, n in zip(widths, first)]
+        return np.array(conds)[cls]
 
-    def solution(self, mesh: TimeMesh, X: np.ndarray, data: _SlabData,
-                 conds: np.ndarray) -> MixedSolution:
-        q, mz, r1 = self.q, self.mz, self.system.r1
-        y = X[:, : q * mz].reshape(mesh.N, q, mz)
-        U = BrokenFunction(mesh, y if self.Z is None else y @ self.Z.T + data.C)
-        P = BrokenFunction(mesh, X[:, q * mz:].reshape(mesh.N, q, r1)) if r1 else None
-        return MixedSolution(U, P, conds)
+    def modes(self):
+        """(sigma, V, L1): the spatial eigenbasis of the slab equations.
+
+        With Q an orthonormal kernel basis of B1z, eigh(Q^T Az Q, Q^T Mz Q)
+        gives sigma, (mw,), and W with W^T Q^T Mz Q W = I; V = Z Q W,
+        (m, mw), so V^T M V = I and V^T A V = diag(sigma).  L1 = Z pinv(B1z),
+        (m, r1), is a right inverse of B1 inside ker B2.
+        """
+        for name, X in (("M", self.Mz), ("A", self.Az)):
+            asym, ok = _asymmetry(X)
+            if not ok:
+                raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.2e})")
+        Mw, Aw, L1 = self.Mz, self.Az, np.zeros((self.mz, 0))
+        r1 = self.system.r1
+        if r1:
+            u, sv, vt = np.linalg.svd(self.B1z)
+            if sv.size < r1 or sv[-1] <= sv[0] * max(self.B1z.shape) * _EPS:
+                raise SlabSolveError(1, _SINGULAR)
+            Q = vt[r1:].T
+            Mw, Aw, L1 = Q.T @ Mw @ Q, Q.T @ Aw @ Q, (vt[:r1].T / sv) @ u.T
+        try:
+            sigma, W = eigh(Aw, Mw)
+        except np.linalg.LinAlgError:
+            raise SlabSolveError(1, "singular slab system: M is not positive definite "
+                                    "on the constraint kernel") from None
+        V = W if r1 == 0 else Q @ W
+        if self.Z is not None:
+            V, L1 = self.Z @ V, self.Z @ L1
+        return sigma, V, L1
 
 
 def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
-    """Sequential solve, slab data batched per width class."""
-    data = _slab_data(system, mesh, opts)
+    """Sequential solve in the spatial eigenbasis, one q x q block per slab and mode.
+
+    Every coefficient is u_j = V w_j + kappa_j, kappa the known part: the
+    lift plus the B1 data on L1.  Only the modal terminal value w_end runs
+    through the slabs, by w_end_n = alpha_n + r_n w_end_{n-1}.
+    """
     op = _SlabOperator(system, opts.q)
-    E = op.E
-    X = op.rhs(data)
-    widths, first, cls = np.unique(data.k, return_index=True, return_inverse=True)
-    step = [None] * widths.size  # u_prev -> K^{-1} E u_prev, per width class
-    conds = np.empty(widths.size)
-    for c in np.argsort(first):
-        lu, conds[c] = _factor(op.matrix(widths[c]), int(first[c]) + 1)
-        idx = cls == c
-        X[idx] = lu_solve(lu, X[idx].T, check_finite=False).T
-        # H costs one solve per column of E, so it pays only for a width
-        # with at least that many slabs.
-        if np.count_nonzero(idx) >= E.shape[1]:
-            step[c] = lu_solve(lu, E, check_finite=False).__matmul__
-        else:
-            step[c] = lambda u, lu=lu: lu_solve(lu, E @ u, check_finite=False)
-    u = system.u0
-    cend = data.C.sum(axis=1)
-    for n, c in enumerate(cls.tolist()):
-        X[n] += step[c](u)
-        u = op.Pend @ X[n] + cend[n]
-    return op.solution(mesh, X, data, conds[cls])
+    sigma, V, L1 = op.modes()
+    data = _slab_data(system, mesh, opts)
+    M, A, Dmat, e = system.M, system.A, op.Dmat, op.e
+    N, q, mw = mesh.N, opts.q, sigma.size
+    S = data.S[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = (data.G / S - data.C @ system.B1.T) @ L1.T + data.C
+        kM = kappa @ M.T
+        # tested with the modes V and, for the multiplier, with L1
+        VL = np.hstack([V, L1])
+        rhs = (data.F - Dmat @ kM - S * (kappa @ A.T)) @ VL
+        # the known part of every slab's u_prev term: u0, then kappa's terminal value
+        prev = np.vstack([M @ system.u0, kM[:-1].sum(axis=1)]) @ VL
+        K = Dmat + (data.S[:, None, :] * sigma[:, None])[..., None] * np.eye(q)
+        Y = np.empty((N, mw, q, 2))
+        Y[..., 0] = (rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]).transpose(0, 2, 1)
+        Y[..., 1] = e
+        try:
+            X = np.linalg.solve(K, Y)
+        except np.linalg.LinAlgError:
+            smax, smin = np.linalg.svd(K, compute_uv=False)[..., [0, -1]].T
+            bad = (smin <= smax * q * _EPS).any(axis=0)
+            raise SlabSolveError(int(np.argmax(bad)) + 1, _SINGULAR) from None
+        a, v = X[..., 0], X[..., 1]
+        alpha, r = a.sum(axis=-1), v.sum(axis=-1)
+        wprev = np.zeros((N, mw))  # modal terminal value of the previous slab
+        for n in range(1, N):
+            wprev[n] = alpha[n - 1] + r[n - 1] * wprev[n - 1]
+        w = (a + v * wprev[:, :, None]).transpose(0, 2, 1)
+        U = w @ V.T + kappa
+        P = None
+        if system.r1:
+            # the momentum residual tested with L1 is S_ii p_i
+            LMV, LAV = L1.T @ M @ V, L1.T @ A @ V
+            P = (rhs[:, :, mw:] + e[:, None] * (prev[:, mw:] + wprev @ LMV.T)[:, None, :]
+                 - Dmat @ (w @ LMV.T) - S * (w @ LAV.T)) / S
+    bad = ~np.isfinite(U).all(axis=(1, 2))
+    if P is not None:
+        bad |= ~np.isfinite(P).all(axis=(1, 2))
+    if bad.any():
+        raise SlabSolveError(int(np.argmax(bad)) + 1, "non-finite solution coefficients")
+    return MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
+                         partial(op.conditions, data.k))
 
 
 def solve_mixed(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -301,8 +347,8 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
     The lifted data L g2 is projected slab-wise; on every slab the total
     coefficients are u_j = Z y_j + c_j with c the lift coefficients, so the
     kernel system for y carries the lift contribution on its right-hand
-    side.  When B1 is also present, the multiplier block is retained on the
-    kernel (combined case).
+    side.  When B1 is also present, the multiplier is solved for on the
+    kernel as well (combined case).
     """
     if system.r2 == 0:
         raise ValueError("solve_constrained requires r2 >= 1; use solve_mixed")
@@ -317,12 +363,26 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     """
     data = _slab_data(system, mesh, opts)
     op = _SlabOperator(system, opts.q)
-    N, s = mesh.N, op.s
-    rhs = op.rhs(data)
-    rhs[0] += op.E @ system.u0
+    M, A, B1 = system.M, system.A, system.B1
+    q, mz, m, N, s = opts.q, op.mz, system.m, mesh.N, op.s
+    Z = np.eye(m) if op.Z is None else op.Z
+    # E maps the previous terminal value u_prev to its right-hand side term,
+    # e (x) Z^T M u_prev; Pend maps x to the kernel part of the slab's
+    # terminal value, Z sum_j y_j.
+    E = np.zeros((s, m))
+    E[: q * mz] = np.kron(op.e[:, None], Z.T @ M)
+    Pend = np.zeros((m, s))
+    Pend[:, : q * mz] = np.kron(np.ones((1, q)), Z)
+    F, G = data.F, data.G
+    if op.Z is not None:
+        S, C = data.S[:, :, None], data.C
+        F = (F - op.Dmat @ (C @ M.T) - S * (C @ A.T)) @ op.Z
+        G = G - S * (C @ B1.T)
+    rhs = np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
+    rhs[0] += E @ system.u0
     # the lift part of the previous terminal value stays on the right-hand side
-    rhs[1:] += data.C[:-1].sum(axis=1) @ op.E.T
-    couple = op.E @ op.Pend
+    rhs[1:] += data.C[:-1].sum(axis=1) @ E.T
+    couple = E @ Pend
     Kg = np.zeros((N * s, N * s))
     for n, k in enumerate(data.k):
         row = n * s
@@ -331,7 +391,10 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
             Kg[row: row + s, row - s: row] = -couple
     lu, cond = _factor(Kg, 0)
     X = lu_solve(lu, rhs.ravel(), check_finite=False).reshape(N, s)
-    return op.solution(mesh, X, data, np.full(N, cond))
+    y = X[:, : q * mz].reshape(N, q, mz)
+    U = BrokenFunction(mesh, y if op.Z is None else y @ op.Z.T + data.C)
+    P = BrokenFunction(mesh, X[:, q * mz:].reshape(N, q, system.r1)) if system.r1 else None
+    return MixedSolution(U, P, lambda: np.full(N, cond))
 
 
 def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,

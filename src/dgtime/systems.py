@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 _COMPAT_TOL = 1e-10
+_STRUCTURE_TOL = 1e-12  # relative tolerance of the structural checks
+
+
+def _asymmetry(X: np.ndarray) -> tuple:
+    """(max |X - X^T|, whether it is within _STRUCTURE_TOL of max |X|)."""
+    asym = float(np.abs(X - X.T).max(initial=0.0))
+    return asym, asym <= _STRUCTURE_TOL * (float(np.abs(X).max(initial=0.0)) or 1.0)
 
 
 def _u0_mismatch(system) -> list:
@@ -161,7 +168,7 @@ class ValidationReport:
         return all(c.ok for c in self.checks)
 
 
-def validate_system(system: ConstrainedSystem, tol: float = 1e-12) -> ValidationReport:
+def validate_system(system: ConstrainedSystem) -> ValidationReport:
     """Check the structural assumptions the solvers rely on.
 
     Verifies: M SPD, A symmetric, full row rank of the stacked constraint
@@ -171,11 +178,9 @@ def validate_system(system: ConstrainedSystem, tol: float = 1e-12) -> Validation
     """
     checks = []
     M, A = system.M, system.A
-    m = system.m
+    m, tol = system.m, _STRUCTURE_TOL
 
-    sym_m = float(np.abs(M - M.T).max(initial=0.0))
-    scale_m = float(np.abs(M).max(initial=0.0)) or 1.0
-    spd = sym_m <= tol * scale_m
+    sym_m, spd = _asymmetry(M)
     detail = f"max asymmetry {sym_m:.2e}"
     if spd:
         try:
@@ -186,9 +191,8 @@ def validate_system(system: ConstrainedSystem, tol: float = 1e-12) -> Validation
             detail += ", Cholesky failed"
     checks.append(Check("mass matrix SPD", spd, sym_m, detail))
 
-    sym_a = float(np.abs(A - A.T).max(initial=0.0))
-    scale_a = float(np.abs(A).max(initial=0.0)) or 1.0
-    checks.append(Check("stiffness symmetric", sym_a <= tol * scale_a, sym_a,
+    sym_a, sym_ok = _asymmetry(A)
+    checks.append(Check("stiffness symmetric", sym_ok, sym_a,
                         f"max asymmetry {sym_a:.2e}"))
 
     B = np.vstack([system.B1, system.B2])

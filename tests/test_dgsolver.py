@@ -271,6 +271,63 @@ def test_monolithic_matches_sequential_nonuniform():
     assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-11 * scale
 
 
+def _random_system(seed, kind, m, r1):
+    """A random SPD (r1 = r2 = 0), saddle (B1) or combined (B1 + B2) system.
+
+    M and A have the spectra of criterion 11, [0.5, 3] and [0.1, 2], and
+    B1 has singular values in [0.5, 2] on ker B2, so that the conditioning
+    of the multiplier stays bounded as well; u0 matches the constraint
+    data at t = 0.
+    """
+    rng = np.random.default_rng(seed)
+
+    def spd(lo, hi):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        return Q @ np.diag(rng.uniform(lo, hi, m)) @ Q.T
+
+    def smooth(c0):
+        """c0 + c1 t + c2 sin(3t), evaluable on arrays of times."""
+        c1, c2 = rng.standard_normal((2, c0.size))
+        return lambda t: (np.multiply.outer(c0, np.ones_like(t)) + np.multiply.outer(c1, t)
+                          + np.multiply.outer(c2, np.sin(3.0 * np.asarray(t))))
+
+    M, A, u0 = spd(0.5, 3.0), spd(0.1, 2.0), rng.standard_normal(m)
+    f, path = smooth(rng.standard_normal(m)), smooth(u0)
+    kw, Z = {}, np.eye(m)
+    if kind == "combined":
+        B2 = rng.standard_normal((1, m))
+        kw.update(B2=B2, g2=lambda t: B2 @ path(t), lift=np.linalg.pinv(B2))
+        Z = null_space(B2)
+    if kind != "spd":
+        r1 = min(r1, Z.shape[1])
+        U, _ = np.linalg.qr(rng.standard_normal((r1, r1)))
+        W, _ = np.linalg.qr(rng.standard_normal((Z.shape[1], r1)))
+        B1 = U @ np.diag(rng.uniform(0.5, 2.0, r1)) @ W.T @ Z.T
+        if kind == "combined":
+            B1 = B1 + rng.standard_normal((r1, 1)) @ B2
+        kw.update(B1=B1, g1=lambda t: B1 @ path(t))
+    return ConstrainedSystem(M=M, A=A, f=f, u0=u0, **kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["spd", "saddle", "combined"]),
+       m=st.integers(2, 6), r1=st.integers(1, 2),
+       widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6),
+       q=st.integers(1, 4), use_projection=st.booleans())
+def test_marching_matches_monolithic_on_random_systems(seed, kind, m, r1, widths, q,
+                                                       use_projection):
+    system = _random_system(seed, kind, m, r1)
+    solve = solve_constrained if system.r2 else solve_mixed
+    mesh = TimeMesh(np.r_[0.0, np.cumsum(widths)])
+    opts = SolverOptions(q=q, use_projection=use_projection)
+    seq, mono = solve(system, mesh, opts), solve_monolithic(system, mesh, opts)
+    assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-10 * np.abs(mono.U.coeffs).max()
+    if system.r1:
+        assert np.abs(seq.P.coeffs - mono.P.coeffs).max() <= 1e-10 * np.abs(mono.P.coeffs).max()
+    if use_projection and system.r1 + system.r2:
+        assert constraint_residual(system, mesh, opts, seq.U).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # residual checks
 
@@ -419,6 +476,44 @@ def test_singular_slab_system_raises_with_slab_index():
         solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=1))
     assert err.value.slab == 1
     assert "slab 1" in str(err.value)
+
+
+def test_singular_modal_block_raises_with_slab_index():
+    # q = 1 blocks are 1 + k sigma with sigma = -2: the second slab has k = 0.5
+    system = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1),
+                               f=lambda t: np.zeros(1), u0=np.ones(1))
+    with pytest.raises(SlabSolveError) as err:
+        solve_mixed(system, TimeMesh(np.array([0.0, 0.3, 0.8, 1.0])), SolverOptions(q=1))
+    assert err.value.slab == 2
+
+
+def test_rank_deficient_weak_constraint_raises_on_the_first_slab():
+    system = ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+                               u0=np.zeros(2), B1=np.array([[1.0, 0.0], [2.0, 0.0]]),
+                               g1=lambda t: np.zeros(2))
+    with pytest.raises(SlabSolveError) as err:
+        solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
+    assert err.value.slab == 1
+
+
+def test_nonsymmetric_stiffness_is_rejected():
+    system = ConstrainedSystem(M=np.eye(2), A=np.array([[1.0, 0.5], [0.0, 1.0]]),
+                               f=lambda t: np.zeros(2), u0=np.ones(2))
+    with pytest.raises(ValueError, match="A is not symmetric"):
+        solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
+
+
+def test_overflowing_solution_raises_with_slab_index():
+    # finite data whose solution leaves the float range on the second slab:
+    # u' = 1e308 from u0 = 1e308; with q = 1, U is 1.5e308 on the first
+    # slab and 2e308 on the second
+    system = ConstrainedSystem(M=np.eye(1), A=np.zeros((1, 1)),
+                               f=lambda t: np.full((1,) + np.shape(t), 1e308),
+                               u0=np.array([1e308]))
+    with pytest.raises(SlabSolveError) as err:
+        solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=1))
+    assert err.value.slab == 2
+    assert "non-finite" in str(err.value)
 
 
 def test_nonfinite_forcing_raises_data_error():
@@ -573,14 +668,15 @@ def test_preset_data_is_sampled_in_one_call(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# width classes: one factorization per class of equal slab widths
+# marching in the spatial eigenbasis: one eigh per solve, no slab factorization
 
 
-def _factor_calls(system, mesh, q):
+def _eigh_and_factor_calls(system, mesh, q):
     solve = solve_constrained if system.r2 else solve_mixed
-    with mock.patch.object(dgsolver, "_factor", wraps=dgsolver._factor) as factor:
+    with mock.patch.object(dgsolver, "eigh", wraps=dgsolver.eigh) as eigh, \
+            mock.patch.object(dgsolver, "_factor", wraps=dgsolver._factor) as factor:
         solve(system, mesh, SolverOptions(q=q))
-    return factor.call_count
+    return eigh.call_count, factor.call_count
 
 
 @settings(max_examples=30, deadline=None)
@@ -589,17 +685,18 @@ def _factor_calls(system, mesh, q):
 @example(T=1.0, N=1000, q=1)
 @example(T=1.0, N=3000, q=1)
 @example(T=1.0, N=100000, q=1)
-def test_uniform_mesh_is_factored_once(T, N, q):
-    assert _factor_calls(build_saddle_dae("stokes3"), build_uniform_mesh(T, N), q) == 1
+def test_uniform_mesh_solve_calls_eigh_once_and_never_factors(T, N, q):
+    calls = _eigh_and_factor_calls(build_saddle_dae("stokes3"), build_uniform_mesh(T, N), q)
+    assert calls == (1, 0)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 30),
        problem=st.sampled_from(["stokes3", "heat1d"]))
-def test_random_mesh_is_factored_once_per_slab(seed, N, problem):
+def test_random_mesh_solve_calls_eigh_once_and_never_factors(seed, N, problem):
     system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
     widths = np.random.default_rng(seed).uniform(0.2, 1.0, N)
-    assert _factor_calls(system, TimeMesh(np.r_[0.0, np.cumsum(widths)]), 2) == N
+    assert _eigh_and_factor_calls(system, TimeMesh(np.r_[0.0, np.cumsum(widths)]), 2) == (1, 0)
 
 
 def test_merged_width_class_keeps_the_constraint_exact():

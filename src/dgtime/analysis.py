@@ -68,7 +68,7 @@ def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) ->
     return _l2_error(P, exact_p, normQ1, quad, "exact_p")
 
 
-def eoc(errors: Sequence[float], Ns: Sequence[int], floor: float = EOC_FLOOR) -> list:
+def eoc(errors: Sequence[float], Ns: Sequence[int]) -> list:
     """Pairwise estimated orders of convergence; nan marks at-floor entries."""
     if len(errors) != len(Ns) or len(errors) < 2:
         raise ValueError("need equally long error/N sequences of length >= 2")
@@ -79,7 +79,7 @@ def eoc(errors: Sequence[float], Ns: Sequence[int], floor: float = EOC_FLOOR) ->
         e_prev, e_cur = errors[i - 1], errors[i]
         if e_prev < 0.0 or e_cur < 0.0:
             raise ValueError("errors must be nonnegative")
-        if e_prev < floor or e_cur < floor:
+        if e_prev < EOC_FLOOR or e_cur < EOC_FLOOR:
             out.append(math.nan)  # at the floating-point floor
         else:
             out.append(math.log(e_prev / e_cur) / math.log(Ns[i] / Ns[i - 1]))

@@ -11,9 +11,8 @@ form reduces to the dense linear system
 where Dmat collects the weak time derivative plus the upwind jump term,
 Smat = diag(k / (2j+1)) is the slab mass matrix, e_i = phi_i(t_{n-1}+)
 = (-1)^i, F_i = int_{I_n} phi_i f dt, and u_prev is the terminal value of
-the previous slab (the initial state for n = 1).  All data (load moments,
-projected constraint data, lift coefficients) is computed for every slab
-at once.
+the previous slab (the initial state for n = 1).  All data (load moments
+and projected constraint data) is computed for every slab at once.
 
 Constraint data enters through G_i.  With the projection switch on, g1 is
 replaced by its endpoint-interpolating slab projection, which makes the
@@ -22,17 +21,13 @@ on every slab; switched off, G_i falls back to the raw quadrature moments
 of g1 (the discrete constraint then only matches g1 in the L2 sense, which
 costs nodal superconvergence and a full order of the multiplier).
 
-Explicitly constrained components (B2 u = g2) are eliminated before the
-solve: the data lift G(t) = L g2(t) is projected slab-wise, the solution
-is written as U = Z y + (proj G) with Z an orthonormal kernel basis of B2,
-and the slab system above is posed for y on the kernel.
-
-The marching solvers never form this dense system.  With Q an
-orthonormal kernel basis of B1 Z, one generalized symmetric
-eigendecomposition of (Q^T Z^T A Z Q, Q^T Z^T M Z Q) gives sigma and V =
-Z Q W with V^T M V = I and V^T A V = diag(sigma).  Every coefficient is
-u_j = V w_j + kappa_j, where kappa_j, the lift plus the B1 data on L1 =
-Z pinv(B1 Z), is known from the data.  Tested with V, every slab, at any
+The marching solvers never form this dense system.  One SVD of the
+stacked constraints B = [B1; B2] gives Q, an orthonormal basis of ker B,
+and R = pinv(B), so both blocks enter the same way: every coefficient is
+u_j = V w_j + kappa_j, where kappa_j = [G_j / Smat_jj, D2_j] R^T, D2 the
+g2 coefficients, is known from the data.  One generalized symmetric
+eigendecomposition of (Q^T A Q, Q^T M Q) gives sigma and V = Q W with
+V^T M V = I and V^T A V = diag(sigma).  Tested with V, every slab, at any
 width k, splits into one q x q block per mode l,
 
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l,
@@ -40,11 +35,18 @@ width k, splits into one q x q block per mode l,
 and the blocks of all slabs and modes are solved in one batched call.
 Since V^T M V = I, the only sequential step is the scalar recurrence of
 the modal terminal value, w_end_n = alpha_n + r_n w_end_{n-1}, with
-r_n = 1^T K^{-1} e the DG stability function at k sigma.  The multiplier
-is the momentum residual tested with L1, divided by Smat.
-solve_monolithic assembles the kron system above for all slabs and is
-the independent check; the slab condition estimates factor it once per
-distinct width, when they are first read.
+r_n = 1^T K^{-1} e the DG stability function at k sigma.  The first r1
+columns of R lie in ker B2 and invert B1; the multiplier is the momentum
+residual tested with them, divided by Smat.  Since U - kappa is solved
+on ker B, the solution does not depend on which right inverse of B
+builds kappa.
+
+solve_monolithic is the independent check.  It eliminates the explicit
+block with the lift: the data lift L g2 is projected slab-wise, the
+solution is written as U = Z y + (proj L g2) with Z an orthonormal kernel
+basis of B2, and the slab system above, posed for y on the kernel, is
+assembled in kron form for all slabs.  The slab condition estimates factor
+the same kernel system once per distinct width, when they are first read.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, null_space
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, null_space, svd
 from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
-from .systems import _asymmetry
+from .systems import _asymmetry, _full_row_rank, _lift_residual
 from .timecore import _MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, gauss_legendre
 
 __all__ = [
@@ -151,20 +153,17 @@ def assemble_temporal_matrices(q: int, width: float):
 class _SlabData:
     """The data side of the slab equations, for all N slabs at once.
 
-    k holds every slab's width, (N,); S the slab mass matrix diagonals,
-    (N, q).  F are the load moments int phi_i f dt, (N, q, m); G the
-    constraint-row data S times the g1 coefficients, (N, q, r1); D2 the g2
-    coefficients, (N, q, r2); C the lift coefficients D2 L^T, (N, q, m).
+    S holds the slab mass matrix diagonals, (N, q).  F are the load moments
+    int phi_i f dt, (N, q, m); G the constraint-row data S times the g1
+    coefficients, (N, q, r1); D2 the g2 coefficients, (N, q, r2).
     Constraint data is projected (endpoint-interpolating) or L2-projected
     as the options say.
     """
 
-    k: np.ndarray
     S: np.ndarray
     F: np.ndarray
     G: np.ndarray
     D2: np.ndarray
-    C: np.ndarray
 
 
 def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
@@ -180,20 +179,7 @@ def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
         return _slab_coeffs(g, bp, quad, q, field, dim, opts.use_projection)
 
     G = S[:, :, None] * coeffs(system.g1, "g1", system.r1)
-    D2 = coeffs(system.g2, "g2", system.r2)
-    C = D2 @ system.lift.T if system.r2 else np.zeros_like(F)
-    return _SlabData(k, S, F, G, D2, C)
-
-
-def _slab_matrix(Dmat, Smat, Mmat, Amat, B1mat) -> np.ndarray:
-    top = np.kron(Dmat, Mmat) + np.kron(Smat, Amat)
-    if B1mat.shape[0] == 0:
-        return top
-    nc = Smat.shape[0] * B1mat.shape[0]
-    return np.block([
-        [top, np.kron(Smat, B1mat.T)],
-        [np.kron(Smat, B1mat), np.zeros((nc, nc))],
-    ])
+    return _SlabData(S, F, G, coeffs(system.g2, "g2", system.r2))
 
 
 def _factor(K: np.ndarray, slab: int):
@@ -209,99 +195,94 @@ def _factor(K: np.ndarray, slab: int):
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
+def _check_explicit_block(system):
+    """Reject a lift that is not a right inverse of B2, and a B2 that fixes every component."""
+    if system.r2:
+        res, ok = _lift_residual(system)
+        if not ok:
+            raise ValueError(f"lift is not a right inverse of B2 (residual {res:.2e})")
+        if system.r2 >= system.m:
+            raise ValueError("B2 leaves no free state components")
+
+
 def _kernel_basis(system) -> np.ndarray:
-    lift_res = float(np.abs(system.B2 @ system.lift - np.eye(system.r2)).max())
-    if lift_res > 1e-10:
-        raise ValueError(f"lift is not a right inverse of B2 (residual {lift_res:.2e})")
-    Z = null_space(np.asarray(system.B2, dtype=float))
-    if Z.shape[1] == 0:
-        raise ValueError("B2 leaves no free state components")
-    return Z
+    """Z, an orthonormal basis of ker B2 (the identity without B2)."""
+    _check_explicit_block(system)
+    return null_space(system.B2) if system.r2 else np.eye(system.m)
 
 
-class _SlabOperator:
-    """Spatial blocks on ker B2, shared by every solver.
+def _slab_matrix(q: int, width: float, Mz, Az, B1z) -> np.ndarray:
+    """The kron slab system for the kernel coefficients and the multiplier."""
+    Dmat, Smat, _ = assemble_temporal_matrices(q, width)
+    top = np.kron(Dmat, Mz) + np.kron(Smat, Az)
+    if B1z.shape[0] == 0:
+        return top
+    nc = q * B1z.shape[0]
+    return np.block([
+        [top, np.kron(Smat, B1z.T)],
+        [np.kron(Smat, B1z), np.zeros((nc, nc))],
+    ])
 
-    Mz, Az and B1z are M, A and B1 on ker B2, Z an orthonormal kernel
-    basis of B2 (None without explicit constraints: Z is then the
-    identity and c = 0).  matrix(width) is the slab system for the q kernel
-    coefficients y_j (u_j = Z y_j + c_j) and the q multiplier coefficients;
-    modes() is the spatial eigenbasis the marching solvers use instead.
+
+def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
+    """gecon estimates at the slab widths k, one factorization per distinct width."""
+    Z = _kernel_basis(system)
+    blocks = Z.T @ system.M @ Z, Z.T @ system.A @ Z, system.B1 @ Z
+    widths, first, cls = np.unique(k, return_index=True, return_inverse=True)
+    conds = [_factor(_slab_matrix(q, w, *blocks), int(n) + 1)[1] for w, n in zip(widths, first)]
+    return np.array(conds)[cls]
+
+
+def _modes(system):
+    """(sigma, V, R): the spatial eigenbasis of the slab equations and pinv(B).
+
+    One SVD of B = [B1; B2] gives Q, an orthonormal basis of ker B, and
+    R = pinv(B), (m, r1 + r2); its first r1 columns lie in ker B2.  Then
+    eigh(Q^T A Q, Q^T M Q) gives sigma, (mw,), and W with
+    W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I and
+    V^T A V = diag(sigma).
     """
-
-    def __init__(self, system, q: int):
-        m = system.m
-        self.system, self.q = system, q
-        self.Z = _kernel_basis(system) if system.r2 > 0 else None
-        Z = np.eye(m) if self.Z is None else self.Z
-        self.mz = Z.shape[1]
-        self.Mz, self.Az = Z.T @ system.M @ Z, Z.T @ system.A @ Z
-        self.B1z = system.B1 @ Z
-        self.Dmat, _, self.e = assemble_temporal_matrices(q, 1.0)
-        self.s = q * (self.mz + system.r1)
-
-    def matrix(self, width: float) -> np.ndarray:
-        _, Smat, _ = assemble_temporal_matrices(self.q, width)
-        return _slab_matrix(self.Dmat, Smat, self.Mz, self.Az, self.B1z)
-
-    def conditions(self, k: np.ndarray) -> np.ndarray:
-        """gecon estimates at the slab widths k, one factorization per distinct width."""
-        widths, first, cls = np.unique(k, return_index=True, return_inverse=True)
-        conds = [_factor(self.matrix(w), int(n) + 1)[1] for w, n in zip(widths, first)]
-        return np.array(conds)[cls]
-
-    def modes(self):
-        """(sigma, V, L1): the spatial eigenbasis of the slab equations.
-
-        With Q an orthonormal kernel basis of B1z, eigh(Q^T Az Q, Q^T Mz Q)
-        gives sigma, (mw,), and W with W^T Q^T Mz Q W = I; V = Z Q W,
-        (m, mw), so V^T M V = I and V^T A V = diag(sigma).  L1 = Z pinv(B1z),
-        (m, r1), is a right inverse of B1 inside ker B2.
-        """
-        for name, X in (("M", self.Mz), ("A", self.Az)):
-            asym, ok = _asymmetry(X)
-            if not ok:
-                raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.2e})")
-        Mw, Aw, L1 = self.Mz, self.Az, np.zeros((self.mz, 0))
-        r1 = self.system.r1
-        if r1:
-            u, sv, vt = np.linalg.svd(self.B1z)
-            if sv.size < r1 or sv[-1] <= sv[0] * max(self.B1z.shape) * _EPS:
-                raise SlabSolveError(1, _SINGULAR)
-            Q = vt[r1:].T
-            Mw, Aw, L1 = Q.T @ Mw @ Q, Q.T @ Aw @ Q, (vt[:r1].T / sv) @ u.T
-        try:
-            sigma, W = eigh(Aw, Mw)
-        except np.linalg.LinAlgError:
-            raise SlabSolveError(1, "singular slab system: M is not positive definite "
-                                    "on the constraint kernel") from None
-        V = W if r1 == 0 else Q @ W
-        if self.Z is not None:
-            V, L1 = self.Z @ V, self.Z @ L1
-        return sigma, V, L1
+    _check_explicit_block(system)
+    B = np.vstack([system.B1, system.B2])
+    r = B.shape[0]
+    u, sv, vt = svd(B)
+    if not _full_row_rank(sv, r):
+        raise SlabSolveError(1, _SINGULAR)
+    Q = vt[r:].T
+    Mw, Aw = Q.T @ system.M @ Q, Q.T @ system.A @ Q
+    for name, X in (("M", Mw), ("A", Aw)):
+        asym, ok = _asymmetry(X)
+        if not ok:
+            raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.2e})")
+    try:
+        sigma, W = eigh(Aw, Mw)
+    except np.linalg.LinAlgError:
+        raise SlabSolveError(1, "singular slab system: M is not positive definite "
+                                "on the constraint kernel") from None
+    return sigma, Q @ W, (vt[:r].T / sv) @ u.T
 
 
 def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Sequential solve in the spatial eigenbasis, one q x q block per slab and mode.
 
     Every coefficient is u_j = V w_j + kappa_j, kappa the known part: the
-    lift plus the B1 data on L1.  Only the modal terminal value w_end runs
-    through the slabs, by w_end_n = alpha_n + r_n w_end_{n-1}.
+    constraint data on R = pinv(B).  Only the modal terminal value w_end
+    runs through the slabs, by w_end_n = alpha_n + r_n w_end_{n-1}.
     """
-    op = _SlabOperator(system, opts.q)
-    sigma, V, L1 = op.modes()
+    sigma, V, R = _modes(system)
     data = _slab_data(system, mesh, opts)
-    M, A, Dmat, e = system.M, system.A, op.Dmat, op.e
+    M, A, R1 = system.M, system.A, R[:, :system.r1]
+    Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     N, q, mw = mesh.N, opts.q, sigma.size
     S = data.S[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = (data.G / S - data.C @ system.B1.T) @ L1.T + data.C
+        kappa = np.concatenate([data.G / S, data.D2], axis=-1) @ R.T
         kM = kappa @ M.T
-        # tested with the modes V and, for the multiplier, with L1
-        VL = np.hstack([V, L1])
-        rhs = (data.F - Dmat @ kM - S * (kappa @ A.T)) @ VL
+        # tested with the modes V and, for the multiplier, with R1
+        VR = np.hstack([V, R1])
+        rhs = (data.F - Dmat @ kM - S * (kappa @ A.T)) @ VR
         # the known part of every slab's u_prev term: u0, then kappa's terminal value
-        prev = np.vstack([M @ system.u0, kM[:-1].sum(axis=1)]) @ VL
+        prev = np.vstack([M @ system.u0, kM[:-1].sum(axis=1)]) @ VR
         K = Dmat + (data.S[:, None, :] * sigma[:, None])[..., None] * np.eye(q)
         Y = np.empty((N, mw, q, 2))
         Y[..., 0] = (rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]).transpose(0, 2, 1)
@@ -321,17 +302,17 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
         U = w @ V.T + kappa
         P = None
         if system.r1:
-            # the momentum residual tested with L1 is S_ii p_i
-            LMV, LAV = L1.T @ M @ V, L1.T @ A @ V
-            P = (rhs[:, :, mw:] + e[:, None] * (prev[:, mw:] + wprev @ LMV.T)[:, None, :]
-                 - Dmat @ (w @ LMV.T) - S * (w @ LAV.T)) / S
+            # the momentum residual tested with R1 is S_ii p_i
+            RMV, RAV = R1.T @ M @ V, R1.T @ A @ V
+            P = (rhs[:, :, mw:] + e[:, None] * (prev[:, mw:] + wprev @ RMV.T)[:, None, :]
+                 - Dmat @ (w @ RMV.T) - S * (w @ RAV.T)) / S
     bad = ~np.isfinite(U).all(axis=(1, 2))
     if P is not None:
         bad |= ~np.isfinite(P).all(axis=(1, 2))
     if bad.any():
         raise SlabSolveError(int(np.argmax(bad)) + 1, "non-finite solution coefficients")
     return MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
-                         partial(op.conditions, data.k))
+                         partial(_conditions, system, q, mesh.widths))
 
 
 def solve_mixed(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -344,11 +325,11 @@ def solve_mixed(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Sequential solve with the explicit constraint block eliminated (r2 >= 1).
 
-    The lifted data L g2 is projected slab-wise; on every slab the total
-    coefficients are u_j = Z y_j + c_j with c the lift coefficients, so the
-    kernel system for y carries the lift contribution on its right-hand
-    side.  When B1 is also present, the multiplier is solved for on the
-    kernel as well (combined case).
+    The projected g2 data is imposed exactly through R = pinv([B1; B2]) and
+    the rest of the solution is marched on ker [B1; B2], as in solve_mixed.
+    The lift is only checked: it must be a right inverse of B2.  When B1 is
+    also present, the multiplier is recovered as in solve_mixed (combined
+    case).
     """
     if system.r2 == 0:
         raise ValueError("solve_constrained requires r2 >= 1; use solve_mixed")
@@ -362,38 +343,40 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     the global matrix is dense, so keep N small).
     """
     data = _slab_data(system, mesh, opts)
-    op = _SlabOperator(system, opts.q)
     M, A, B1 = system.M, system.A, system.B1
-    q, mz, m, N, s = opts.q, op.mz, system.m, mesh.N, op.s
-    Z = np.eye(m) if op.Z is None else op.Z
+    q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
+    Z = _kernel_basis(system)
+    mz = Z.shape[1]
+    s = q * (mz + r1)
+    blocks = Z.T @ M @ Z, Z.T @ A @ Z, B1 @ Z
+    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+    # u_j = Z y_j + C_j with C the lift coefficients
+    C = data.D2 @ system.lift.T if system.r2 else np.zeros_like(data.F)
+    S = data.S[:, :, None]
+    F = (data.F - Dmat @ (C @ M.T) - S * (C @ A.T)) @ Z
+    G = data.G - S * (C @ B1.T)
     # E maps the previous terminal value u_prev to its right-hand side term,
     # e (x) Z^T M u_prev; Pend maps x to the kernel part of the slab's
     # terminal value, Z sum_j y_j.
     E = np.zeros((s, m))
-    E[: q * mz] = np.kron(op.e[:, None], Z.T @ M)
+    E[: q * mz] = np.kron(e[:, None], Z.T @ M)
     Pend = np.zeros((m, s))
     Pend[:, : q * mz] = np.kron(np.ones((1, q)), Z)
-    F, G = data.F, data.G
-    if op.Z is not None:
-        S, C = data.S[:, :, None], data.C
-        F = (F - op.Dmat @ (C @ M.T) - S * (C @ A.T)) @ op.Z
-        G = G - S * (C @ B1.T)
     rhs = np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
     rhs[0] += E @ system.u0
     # the lift part of the previous terminal value stays on the right-hand side
-    rhs[1:] += data.C[:-1].sum(axis=1) @ E.T
+    rhs[1:] += C[:-1].sum(axis=1) @ E.T
     couple = E @ Pend
     Kg = np.zeros((N * s, N * s))
-    for n, k in enumerate(data.k):
+    for n, k in enumerate(mesh.widths):
         row = n * s
-        Kg[row: row + s, row: row + s] = op.matrix(k)
+        Kg[row: row + s, row: row + s] = _slab_matrix(q, k, *blocks)
         if n > 0:
             Kg[row: row + s, row - s: row] = -couple
     lu, cond = _factor(Kg, 0)
     X = lu_solve(lu, rhs.ravel(), check_finite=False).reshape(N, s)
-    y = X[:, : q * mz].reshape(N, q, mz)
-    U = BrokenFunction(mesh, y if op.Z is None else y @ op.Z.T + data.C)
-    P = BrokenFunction(mesh, X[:, q * mz:].reshape(N, q, system.r1)) if system.r1 else None
+    U = BrokenFunction(mesh, X[:, : q * mz].reshape(N, q, mz) @ Z.T + C)
+    P = BrokenFunction(mesh, X[:, q * mz:].reshape(N, q, r1)) if r1 else None
     return MixedSolution(U, P, lambda: np.full(N, cond))
 
 
@@ -412,7 +395,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     if r1 and (P is None or P.dim != r1):
         raise ValueError("multiplier P of dimension r1 required")
     M, A, B1 = system.M, system.A, system.B1
-    Z = _kernel_basis(system) if system.r2 > 0 else None
+    Z = _kernel_basis(system)
     data = _slab_data(system, mesh, opts)
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     S = data.S[:, :, None]
@@ -421,7 +404,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     R = Dmat @ (uc @ M.T) + S * (uc @ A.T) - data.F - e[:, None] * (u_prev @ M.T)[:, None, :]
     if r1:
         R = R + S * (P.coeffs @ B1)
-    parts = [np.abs(R if Z is None else R @ Z).max(axis=(1, 2))]
+    parts = [np.abs(R @ Z).max(axis=(1, 2))]
     if r1:
         parts.append(np.abs(S * (uc @ B1.T) - data.G).max(axis=(1, 2)))
     if system.r2 > 0:

@@ -58,6 +58,17 @@ def _asymmetry(X: np.ndarray) -> tuple:
     return asym, asym <= _STRUCTURE_TOL * (float(np.abs(X).max(initial=0.0)) or 1.0)
 
 
+def _full_row_rank(sv: np.ndarray, rows: int) -> bool:
+    """The rank rule: `rows` singular values, the smallest above _STRUCTURE_TOL of the largest."""
+    return bool(sv.size == rows and (rows == 0 or sv[-1] > _STRUCTURE_TOL * sv[0]))
+
+
+def _lift_residual(system) -> tuple:
+    """(max |B2 L - I|, whether it is within _STRUCTURE_TOL) for the lift L."""
+    res = float(np.abs(system.B2 @ system.lift - np.eye(system.r2)).max(initial=0.0))
+    return res, res <= _STRUCTURE_TOL
+
+
 def _u0_mismatch(system) -> list:
     """(label, residual) for every constraint block that u0 violates at t = 0."""
     out = []
@@ -127,6 +138,8 @@ class ConstrainedSystem:
         normQ1 = _readonly(self.normQ1 if self.normQ1 is not None else np.eye(B1.shape[0]))
         for fld, val in (("M", M), ("A", A), ("B1", B1), ("B2", B2), ("u0", u0),
                          ("lift", lift), ("normU", normU), ("normQ1", normQ1)):
+            if val is not None and not np.isfinite(val).all():
+                raise ValueError(f"{fld} has non-finite entries")
             object.__setattr__(self, fld, val)
         for label, res in _u0_mismatch(self):
             # stacklevel 3 skips this method and the dataclass __init__
@@ -178,7 +191,7 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
     """
     checks = []
     M, A = system.M, system.A
-    m, tol = system.m, _STRUCTURE_TOL
+    m = system.m
 
     sym_m, spd = _asymmetry(M)
     detail = f"max asymmetry {sym_m:.2e}"
@@ -202,8 +215,7 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
         Z = np.eye(m)
     else:
         sv = svdvals(B)
-        ok = sv.size == r and sv[-1] > tol * max(sv[0], 1.0)
-        checks.append(Check("constraint row rank", ok, float(sv[-1]),
+        checks.append(Check("constraint row rank", _full_row_rank(sv, r), float(sv[-1]),
                             f"smallest singular value {sv[-1]:.3e}"))
         Z = null_space(B)
 
@@ -211,20 +223,19 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
         checks.append(Check("kernel ellipticity", True, None, "trivial kernel"))
     else:
         lam = eigh(Z.T @ A @ Z, eigvals_only=True)
-        ok = lam[0] > tol * max(abs(lam[-1]), 1.0)
+        ok = lam[0] > _STRUCTURE_TOL * max(abs(lam[-1]), 1.0)
         checks.append(Check("kernel ellipticity", bool(ok), float(lam[0]),
                             f"smallest kernel eigenvalue {lam[0]:.3e}"))
 
     if system.r2 > 0:
-        res = float(np.abs(system.B2 @ system.lift - np.eye(system.r2)).max())
-        checks.append(Check("lift residual", res <= 1e-12, res,
+        res, ok = _lift_residual(system)
+        checks.append(Check("lift residual", ok, res,
                             f"max |B2 L - I| = {res:.2e}"))
 
     if system.r1 > 0:
         Z2 = null_space(system.B2) if system.r2 > 0 else np.eye(m)
         sv = svdvals(system.B1 @ Z2)
-        ok = sv.size == system.r1 and sv[-1] > tol * max(sv[0], 1.0)
-        checks.append(Check("inf-sup (B1 on ker B2)", bool(ok),
+        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(sv, system.r1),
                             float(sv[-1]) if sv.size else 0.0,
                             f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}"))
 
@@ -398,8 +409,7 @@ def build_saddle_dae(preset: Optional[str] = None, *,
     B1 = np.zeros((0, M.shape[0])) if B1 is None else np.asarray(B1, dtype=float)
     r1 = B1.shape[0]
     if r1 > 0:
-        sv = svdvals(B1)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        if not _full_row_rank(svdvals(B1), r1):
             raise ValueError("B1 must have full row rank")
         if exact_p is None:
             raise ValueError("exact_p handle required when B1 is present")
@@ -457,36 +467,49 @@ def _preset_vector_fn(entry, dim: int, field_name: str):
     return lambda t: np.array([fn(t) for fn in fns], dtype=float)
 
 
+def _numeric(raw: dict, key: str, ndim: int):
+    """raw[key] as a float array with ndim axes; None when the key is absent."""
+    if key not in raw:
+        return None
+    try:
+        X = np.asarray(raw[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        X = None
+    if X is None or X.ndim != ndim:
+        raise ValueError(f"{key} must be a {ndim}-D array of numbers")
+    return X
+
+
 def load_system(path) -> ConstrainedSystem:
     """Read a ConstrainedSystem from a JSON file.
 
-    Matrices are row-major nested arrays; data functions (f, g1, g2,
-    exact_u, exact_p) are named presets from PRESET_FUNCTIONS, either one
-    name (broadcast over components) or a list of per-component names.
+    The file holds one object.  Matrices are row-major nested arrays of
+    numbers; data functions (f, g1, g2, exact_u, exact_p) are named presets
+    from PRESET_FUNCTIONS, either one name (broadcast over components) or a
+    list of per-component names.  Malformed content raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("system file must hold a JSON object")
     if "M" not in raw or "u0" not in raw:
         raise ValueError("system file must define at least 'M' and 'u0'")
-    M = np.asarray(raw["M"], dtype=float)
+    M = _numeric(raw, "M", 2)
     m = M.shape[0]
-    A = np.asarray(raw.get("A", np.zeros((m, m))), dtype=float)
-    u0 = np.asarray(raw["u0"], dtype=float)
-    B1 = np.asarray(raw["B1"], dtype=float) if "B1" in raw else None
-    B2 = np.asarray(raw["B2"], dtype=float) if "B2" in raw else None
+    A = _numeric(raw, "A", 2)
+    B1, B2 = _numeric(raw, "B1", 2), _numeric(raw, "B2", 2)
     r1 = 0 if B1 is None else B1.shape[0]
     r2 = 0 if B2 is None else B2.shape[0]
-    lift = np.asarray(raw["lift"], dtype=float) if "lift" in raw else None
     return ConstrainedSystem(
-        M=M, A=A,
+        M=M, A=np.zeros((m, m)) if A is None else A,
         f=_preset_vector_fn(raw.get("f"), m, "f"),
-        u0=u0,
+        u0=_numeric(raw, "u0", 1),
         B1=B1, B2=B2,
         g1=_preset_vector_fn(raw.get("g1"), r1, "g1") if r1 > 0 else None,
         g2=_preset_vector_fn(raw.get("g2"), r2, "g2") if r2 > 0 else None,
-        lift=lift,
-        normU=np.asarray(raw["normU"], dtype=float) if "normU" in raw else None,
-        normQ1=np.asarray(raw["normQ1"], dtype=float) if "normQ1" in raw else None,
+        lift=_numeric(raw, "lift", 2),
+        normU=_numeric(raw, "normU", 2),
+        normQ1=_numeric(raw, "normQ1", 2),
         exact_u=_preset_vector_fn(raw["exact_u"], m, "exact_u") if "exact_u" in raw else None,
         exact_p=_preset_vector_fn(raw["exact_p"], r1, "exact_p") if "exact_p" in raw else None,
         name=str(raw.get("name", "file")),

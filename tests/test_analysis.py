@@ -126,8 +126,6 @@ def test_eoc_tabulated_near_two_pair():
 def test_eoc_marks_floor_entries_nan():
     vals = eoc([1e-5, 1e-14, 5e-15], [8, 16, 32])
     assert math.isnan(vals[0]) and math.isnan(vals[1])
-    vals2 = eoc([1e-5, 1e-7], [8, 16], floor=1e-10)
-    assert vals2[0] == pytest.approx(math.log2(100.0), rel=1e-12)
 
 
 def test_eoc_validation():

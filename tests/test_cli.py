@@ -224,6 +224,16 @@ def test_validate_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null", '{"M": [[1.0, 0.0], [0.0, null]], "u0": [0, 0]}',
+                                  '{"M": [[1.0]], "A": [[1e400]], "u0": [0.0]}'],
+                         ids=["number", "null", "nan-entry", "overflowing-entry"])
+def test_validate_malformed_system_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_warns_on_incompatible_initial_data(tmp_path, capsys):
     path = tmp_path / "incompatible.json"
     path.write_text(json.dumps({

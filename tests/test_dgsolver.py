@@ -22,12 +22,14 @@ from dgtime import (
     build_uniform_mesh,
     constraint_residual,
     dg_residual,
+    dh_form,
     load_system,
     solve_constrained,
     solve_mixed,
     solve_monolithic,
 )
-from dgtime.systems import _STOKES3_A
+from dgtime.systems import _STOKES3_A, _stokes3_handles
+from dgtime.timecore import _slab_values
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,38 @@ def test_marching_matches_monolithic_on_random_systems(seed, kind, m, r1, widths
         assert constraint_residual(system, mesh, opts, seq.U).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["spd", "saddle"]),
+       m=st.integers(2, 6), r1=st.integers(1, 2),
+       widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6),
+       q=st.integers(1, 4), use_projection=st.booleans())
+def test_energy_identity_on_random_systems(seed, kind, m, r1, widths, q, use_projection):
+    # U tested against itself: D(U, U) + int (A U, U) + int (P, B1 U)
+    # = int (f, U) + (u0, U(0+))_M, every integral with the solver's rule
+    system = _random_system(seed, kind, m, r1)
+    mesh = TimeMesh(np.r_[0.0, np.cumsum(widths)])
+    opts = SolverOptions(q=q, use_projection=use_projection)
+    quad = opts.quadrature()
+    sol = solve_mixed(system, mesh, opts)
+    U = sol.U
+
+    def integral(X, W, Y):
+        vx, vy = _slab_values(X, quad.nodes), _slab_values(Y, quad.nodes)
+        return float((((vx @ W) * vy).sum(axis=-1) @ quad.weights) @ mesh.widths)
+
+    ts = mesh.breakpoints[:-1, None] + mesh.widths[:, None] * quad.nodes
+    fv = np.moveaxis(system.f(ts.ravel()).reshape(m, *ts.shape), 0, -1)
+    terms = [dh_form(U, U, system.M, quad), integral(U.coeffs, system.A, U.coeffs),
+             -float(((fv * _slab_values(U.coeffs, quad.nodes)).sum(axis=-1) @ quad.weights)
+                    @ mesh.widths),
+             -float(system.u0 @ system.M @ U.initial_value())]
+    if system.r1:
+        terms.append(integral(sol.P.coeffs, system.B1, U.coeffs))
+    assert abs(sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+    end = U.coeffs[-1].sum(axis=0)
+    assert terms[0] >= 0.5 * end @ system.M @ end * (1.0 - 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # residual checks
 
@@ -494,6 +528,51 @@ def test_rank_deficient_weak_constraint_raises_on_the_first_slab():
     with pytest.raises(SlabSolveError) as err:
         solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
     assert err.value.slab == 1
+
+
+def test_numerically_dependent_weak_constraint_rows_raise_on_the_first_slab():
+    # singular values 1.4 and 7e-14: below the shared relative rank rule
+    system = ConstrainedSystem(M=np.eye(3), A=np.eye(3), f=lambda t: np.zeros(3),
+                               u0=np.zeros(3), B1=np.array([[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]]),
+                               g1=lambda t: np.zeros(2))
+    with pytest.raises(SlabSolveError) as err:
+        solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
+    assert err.value.slab == 1
+
+
+def test_uniformly_small_weak_constraint_is_solved():
+    # B1 = 1e-13 [1, 1, 1] has full row rank relative to its own scale; with
+    # the multiplier scaled by 1e13 the solution is stokes3's
+    u, du, p = _stokes3_handles()
+    small = build_saddle_dae(M=np.eye(3), A=_STOKES3_A, B1=np.full((1, 3), 1e-13),
+                             exact_u=u, exact_du=du, exact_p=lambda t: 1e13 * p(t))
+    mesh, opts = build_uniform_mesh(1.0, 8), SolverOptions(q=3)
+    ref = solve_mixed(build_saddle_dae("stokes3"), mesh, opts)
+    sol = solve_mixed(small, mesh, opts)
+    assert np.abs(sol.U.coeffs - ref.U.coeffs).max() <= 1e-12 * np.abs(ref.U.coeffs).max()
+    assert np.abs(1e-13 * sol.P.coeffs - ref.P.coeffs).max() <= 1e-12 * np.abs(ref.P.coeffs).max()
+
+
+def test_lift_off_by_5e_11_is_rejected():
+    system = ConstrainedSystem(
+        M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(2),
+        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.zeros(1),
+        lift=np.array([[1.0 + 5e-11], [0.0]]))
+    with pytest.raises(ValueError, match="right inverse"):
+        solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
+
+
+def test_stiffness_unsymmetric_only_in_an_eliminated_row_is_solved():
+    # A Dirichlet row: A is symmetric on ker B2, where the solver uses it
+    A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]])
+    B2 = np.array([[0.0, 0.0, 1.0]])
+    system = ConstrainedSystem(
+        M=np.eye(3), A=A, f=lambda t: np.multiply.outer([1.0, 0.0, 2.0], np.cos(np.asarray(t))),
+        u0=np.array([1.0, 0.0, 0.0]), B2=B2, g2=lambda t: np.multiply.outer([1.0], np.sin(t)),
+        lift=B2.T.copy())
+    mesh, opts = TimeMesh(np.array([0.0, 0.2, 0.5, 0.6, 1.0])), SolverOptions(q=3)
+    seq, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
+    assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-11 * np.abs(mono.U.coeffs).max()
 
 
 def test_nonsymmetric_stiffness_is_rejected():
@@ -699,9 +778,9 @@ def test_random_mesh_solve_calls_eigh_once_and_never_factors(seed, N, problem):
     assert _eigh_and_factor_calls(system, TimeMesh(np.r_[0.0, np.cumsum(widths)]), 2) == (1, 0)
 
 
-def test_merged_width_class_keeps_the_constraint_exact():
-    # The widths of this uniform mesh span several floats; its constraint
-    # rows must be scaled by the width its class is factored at.
+def test_uniform_mesh_with_unequal_float_widths_keeps_the_constraint_exact():
+    # The widths of this uniform mesh span several floats; every slab's
+    # constraint rows must be scaled by the width its blocks are built at.
     system = build_saddle_dae("stokes3")
     mesh, opts = build_uniform_mesh(1.0, 1000), SolverOptions(q=2)
     assert np.unique(mesh.widths).size > 1

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgtime import (
+    PRESET_FUNCTIONS,
     ConstrainedSystem,
     ManufacturedSolution1D,
     build_heat_1d,
@@ -216,8 +219,44 @@ def test_validate_flags_rank_deficient_constraints():
         exact_p=None)
     report = validate_system(system)
     assert not report.passed
+    assert all(type(c.ok) is bool for c in report.checks)
     failed = {c.name for c in report.checks if not c.ok}
     assert "constraint row rank" in failed
+
+
+def _weak_constraint_system(B1):
+    zero = lambda t: np.zeros(3)
+    return ConstrainedSystem(M=np.eye(3), A=np.eye(3), f=zero, u0=np.zeros(3),
+                             B1=B1, g1=lambda t: np.zeros(B1.shape[0]))
+
+
+def test_numerically_dependent_constraint_rows_fail_the_rank_rule():
+    B1 = np.array([[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]])
+    failed = {c.name for c in validate_system(_weak_constraint_system(B1)).checks if not c.ok}
+    assert {"constraint row rank", "inf-sup (B1 on ker B2)"} <= failed
+    zero = lambda t: np.zeros(3)
+    with pytest.raises(ValueError, match="row rank"):
+        build_saddle_dae(M=np.eye(3), A=np.eye(3), B1=B1, exact_u=zero, exact_du=zero,
+                         exact_p=lambda t: np.zeros(2))
+
+
+def test_uniformly_small_constraint_passes_the_rank_rule():
+    # the rank rule is relative: a constraint is not rank deficient for being small
+    B1 = np.full((1, 3), 1e-13)
+    assert validate_system(_weak_constraint_system(B1)).passed
+    zero = lambda t: np.zeros(3)
+    system = build_saddle_dae(M=np.eye(3), A=np.eye(3), B1=B1, exact_u=zero, exact_du=zero,
+                              exact_p=lambda t: np.zeros(1))
+    assert system.r1 == 1
+
+
+def test_validate_flags_a_lift_off_by_5e_11():
+    system = ConstrainedSystem(
+        M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(2),
+        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.zeros(1),
+        lift=np.array([[1.0 + 5e-11], [0.0]]))
+    report = validate_system(system)
+    assert {c.name for c in report.checks if not c.ok} == {"lift residual"}
 
 
 def test_validate_flags_indefinite_stiffness():
@@ -323,9 +362,67 @@ def test_load_system_with_constraint_block(tmp_path):
     ({"M": [[1.0]], "u0": [0.0], "exact_u": ["zero", "zero"]}, "dimension"),
     ({"M": [[1.0, 0.0], [0.0, 1.0]], "u0": [0.0, 0.0],
       "B2": [[1.0, 0.0]], "g2": "zero"}, "lift"),
+    (5, "JSON object"),
+    (None, "JSON object"),
+    ({"M": 5, "u0": [0.0]}, "M must be a 2-D array"),
+    ({"M": [[1.0]], "u0": [0.0], "B1": [[{}]]}, "B1 must be a 2-D array"),
+    ({"M": [[1.0, 0.0], [0.0, None]], "u0": [0.0, 0.0]}, "M has non-finite"),
+    ({"M": [[1.0]], "A": [[float("inf")]], "u0": [0.0]}, "A has non-finite"),
+    ({"M": [[1.0]], "u0": [[0.0]]}, "u0 must be a 1-D array"),
+    ({"M": [[1.0]], "u0": [0.0], "B1": [[1.0], [1.0, 2.0]]}, "B1 must be a 2-D array"),
 ])
 def test_load_system_errors(tmp_path, payload, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=match):
         load_system(path)
+
+
+def test_load_system_rejects_a_number_beyond_the_float_range(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"M": [[1.0]], "A": [[1e400]], "u0": [0.0]}')
+    with pytest.raises(ValueError, match="A has non-finite"):
+        load_system(path)
+
+
+@pytest.mark.parametrize("field", ["M", "A", "B1", "B2", "u0", "lift", "normU", "normQ1"])
+def test_constrained_system_rejects_non_finite_arrays(field):
+    fields = dict(M=np.eye(2), A=np.eye(2), u0=np.zeros(2), B1=np.array([[1.0, 1.0]]),
+                  B2=np.array([[1.0, 0.0]]), lift=np.array([[1.0], [0.0]]),
+                  normU=np.eye(2), normQ1=np.eye(1))
+    fields[field] = np.where(np.ones_like(fields[field], dtype=bool), np.nan, fields[field])
+    with pytest.raises(ValueError, match=f"{field} has non-finite"):
+        ConstrainedSystem(f=lambda t: np.zeros(2), g1=lambda t: np.zeros(1),
+                          g2=lambda t: np.zeros(1), **fields)
+
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+              | st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from(sorted(PRESET_FUNCTIONS)) | st.text(max_size=4))
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=12)
+
+
+def _numbers(rows, cols):
+    return st.lists(st.lists(st.floats(-3.0, 3.0), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=st.dictionaries(
+    st.sampled_from(["M", "A", "u0", "B1", "B2", "lift", "normU", "normQ1",
+                     "f", "g1", "g2", "exact_u", "exact_p", "name"]),
+    _JSON | _numbers(2, 2) | _numbers(1, 2) | _numbers(2, 1) | st.lists(st.floats(-3.0, 3.0),
+                                                                        max_size=2),
+    max_size=14))
+def test_load_system_random_payloads_load_or_raise_value_error(tmp_path, payload):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # incompatible u0 warns and float overflow may warn
+        try:
+            system = load_system(path)
+        except ValueError:
+            return
+    assert isinstance(system, ConstrainedSystem)

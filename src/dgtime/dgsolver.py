@@ -22,13 +22,14 @@ of g1 (the discrete constraint then only matches g1 in the L2 sense, which
 costs nodal superconvergence and a full order of the multiplier).
 
 The marching solvers never form this dense system.  One SVD of the
-stacked constraints B = [B1; B2] gives Q, an orthonormal basis of ker B,
-and R = pinv(B), so both blocks enter the same way: every coefficient is
-u_j = V w_j + kappa_j, where kappa_j = [G_j / Smat_jj, D2_j] R^T, D2 the
-g2 coefficients, is known from the data.  One generalized symmetric
-eigendecomposition of (Q^T A Q, Q^T M Q) gives sigma and V = Q W with
-V^T M V = I and V^T A V = diag(sigma).  Tested with V, every slab, at any
-width k, splits into one q x q block per mode l,
+stacked constraints B = [B1; B2], the reduction validate_system checks,
+gives Q, an orthonormal basis of ker B, and R = pinv(B), so both blocks
+enter the same way: every coefficient is u_j = V w_j + kappa_j, where
+kappa_j = [G_j / Smat_jj, D2_j] R^T, D2 the g2 coefficients, is known
+from the data.  One generalized symmetric eigendecomposition of
+(Q^T A Q, Q^T M Q) gives sigma and V = Q W with V^T M V = I and
+V^T A V = diag(sigma).  Tested with V, every slab, at any width k,
+splits into one q x q block per mode l,
 
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l,
 
@@ -57,11 +58,11 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, null_space, svd
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, null_space
 from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
-from .systems import _asymmetry, _full_row_rank, _lift_residual
+from .systems import _asymmetry, _free_components, _full_row_rank, _kernel_reduction, _lift_residual
 from .timecore import _MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, gauss_legendre
 
 __all__ = [
@@ -201,7 +202,7 @@ def _check_explicit_block(system):
         res, ok = _lift_residual(system)
         if not ok:
             raise ValueError(f"lift is not a right inverse of B2 (residual {res:.2e})")
-        if system.r2 >= system.m:
+        if not _free_components(system)[1]:
             raise ValueError("B2 leaves no free state components")
 
 
@@ -236,20 +237,17 @@ def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
 def _modes(system):
     """(sigma, V, R): the spatial eigenbasis of the slab equations and pinv(B).
 
-    One SVD of B = [B1; B2] gives Q, an orthonormal basis of ker B, and
-    R = pinv(B), (m, r1 + r2); its first r1 columns lie in ker B2.  Then
-    eigh(Q^T A Q, Q^T M Q) gives sigma, (mw,), and W with
-    W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I and
-    V^T A V = diag(sigma).
+    The reduction validate_system checks, _kernel_reduction, gives Q, an
+    orthonormal basis of ker B, B = [B1; B2], and R = pinv(B), (m, r1 + r2);
+    R's first r1 columns lie in ker B2.  eigh(Q^T A Q, Q^T M Q) gives sigma,
+    (mw,), and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I
+    and V^T A V = diag(sigma).
     """
     _check_explicit_block(system)
-    B = np.vstack([system.B1, system.B2])
-    r = B.shape[0]
-    u, sv, vt = svd(B)
+    u, sv, vt, Q, Mw, Aw = _kernel_reduction(system)
+    r = system.r1 + system.r2
     if not _full_row_rank(sv, r):
         raise SlabSolveError(1, _SINGULAR)
-    Q = vt[r:].T
-    Mw, Aw = Q.T @ system.M @ Q, Q.T @ system.A @ Q
     for name, X in (("M", Mw), ("A", Aw)):
         asym, ok = _asymmetry(X)
         if not ok:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, null_space, svdvals
+from scipy.linalg import eigh, null_space, svd, svdvals
 
 from .timecore import _readonly
 
@@ -67,6 +67,22 @@ def _lift_residual(system) -> tuple:
     """(max |B2 L - I|, whether it is within _STRUCTURE_TOL) for the lift L."""
     res = float(np.abs(system.B2 @ system.lift - np.eye(system.r2)).max(initial=0.0))
     return res, res <= _STRUCTURE_TOL
+
+
+def _free_components(system) -> tuple:
+    """(m - r2, whether B2 leaves a state component free)."""
+    return system.m - system.r2, system.m > system.r2
+
+
+def _kernel_reduction(system) -> tuple:
+    """(u, sv, vt, Q, Q^T M Q, Q^T A Q) from one SVD u diag(sv) vt of B = [B1; B2].
+
+    Q = vt[r:].T, r = r1 + r2, spans ker B when B has full row rank.  The
+    solvers march on it and validate_system checks it with their rules.
+    """
+    u, sv, vt = svd(np.vstack([system.B1, system.B2]))
+    Q = vt[system.r1 + system.r2:].T
+    return u, sv, vt, Q, Q.T @ system.M @ Q, Q.T @ system.A @ Q
 
 
 def _u0_mismatch(system) -> list:
@@ -184,60 +200,45 @@ class ValidationReport:
 def validate_system(system: ConstrainedSystem) -> ValidationReport:
     """Check the structural assumptions the solvers rely on.
 
-    Verifies: M SPD, A symmetric, full row rank of the stacked constraint
-    matrix, ellipticity of A on the constraint kernel, the lift residual
-    B2 @ lift - I, and the inf-sup rank of B1 restricted to ker(B2).
+    Applies the solvers' rules to their reduction (_kernel_reduction): full
+    row rank of B = [B1; B2], M and A symmetric and M positive definite on
+    ker B, B2 @ lift = I and a free state component.  A is elliptic on ker B
+    when the smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12 times
+    the largest in size; B1 is checked for inf-sup rank on ker(B2).
     Initial-data compatibility is reported as a warning, never a failure.
     """
-    checks = []
-    M, A = system.M, system.A
-    m = system.m
-
-    sym_m, spd = _asymmetry(M)
-    detail = f"max asymmetry {sym_m:.2e}"
-    if spd:
-        try:
-            cholesky(M, lower=True)
-            detail += ", Cholesky ok"
-        except np.linalg.LinAlgError:
-            spd = False
-            detail += ", Cholesky failed"
-    checks.append(Check("mass matrix SPD", spd, sym_m, detail))
-
-    sym_a, sym_ok = _asymmetry(A)
-    checks.append(Check("stiffness symmetric", sym_ok, sym_a,
-                        f"max asymmetry {sym_a:.2e}"))
-
-    B = np.vstack([system.B1, system.B2])
-    r = B.shape[0]
-    if r == 0:
+    _, sv, _, _, Mw, Aw = _kernel_reduction(system)
+    try:  # the Cholesky factorization of Q^T M Q is eigh's first step
+        sigma = eigh(Aw, Mw, eigvals_only=True)
+    except np.linalg.LinAlgError:
+        sigma = None
+    sym_m, ok = _asymmetry(Mw)
+    checks = [Check("kernel mass SPD", ok and sigma is not None, sym_m,
+                    f"max asymmetry {sym_m:.2e}, Cholesky {'failed' if sigma is None else 'ok'}")]
+    sym_a, ok = _asymmetry(Aw)
+    checks.append(Check("kernel stiffness symmetric", ok, sym_a, f"max asymmetry {sym_a:.2e}"))
+    if sv.size == 0:
         checks.append(Check("constraint row rank", True, None, "no constraints"))
-        Z = np.eye(m)
     else:
-        sv = svdvals(B)
-        checks.append(Check("constraint row rank", _full_row_rank(sv, r), float(sv[-1]),
-                            f"smallest singular value {sv[-1]:.3e}"))
-        Z = null_space(B)
-
-    if Z.shape[1] == 0:
+        checks.append(Check("constraint row rank", _full_row_rank(sv, system.r1 + system.r2),
+                            float(sv[-1]), f"smallest singular value {sv[-1]:.3e}"))
+    if sigma is None:
+        checks.append(Check("kernel ellipticity", False, None, "M not positive definite"))
+    elif sigma.size == 0:
         checks.append(Check("kernel ellipticity", True, None, "trivial kernel"))
     else:
-        lam = eigh(Z.T @ A @ Z, eigvals_only=True)
-        ok = lam[0] > _STRUCTURE_TOL * max(abs(lam[-1]), 1.0)
-        checks.append(Check("kernel ellipticity", bool(ok), float(lam[0]),
-                            f"smallest kernel eigenvalue {lam[0]:.3e}"))
-
+        checks.append(Check("kernel ellipticity", bool(sigma[0] > _STRUCTURE_TOL * abs(sigma[-1])),
+                            float(sigma[0]), f"smallest kernel eigenvalue {sigma[0]:.3e}"))
     if system.r2 > 0:
-        res, ok = _lift_residual(system)
-        checks.append(Check("lift residual", ok, res,
-                            f"max |B2 L - I| = {res:.2e}"))
-
+        (res, ok), (free, free_ok) = _lift_residual(system), _free_components(system)
+        checks += [Check("lift residual", ok, res, f"max |B2 L - I| = {res:.2e}"),
+                   Check("free state components", free_ok, float(free),
+                         f"{free} of {system.m} components not fixed by B2")]
     if system.r1 > 0:
-        Z2 = null_space(system.B2) if system.r2 > 0 else np.eye(m)
-        sv = svdvals(system.B1 @ Z2)
-        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(sv, system.r1),
-                            float(sv[-1]) if sv.size else 0.0,
-                            f"smallest singular value {sv[-1] if sv.size else 0.0:.3e}"))
+        sv = svdvals(system.B1 @ null_space(system.B2))  # ker B2 is R^m without B2
+        smin = float(sv[-1]) if sv.size else 0.0
+        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(sv, system.r1), smin,
+                            f"smallest singular value {smin:.3e}"))
 
     warns = tuple(f"initial state incompatible with {label}(0) (residual {res:.3e})"
                   for label, res in _u0_mismatch(system))

@@ -194,7 +194,7 @@ def test_validate_stokes3_passes(capsys):
     rc = main(["validate", "stokes3"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "[PASS] mass matrix SPD" in out
+    assert "[PASS] kernel mass SPD" in out
     assert "[FAIL]" not in out
 
 
@@ -217,6 +217,22 @@ def test_validate_reports_failures(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL] constraint row rank" in out
+
+
+def test_validate_passes_a_stiffness_unsymmetric_only_in_a_dirichlet_row(tmp_path, capsys):
+    path = tmp_path / "dirichlet_row.json"
+    path.write_text(json.dumps({
+        "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "A": [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]],
+        "u0": [1.0, 0.0, 0.0],
+        "B2": [[0.0, 0.0, 1.0]],
+        "g2": "sin4t",
+        "lift": [[0.0], [0.0], [1.0]],
+    }))
+    rc = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[FAIL]" not in out
 
 
 def test_validate_missing_file_exits_2(capsys):

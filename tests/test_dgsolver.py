@@ -27,6 +27,7 @@ from dgtime import (
     solve_constrained,
     solve_mixed,
     solve_monolithic,
+    validate_system,
 )
 from dgtime.systems import _STOKES3_A, _stokes3_handles
 from dgtime.timecore import _slab_values
@@ -573,6 +574,91 @@ def test_stiffness_unsymmetric_only_in_an_eliminated_row_is_solved():
     mesh, opts = TimeMesh(np.array([0.0, 0.2, 0.5, 0.6, 1.0])), SolverOptions(q=3)
     seq, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
     assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-11 * np.abs(mono.U.coeffs).max()
+
+
+def _zero(dim):
+    return lambda t: np.zeros((dim,) + np.shape(t))
+
+
+def _dirichlet_row_system():
+    """A is unsymmetric only in the row of the component B2 fixes."""
+    B2 = np.array([[0.0, 0.0, 1.0]])
+    return ConstrainedSystem(
+        M=np.eye(3), A=np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]]),
+        f=lambda t: np.multiply.outer([1.0, 0.0, 2.0], np.cos(np.asarray(t))),
+        u0=np.array([1.0, 0.0, 0.0]), B2=B2, g2=lambda t: np.multiply.outer([1.0], np.sin(t)),
+        lift=B2.T.copy())
+
+
+# hand-built systems on both sides of the structural rules, and whether they pass
+_HAND_BUILT = {
+    "rank-deficient B1": (False, lambda: ConstrainedSystem(
+        M=np.eye(2), A=np.eye(2), f=_zero(2), u0=np.zeros(2),
+        B1=np.array([[1.0, 0.0], [2.0, 0.0]]), g1=_zero(2))),
+    "dependent B1": (False, lambda: ConstrainedSystem(
+        M=np.eye(3), A=np.eye(3), f=_zero(3), u0=np.zeros(3),
+        B1=np.array([[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]]), g1=_zero(2))),
+    "lift off by 5e-11": (False, lambda: ConstrainedSystem(
+        M=np.eye(2), A=np.eye(2), f=_zero(2), u0=np.zeros(2), B2=np.array([[1.0, 0.0]]),
+        g2=_zero(1), lift=np.array([[1.0 + 5e-11], [0.0]]))),
+    "B2 fixes every component": (False, lambda: ConstrainedSystem(
+        M=np.eye(2), A=np.eye(2), f=_zero(2), u0=np.zeros(2), B2=np.eye(2), g2=_zero(2),
+        lift=np.eye(2))),
+    "Dirichlet row": (True, _dirichlet_row_system),
+    "M indefinite off the kernel": (True, lambda: ConstrainedSystem(
+        M=np.diag([1.0, -1.0]), A=np.eye(2), f=_zero(2), u0=np.zeros(2),
+        B2=np.array([[0.0, 1.0]]), g2=_zero(1), lift=np.array([[0.0], [1.0]]))),
+}
+# the checks of the rules the march itself relies on
+_KERNEL_CHECKS = {"constraint row rank", "kernel mass SPD", "kernel stiffness symmetric",
+                  "lift residual", "free state components"}
+
+
+def _reduces(system) -> bool:
+    try:
+        dgsolver._modes(system)
+    except (ValueError, SlabSolveError):
+        return False
+    return True
+
+
+def _with_defect(system, defect, seed):
+    """system with A or M unsymmetric, or M negative definite, everywhere."""
+    E = np.random.default_rng(seed).standard_normal((system.m, system.m))
+    if defect == "A unsymmetric":
+        return replace(system, A=system.A + 0.5 * (E - E.T))
+    if defect == "M unsymmetric":
+        return replace(system, M=system.M + 0.5 * (E - E.T))
+    if defect == "M indefinite":
+        return replace(system, M=system.M - 4.0 * np.eye(system.m))
+    return system
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["spd", "saddle", "combined"]),
+       m=st.integers(2, 6), r1=st.integers(1, 2),
+       defect=st.sampled_from([None, "A unsymmetric", "M unsymmetric", "M indefinite",
+                               *_HAND_BUILT]),
+       widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6), q=st.integers(1, 3))
+def test_validator_agrees_with_the_solvers_reduction(seed, kind, m, r1, defect, widths, q):
+    if defect in _HAND_BUILT:
+        system = _HAND_BUILT[defect][1]()
+    else:
+        system = _with_defect(_random_system(seed, kind, m, r1), defect, seed)
+    report = validate_system(system)
+    assert all(c.ok for c in report.checks if c.name in _KERNEL_CHECKS) == _reduces(system)
+    # one way only: A = 0 fails ellipticity, yet the march solves it
+    if report.passed:
+        solve = solve_constrained if system.r2 else solve_mixed
+        sol = solve(system, TimeMesh(np.r_[0.0, np.cumsum(widths)]), SolverOptions(q=q))
+        assert np.isfinite(sol.U.coeffs).all()
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_BUILT))
+def test_validator_verdict_on_hand_built_systems(case):
+    passes, build = _HAND_BUILT[case]
+    system = build()
+    assert validate_system(system).passed == passes == _reduces(system)
 
 
 def test_nonsymmetric_stiffness_is_rejected():

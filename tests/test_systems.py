@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from dgtime import (
     PRESET_FUNCTIONS,
     ConstrainedSystem,
     ManufacturedSolution1D,
+    SolverOptions,
     build_heat_1d,
     build_saddle_dae,
+    build_uniform_mesh,
     load_system,
+    solve_constrained,
+    solve_mixed,
     validate_system,
 )
-from dgtime.systems import EL_MASS, EL_STIFF, _p2_shapes
+from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _p2_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +203,8 @@ def test_validate_passes_on_stokes3():
     report = validate_system(build_saddle_dae("stokes3"))
     assert report.passed
     names = {c.name for c in report.checks}
-    assert "mass matrix SPD" in names
-    assert "stiffness symmetric" in names
+    assert "kernel mass SPD" in names
+    assert "kernel stiffness symmetric" in names
     assert "constraint row rank" in names
     assert "kernel ellipticity" in names
     assert "inf-sup (B1 on ker B2)" in names
@@ -272,7 +277,53 @@ def test_validate_flags_nonsymmetric_mass():
                                f=lambda t: np.zeros(2), u0=np.zeros(2))
     report = validate_system(system)
     failed = {c.name for c in report.checks if not c.ok}
-    assert "mass matrix SPD" in failed
+    assert "kernel mass SPD" in failed
+
+
+def test_validate_flags_b2_fixing_every_component():
+    system = ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+                               u0=np.zeros(2), B2=np.eye(2), g2=lambda t: np.zeros(2),
+                               lift=np.eye(2))
+    failed = {c.name for c in validate_system(system).checks if not c.ok}
+    assert failed == {"free state components"}
+    with pytest.raises(ValueError, match="no free state components"):
+        solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
+
+
+def test_kernel_ellipticity_rule_is_relative():
+    # A scaled by 1e-13 is as elliptic relative to its own scale as stokes3's A
+    system = replace(build_saddle_dae("stokes3"), A=1e-13 * _STOKES3_A)
+    report = validate_system(system)
+    assert report.passed
+    ellipticity = next(c for c in report.checks if c.name == "kernel ellipticity")
+    assert ellipticity.value == pytest.approx(2e-13)
+    sol = solve_mixed(system, build_uniform_mesh(1.0, 4), SolverOptions(q=2))
+    assert np.isfinite(sol.U.coeffs).all()
+
+
+def test_validate_flags_a_zero_stiffness():
+    # A = 0 fails the relative rule, although the march solves it
+    system = ConstrainedSystem(M=np.eye(2), A=np.zeros((2, 2)), f=lambda t: np.zeros(2),
+                               u0=np.zeros(2))
+    failed = {c.name for c in validate_system(system).checks if not c.ok}
+    assert failed == {"kernel ellipticity"}
+
+
+def test_validate_ellipticity_is_the_generalized_kernel_eigenvalue():
+    # M = diag(1, 4) and A = diag(3, 4): the pencil (A, M) has eigenvalues 3 and 1
+    system = ConstrainedSystem(M=np.diag([1.0, 4.0]), A=np.diag([3.0, 4.0]),
+                               f=lambda t: np.zeros(2), u0=np.zeros(2))
+    checks = {c.name: c for c in validate_system(system).checks}
+    assert checks["kernel ellipticity"].value == pytest.approx(1.0)
+
+
+def test_validate_flags_a_mass_matrix_indefinite_on_the_kernel():
+    system = ConstrainedSystem(M=np.diag([1.0, -1.0]), A=np.eye(2),
+                               f=lambda t: np.zeros(2), u0=np.zeros(2))
+    checks = {c.name: c for c in validate_system(system).checks}
+    assert not checks["kernel mass SPD"].ok
+    assert "Cholesky failed" in checks["kernel mass SPD"].detail
+    assert not checks["kernel ellipticity"].ok and checks["kernel ellipticity"].value is None
 
 
 def test_incompatible_initial_data_warns():

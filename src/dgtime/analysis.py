@@ -68,12 +68,19 @@ def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) ->
     return _l2_error(P, exact_p, normQ1, quad, "exact_p")
 
 
+def _check_slab_counts(Ns: Sequence[int]) -> None:
+    """The slab-count rule of a study: Ns is non-empty and strictly increasing."""
+    if len(Ns) == 0:
+        raise ValueError("Ns must not be empty")
+    if not all(Ns[i] < Ns[i + 1] for i in range(len(Ns) - 1)):
+        raise ValueError("Ns must be strictly increasing")
+
+
 def eoc(errors: Sequence[float], Ns: Sequence[int]) -> list:
     """Pairwise estimated orders of convergence; nan marks at-floor entries."""
     if len(errors) != len(Ns) or len(errors) < 2:
         raise ValueError("need equally long error/N sequences of length >= 2")
-    if not all(Ns[i] < Ns[i + 1] for i in range(len(Ns) - 1)):
-        raise ValueError("Ns must be strictly increasing")
+    _check_slab_counts(Ns)
     out = []
     for i in range(1, len(errors)):
         e_prev, e_cur = errors[i - 1], errors[i]
@@ -147,18 +154,15 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
 
     ``problem`` is "heat1d", "stokes3", or a ConstrainedSystem with
     manufactured exact solutions; the table carries the system's name.
-    Each N gets a uniform mesh on (0, 1]; the solve path (lifted vs
-    multiplier) follows the constraint blocks.
+    Each N gets a uniform mesh on (0, 1]; the solve path (B2 eliminated
+    vs multiplier only) follows the constraint blocks.
     """
     opts = SolverOptions(q=q, use_projection=use_projection)
     if q + 3 > _MAX_POINTS:
         raise ValueError(f"q must be at most {_MAX_POINTS - 3} for a study, whose error "
                          f"quadrature has q + 3 points; got {q}")
     Ns = [int(N) for N in Ns]
-    if len(Ns) == 0:
-        raise ValueError("need at least one slab count")
-    if not all(Ns[i] < Ns[i + 1] for i in range(len(Ns) - 1)):
-        raise ValueError("Ns must be strictly increasing")
+    _check_slab_counts(Ns)
     norms = tuple(norms)
     unknown = set(norms) - set(STUDY_NORMS)
     if unknown:

@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import _PROBLEMS, STUDY_NORMS, EOCTable, StudyRow, _resolve_problem, run_study
+from .analysis import (_PROBLEMS, STUDY_NORMS, EOCTable, StudyRow, _check_slab_counts,
+                       _resolve_problem, run_study)
 from .dgsolver import DataError, SlabSolveError, SolverOptions
 from .projection import ProjectionSpec, project_broken
 from .systems import PRESET_FUNCTIONS, ConstrainedSystem, load_system, validate_system
@@ -52,10 +53,7 @@ class StudyConfig:
     def __post_init__(self):
         if self.q < 1 or self.q > 6:
             raise ValueError("q must be in 1..6")
-        if len(self.Ns) == 0:
-            raise ValueError("Ns must not be empty")
-        if not all(self.Ns[i] < self.Ns[i + 1] for i in range(len(self.Ns) - 1)):
-            raise ValueError("Ns must be strictly increasing")
+        _check_slab_counts(self.Ns)
         if self.projection not in ("on", "off", "both"):
             raise ValueError("projection must be on, off, or both")
         if self.format not in ("csv", "md"):

@@ -43,11 +43,11 @@ on ker B, the solution does not depend on which right inverse of B
 builds kappa.
 
 solve_monolithic is the independent check.  It eliminates the explicit
-block with the lift: the data lift L g2 is projected slab-wise, the
-solution is written as U = Z y + (proj L g2) with Z an orthonormal kernel
-basis of B2, and the slab system above, posed for y on the kernel, is
-assembled in kron form for all slabs.  The slab condition estimates factor
-the same kernel system once per distinct width, when they are first read.
+block with its own SVD of B2 alone: with Z an orthonormal basis of ker B2
+and L = pinv(B2), the solution is written as U = Z y + D2 L^T, and the
+slab system above, posed for y on the kernel, is assembled in kron form
+for all slabs.  The slab condition estimates factor the same kernel
+system once per distinct width, when they are first read.
 """
 
 from __future__ import annotations
@@ -58,11 +58,12 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, null_space
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
-from .systems import _asymmetry, _free_components, _full_row_rank, _kernel_reduction, _lift_residual
+from .systems import (_asymmetry, _explicit_reduction, _free_components, _full_row_rank,
+                      _kernel_reduction)
 from .timecore import _MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, gauss_legendre
 
 __all__ = [
@@ -197,19 +198,18 @@ def _factor(K: np.ndarray, slab: int):
 
 
 def _check_explicit_block(system):
-    """Reject a lift that is not a right inverse of B2, and a B2 that fixes every component."""
-    if system.r2:
-        res, ok = _lift_residual(system)
-        if not ok:
-            raise ValueError(f"lift is not a right inverse of B2 (residual {res:.2e})")
-        if not _free_components(system)[1]:
-            raise ValueError("B2 leaves no free state components")
+    """Reject a B2 that fixes every state component."""
+    if system.r2 and not _free_components(system)[1]:
+        raise ValueError("B2 leaves no free state components")
 
 
-def _kernel_basis(system) -> np.ndarray:
-    """Z, an orthonormal basis of ker B2 (the identity without B2)."""
+def _kernel_basis(system) -> tuple:
+    """(Z, L) of _explicit_reduction: ker B2 and pinv(B2), for a B2 the march accepts."""
     _check_explicit_block(system)
-    return null_space(system.B2) if system.r2 else np.eye(system.m)
+    explicit = _explicit_reduction(system)
+    if explicit is None:
+        raise SlabSolveError(1, _SINGULAR)
+    return explicit
 
 
 def _slab_matrix(q: int, width: float, Mz, Az, B1z) -> np.ndarray:
@@ -227,7 +227,7 @@ def _slab_matrix(q: int, width: float, Mz, Az, B1z) -> np.ndarray:
 
 def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
     """gecon estimates at the slab widths k, one factorization per distinct width."""
-    Z = _kernel_basis(system)
+    Z, _ = _kernel_basis(system)
     blocks = Z.T @ system.M @ Z, Z.T @ system.A @ Z, system.B1 @ Z
     widths, first, cls = np.unique(k, return_index=True, return_inverse=True)
     conds = [_factor(_slab_matrix(q, w, *blocks), int(n) + 1)[1] for w, n in zip(widths, first)]
@@ -323,11 +323,10 @@ def solve_mixed(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Sequential solve with the explicit constraint block eliminated (r2 >= 1).
 
-    The projected g2 data is imposed exactly through R = pinv([B1; B2]) and
-    the rest of the solution is marched on ker [B1; B2], as in solve_mixed.
-    The lift is only checked: it must be a right inverse of B2.  When B1 is
-    also present, the multiplier is recovered as in solve_mixed (combined
-    case).
+    The projected g2 data is imposed exactly through R = pinv([B1; B2]),
+    computed from B2 (and B1) itself, and the rest of the solution is
+    marched on ker [B1; B2], as in solve_mixed.  When B1 is also present,
+    the multiplier is recovered as in solve_mixed (combined case).
     """
     if system.r2 == 0:
         raise ValueError("solve_constrained requires r2 >= 1; use solve_mixed")
@@ -343,13 +342,13 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     data = _slab_data(system, mesh, opts)
     M, A, B1 = system.M, system.A, system.B1
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
-    Z = _kernel_basis(system)
+    Z, L = _kernel_basis(system)
     mz = Z.shape[1]
     s = q * (mz + r1)
     blocks = Z.T @ M @ Z, Z.T @ A @ Z, B1 @ Z
     Dmat, _, e = assemble_temporal_matrices(q, 1.0)
-    # u_j = Z y_j + C_j with C the lift coefficients
-    C = data.D2 @ system.lift.T if system.r2 else np.zeros_like(data.F)
+    # u_j = Z y_j + C_j with C = D2 L^T the g2 coefficients on pinv(B2)
+    C = data.D2 @ L.T
     S = data.S[:, :, None]
     F = (data.F - Dmat @ (C @ M.T) - S * (C @ A.T)) @ Z
     G = data.G - S * (C @ B1.T)
@@ -362,7 +361,7 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     Pend[:, : q * mz] = np.kron(np.ones((1, q)), Z)
     rhs = np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
     rhs[0] += E @ system.u0
-    # the lift part of the previous terminal value stays on the right-hand side
+    # the C part of the previous terminal value stays on the right-hand side
     rhs[1:] += C[:-1].sum(axis=1) @ E.T
     couple = E @ Pend
     Kg = np.zeros((N * s, N * s))
@@ -393,7 +392,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     if r1 and (P is None or P.dim != r1):
         raise ValueError("multiplier P of dimension r1 required")
     M, A, B1 = system.M, system.A, system.B1
-    Z = _kernel_basis(system)
+    Z, _ = _kernel_basis(system)
     data = _slab_data(system, mesh, opts)
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     S = data.S[:, :, None]

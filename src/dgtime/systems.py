@@ -4,13 +4,13 @@ A system collects the data of
 
     M u'(t) + A u(t) + B1^T p(t) = f(t)      (momentum)
     B1 u(t) = g1(t)                          (weak constraint, multiplier p)
-    B2 u(t) = g2(t)                          (explicit constraint, lifted)
+    B2 u(t) = g2(t)                          (explicit constraint, eliminated)
     u(0) = u0,
 
 with M SPD, A symmetric and elliptic on ker([B1; B2]), and [B1; B2] of
-full row rank.  Either constraint block may be empty.  Explicit
-constraints come with a lift L (a right inverse of B2, B2 L = I) so that
-solvers can substitute u = w + L g2 and work in ker(B2).
+full row rank.  Either constraint block may be empty.  Solvers substitute
+u = w + L g2, w in ker(B2), with L = pinv(B2) or pinv([B1; B2]) computed
+from the matrices; the solution does not depend on that choice.
 
 Two generators with manufactured exact solutions are built in:
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, null_space, svd, svdvals
+from scipy.linalg import eigh, svd, svdvals
 
 from .timecore import _readonly
 
@@ -63,12 +63,6 @@ def _full_row_rank(sv: np.ndarray, rows: int) -> bool:
     return bool(sv.size == rows and (rows == 0 or sv[-1] > _STRUCTURE_TOL * sv[0]))
 
 
-def _lift_residual(system) -> tuple:
-    """(max |B2 L - I|, whether it is within _STRUCTURE_TOL) for the lift L."""
-    res = float(np.abs(system.B2 @ system.lift - np.eye(system.r2)).max(initial=0.0))
-    return res, res <= _STRUCTURE_TOL
-
-
 def _free_components(system) -> tuple:
     """(m - r2, whether B2 leaves a state component free)."""
     return system.m - system.r2, system.m > system.r2
@@ -83,6 +77,17 @@ def _kernel_reduction(system) -> tuple:
     u, sv, vt = svd(np.vstack([system.B1, system.B2]))
     Q = vt[system.r1 + system.r2:].T
     return u, sv, vt, Q, Q.T @ system.M @ Q, Q.T @ system.A @ Q
+
+
+def _explicit_reduction(system) -> Optional[tuple]:
+    """(Z, L) from one SVD u diag(sv) vt of B2; None unless B2 has full row rank.
+
+    Z = vt[r2:].T spans ker B2 (the identity without B2); L = pinv(B2).
+    """
+    u, sv, vt = svd(system.B2)
+    if not _full_row_rank(sv, system.r2):
+        return None
+    return vt[system.r2:].T, (vt[:system.r2].T / sv) @ u.T
 
 
 def _u0_mismatch(system) -> list:
@@ -115,7 +120,6 @@ class ConstrainedSystem:
     B2: Optional[np.ndarray] = None
     g1: Optional[Callable[[float], np.ndarray]] = None
     g2: Optional[Callable[[float], np.ndarray]] = None
-    lift: Optional[np.ndarray] = None
     normU: Optional[np.ndarray] = None
     normQ1: Optional[np.ndarray] = None
     exact_u: Optional[Callable[[float], np.ndarray]] = None
@@ -143,18 +147,11 @@ class ConstrainedSystem:
             raise ValueError("g1 data required when B1 is present")
         if B2.shape[0] > 0 and self.g2 is None:
             raise ValueError("g2 data required when B2 is present")
-        lift = self.lift
-        if B2.shape[0] > 0:
-            if lift is None:
-                raise ValueError("a lift (right inverse of B2) is required when B2 is present")
-            lift = _readonly(lift)
-            if lift.shape != (m, B2.shape[0]):
-                raise ValueError("lift must have shape (m, r2)")
         normU = _readonly(self.normU if self.normU is not None else M + A)
         normQ1 = _readonly(self.normQ1 if self.normQ1 is not None else np.eye(B1.shape[0]))
         for fld, val in (("M", M), ("A", A), ("B1", B1), ("B2", B2), ("u0", u0),
-                         ("lift", lift), ("normU", normU), ("normQ1", normQ1)):
-            if val is not None and not np.isfinite(val).all():
+                         ("normU", normU), ("normQ1", normQ1)):
+            if not np.isfinite(val).all():
                 raise ValueError(f"{fld} has non-finite entries")
             object.__setattr__(self, fld, val)
         for label, res in _u0_mismatch(self):
@@ -202,9 +199,10 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
 
     Applies the solvers' rules to their reduction (_kernel_reduction): full
     row rank of B = [B1; B2], M and A symmetric and M positive definite on
-    ker B, B2 @ lift = I and a free state component.  A is elliptic on ker B
-    when the smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12 times
-    the largest in size; B1 is checked for inf-sup rank on ker(B2).
+    ker B and a free state component; B2 is eliminated with pinv(B2) or
+    pinv(B), computed from B itself.  A is elliptic on ker B when the
+    smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12 times the
+    largest in size; B1 is checked for inf-sup rank on ker(B2).
     Initial-data compatibility is reported as a warning, never a failure.
     """
     _, sv, _, _, Mw, Aw = _kernel_reduction(system)
@@ -230,12 +228,12 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
         checks.append(Check("kernel ellipticity", bool(sigma[0] > _STRUCTURE_TOL * abs(sigma[-1])),
                             float(sigma[0]), f"smallest kernel eigenvalue {sigma[0]:.3e}"))
     if system.r2 > 0:
-        (res, ok), (free, free_ok) = _lift_residual(system), _free_components(system)
-        checks += [Check("lift residual", ok, res, f"max |B2 L - I| = {res:.2e}"),
-                   Check("free state components", free_ok, float(free),
-                         f"{free} of {system.m} components not fixed by B2")]
+        free, ok = _free_components(system)
+        checks.append(Check("free state components", ok, float(free),
+                            f"{free} of {system.m} components not fixed by B2"))
     if system.r1 > 0:
-        sv = svdvals(system.B1 @ null_space(system.B2))  # ker B2 is R^m without B2
+        explicit = _explicit_reduction(system)  # None fails the rank check above too
+        sv = svdvals(system.B1 @ explicit[0]) if explicit else np.zeros(0)
         smin = float(sv[-1]) if sv.size else 0.0
         checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(sv, system.r1), smin,
                             f"smallest singular value {smin:.3e}"))
@@ -333,7 +331,6 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     B2 = np.zeros((2, m))
     B2[0, 0] = 1.0
     B2[1, m - 1] = 1.0
-    lift = B2.T.copy()
     x_boundary = x_nodes[[0, -1]]
 
     def g2(t):
@@ -345,7 +342,7 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     u0 = sol.u(x_nodes, 0.0)
 
     system = ConstrainedSystem(
-        M=M, A=A, f=f, u0=u0, B2=B2, g2=g2, lift=lift,
+        M=M, A=A, f=f, u0=u0, B2=B2, g2=g2,
         normU=M + A, exact_u=exact_u, name="heat1d",
     )
 
@@ -487,7 +484,9 @@ def load_system(path) -> ConstrainedSystem:
     The file holds one object.  Matrices are row-major nested arrays of
     numbers; data functions (f, g1, g2, exact_u, exact_p) are named presets
     from PRESET_FUNCTIONS, either one name (broadcast over components) or a
-    list of per-component names.  Malformed content raises ValueError.
+    list of per-component names.  The solvers eliminate B2 with pinv(B2) or
+    pinv([B1; B2]), computed from the matrices, so a file gives no right
+    inverse.  Unknown keys are ignored; malformed content raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -508,7 +507,6 @@ def load_system(path) -> ConstrainedSystem:
         B1=B1, B2=B2,
         g1=_preset_vector_fn(raw.get("g1"), r1, "g1") if r1 > 0 else None,
         g2=_preset_vector_fn(raw.get("g2"), r2, "g2") if r2 > 0 else None,
-        lift=_numeric(raw, "lift", 2),
         normU=_numeric(raw, "normU", 2),
         normQ1=_numeric(raw, "normQ1", 2),
         exact_u=_preset_vector_fn(raw["exact_u"], m, "exact_u") if "exact_u" in raw else None,

@@ -214,6 +214,18 @@ def test_run_study_argument_validation():
         run_study("wave2d", 2, [4, 8])
 
 
+@pytest.mark.parametrize("Ns", [(8, 8), (16, 8)])
+def test_study_and_eoc_reject_slab_counts_that_do_not_increase(Ns, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before rejecting Ns")
+
+    monkeypatch.setattr(analysis, "solve_mixed", no_solve)
+    with pytest.raises(ValueError, match="Ns must be strictly increasing"):
+        run_study("stokes3", 2, Ns)
+    with pytest.raises(ValueError, match="Ns must be strictly increasing"):
+        eoc([1.0, 0.5], Ns)
+
+
 def test_run_study_rejects_q_beyond_its_error_rule(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before rejecting q")

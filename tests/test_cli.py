@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dgtime import run_study
+from dgtime import load_system, run_study
 from dgtime.cli import (
     CSV_COLUMNS,
     StudyConfig,
@@ -201,7 +201,10 @@ def test_validate_stokes3_passes(capsys):
 def test_validate_heat_passes(capsys):
     rc = main(["validate", "heat1d"])
     assert rc == 0
-    assert "[PASS] lift residual" in capsys.readouterr().out
+    checks = [line.split(" — ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert checks == ["[PASS] kernel mass SPD", "[PASS] kernel stiffness symmetric",
+                      "[PASS] constraint row rank", "[PASS] kernel ellipticity",
+                      "[PASS] free state components"]
 
 
 def test_validate_reports_failures(tmp_path, capsys):
@@ -227,12 +230,29 @@ def test_validate_passes_a_stiffness_unsymmetric_only_in_a_dirichlet_row(tmp_pat
         "u0": [1.0, 0.0, 0.0],
         "B2": [[0.0, 0.0, 1.0]],
         "g2": "sin4t",
-        "lift": [[0.0], [0.0], [1.0]],
     }))
     rc = main(["validate", str(path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[FAIL]" not in out
+
+
+def test_validate_ignores_a_lift_key(tmp_path, capsys):
+    # the solvers compute pinv(B2) themselves; a file that still gives a
+    # right inverse of B2 loads, with the key ignored like any unknown key
+    path = tmp_path / "with_lift.json"
+    path.write_text(json.dumps({
+        "M": [[1.0, 0.0], [0.0, 1.0]],
+        "A": [[1.0, 0.0], [0.0, 1.0]],
+        "u0": [0.0, 0.0],
+        "B2": [[1.0, 0.0]],
+        "g2": "zero",
+        "lift": [[1.0], [0.0]],
+    }))
+    system = load_system(path)
+    assert system.r2 == 1 and not hasattr(system, "lift")
+    assert main(["validate", str(path)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_validate_missing_file_exits_2(capsys):
@@ -258,7 +278,6 @@ def test_validate_warns_on_incompatible_initial_data(tmp_path, capsys):
         "u0": [0.0, 0.0],
         "B2": [[1.0, 0.0]],
         "g2": "const1",
-        "lift": [[1.0], [0.0]],
     }))
     import warnings
 

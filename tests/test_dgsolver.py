@@ -10,6 +10,7 @@ from scipy.linalg import null_space
 
 from dgtime import dgsolver
 from dgtime import (
+    BrokenFunction,
     ConstrainedSystem,
     DataError,
     ManufacturedSolution1D,
@@ -233,7 +234,7 @@ def test_constrained_solve_matches_row_elimination_for_zero_boundary():
 
     scale = 1.0 + np.abs(small.U.coeffs).max()
     assert np.abs(full.U.coeffs[:, :, 1:-1] - small.U.coeffs).max() <= 1e-12 * scale
-    # boundary modes carry the (zero) lift exactly
+    # boundary modes carry the (zero) boundary data exactly
     assert np.abs(full.U.coeffs[:, :, [0, -1]]).max() <= 1e-12 * scale
 
 
@@ -299,7 +300,7 @@ def _random_system(seed, kind, m, r1):
     kw, Z = {}, np.eye(m)
     if kind == "combined":
         B2 = rng.standard_normal((1, m))
-        kw.update(B2=B2, g2=lambda t: B2 @ path(t), lift=np.linalg.pinv(B2))
+        kw.update(B2=B2, g2=lambda t: B2 @ path(t))
         Z = null_space(B2)
     if kind != "spd":
         r1 = min(r1, Z.shape[1])
@@ -384,7 +385,6 @@ def test_dg_residual_detects_perturbation():
     sol = solve_mixed(system, mesh, opts)
     bad = sol.U.coeffs.copy()
     bad[2, 1, 0] += 1e-3
-    from dgtime import BrokenFunction
     res = dg_residual(system, mesh, opts, BrokenFunction(mesh, bad), sol.P)
     assert res[2] > 1e-5
 
@@ -473,7 +473,7 @@ def _combined_system():
     return ConstrainedSystem(
         M=np.eye(3), A=A, f=f, u0=exact_u(0.0),
         B1=B1, g1=lambda t: B1 @ exact_u(t),
-        B2=B2, g2=lambda t: np.array([t * t]), lift=B2.T.copy(),
+        B2=B2, g2=lambda t: np.array([t * t]),
         exact_u=exact_u, exact_p=exact_p, name="combined")
 
 
@@ -554,23 +554,13 @@ def test_uniformly_small_weak_constraint_is_solved():
     assert np.abs(1e-13 * sol.P.coeffs - ref.P.coeffs).max() <= 1e-12 * np.abs(ref.P.coeffs).max()
 
 
-def test_lift_off_by_5e_11_is_rejected():
-    system = ConstrainedSystem(
-        M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(2),
-        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.zeros(1),
-        lift=np.array([[1.0 + 5e-11], [0.0]]))
-    with pytest.raises(ValueError, match="right inverse"):
-        solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
-
-
 def test_stiffness_unsymmetric_only_in_an_eliminated_row_is_solved():
     # A Dirichlet row: A is symmetric on ker B2, where the solver uses it
     A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]])
     B2 = np.array([[0.0, 0.0, 1.0]])
     system = ConstrainedSystem(
         M=np.eye(3), A=A, f=lambda t: np.multiply.outer([1.0, 0.0, 2.0], np.cos(np.asarray(t))),
-        u0=np.array([1.0, 0.0, 0.0]), B2=B2, g2=lambda t: np.multiply.outer([1.0], np.sin(t)),
-        lift=B2.T.copy())
+        u0=np.array([1.0, 0.0, 0.0]), B2=B2, g2=lambda t: np.multiply.outer([1.0], np.sin(t)))
     mesh, opts = TimeMesh(np.array([0.0, 0.2, 0.5, 0.6, 1.0])), SolverOptions(q=3)
     seq, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
     assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-11 * np.abs(mono.U.coeffs).max()
@@ -582,12 +572,31 @@ def _zero(dim):
 
 def _dirichlet_row_system():
     """A is unsymmetric only in the row of the component B2 fixes."""
-    B2 = np.array([[0.0, 0.0, 1.0]])
     return ConstrainedSystem(
         M=np.eye(3), A=np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, 0.0, 1.0]]),
         f=lambda t: np.multiply.outer([1.0, 0.0, 2.0], np.cos(np.asarray(t))),
-        u0=np.array([1.0, 0.0, 0.0]), B2=B2, g2=lambda t: np.multiply.outer([1.0], np.sin(t)),
-        lift=B2.T.copy())
+        u0=np.array([1.0, 0.0, 0.0]), B2=np.array([[0.0, 0.0, 1.0]]),
+        g2=lambda t: np.multiply.outer([1.0], np.sin(t)))
+
+
+def _rank_deficient_b2_system():
+    """B2 = [[1, 0, 0], [2, 0, 0]] has rank 1 in two rows."""
+    return ConstrainedSystem(M=np.eye(3), A=np.eye(3), f=_zero(3), u0=np.zeros(3),
+                             B2=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), g2=_zero(2))
+
+
+def test_rank_deficient_explicit_constraint_raises_on_the_first_slab():
+    # no solver or oracle may turn the missing right inverse of B2 into NaN
+    system, mesh, opts = _rank_deficient_b2_system(), build_uniform_mesh(1.0, 2), SolverOptions()
+    U = BrokenFunction(mesh, np.zeros((mesh.N, opts.q, system.m)))
+    for run in (lambda: solve_constrained(system, mesh, opts),
+                lambda: solve_monolithic(system, mesh, opts),
+                lambda: dg_residual(system, mesh, opts, U),
+                # what MixedSolution.condition_estimates reads
+                lambda: dgsolver._conditions(system, opts.q, mesh.widths)):
+        with pytest.raises(SlabSolveError) as err:
+            run()
+        assert err.value.slab == 1
 
 
 # hand-built systems on both sides of the structural rules, and whether they pass
@@ -598,20 +607,17 @@ _HAND_BUILT = {
     "dependent B1": (False, lambda: ConstrainedSystem(
         M=np.eye(3), A=np.eye(3), f=_zero(3), u0=np.zeros(3),
         B1=np.array([[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]]), g1=_zero(2))),
-    "lift off by 5e-11": (False, lambda: ConstrainedSystem(
-        M=np.eye(2), A=np.eye(2), f=_zero(2), u0=np.zeros(2), B2=np.array([[1.0, 0.0]]),
-        g2=_zero(1), lift=np.array([[1.0 + 5e-11], [0.0]]))),
+    "rank-deficient B2": (False, _rank_deficient_b2_system),
     "B2 fixes every component": (False, lambda: ConstrainedSystem(
-        M=np.eye(2), A=np.eye(2), f=_zero(2), u0=np.zeros(2), B2=np.eye(2), g2=_zero(2),
-        lift=np.eye(2))),
+        M=np.eye(2), A=np.eye(2), f=_zero(2), u0=np.zeros(2), B2=np.eye(2), g2=_zero(2))),
     "Dirichlet row": (True, _dirichlet_row_system),
     "M indefinite off the kernel": (True, lambda: ConstrainedSystem(
         M=np.diag([1.0, -1.0]), A=np.eye(2), f=_zero(2), u0=np.zeros(2),
-        B2=np.array([[0.0, 1.0]]), g2=_zero(1), lift=np.array([[0.0], [1.0]]))),
+        B2=np.array([[0.0, 1.0]]), g2=_zero(1))),
 }
 # the checks of the rules the march itself relies on
 _KERNEL_CHECKS = {"constraint row rank", "kernel mass SPD", "kernel stiffness symmetric",
-                  "lift residual", "free state components"}
+                  "free state components"}
 
 
 def _reduces(system) -> bool:
@@ -686,15 +692,6 @@ def test_nonfinite_forcing_raises_data_error():
                                f=lambda t: np.array([np.nan]), u0=np.zeros(1))
     with pytest.raises(DataError):
         solve_mixed(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
-
-
-def test_bad_lift_rejected():
-    system = ConstrainedSystem(
-        M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(2),
-        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.zeros(1),
-        lift=np.array([[0.5], [0.0]]))  # B2 @ lift = 0.5 != 1
-    with pytest.raises(ValueError, match="right inverse"):
-        solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions(q=1))
 
 
 # ---------------------------------------------------------------------------

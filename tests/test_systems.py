@@ -19,7 +19,7 @@ from dgtime import (
     solve_mixed,
     validate_system,
 )
-from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _p2_shapes
+from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _explicit_reduction, _p2_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,8 @@ def test_heat_shapes_and_defaults():
     assert system.m == 9
     assert system.r1 == 0 and system.r2 == 2
     assert system.B2.shape == (2, 9)
-    np.testing.assert_allclose(system.B2 @ system.lift, np.eye(2), atol=1e-15)
+    # the solvers' right inverse pinv(B2) of the boundary-row selection is B2^T
+    np.testing.assert_array_equal(_explicit_reduction(system)[1], system.B2.T)
     np.testing.assert_allclose(system.normU, system.M + system.A)
     # default solution has u(x, 0) = x, which is compatible with g2(0)
     np.testing.assert_allclose(system.u0, np.linspace(0, 1, 9), atol=1e-15)
@@ -214,7 +215,9 @@ def test_validate_passes_on_stokes3():
 def test_validate_passes_on_heat():
     report = validate_system(build_heat_1d(4))
     assert report.passed
-    assert "lift residual" in {c.name for c in report.checks}
+    assert [c.name for c in report.checks] == [
+        "kernel mass SPD", "kernel stiffness symmetric", "constraint row rank",
+        "kernel ellipticity", "free state components"]
 
 
 def test_validate_flags_rank_deficient_constraints():
@@ -255,15 +258,6 @@ def test_uniformly_small_constraint_passes_the_rank_rule():
     assert system.r1 == 1
 
 
-def test_validate_flags_a_lift_off_by_5e_11():
-    system = ConstrainedSystem(
-        M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(2),
-        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.zeros(1),
-        lift=np.array([[1.0 + 5e-11], [0.0]]))
-    report = validate_system(system)
-    assert {c.name for c in report.checks if not c.ok} == {"lift residual"}
-
-
 def test_validate_flags_indefinite_stiffness():
     system = ConstrainedSystem(M=np.eye(2), A=-np.eye(2),
                                f=lambda t: np.zeros(2), u0=np.zeros(2))
@@ -282,8 +276,7 @@ def test_validate_flags_nonsymmetric_mass():
 
 def test_validate_flags_b2_fixing_every_component():
     system = ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
-                               u0=np.zeros(2), B2=np.eye(2), g2=lambda t: np.zeros(2),
-                               lift=np.eye(2))
+                               u0=np.zeros(2), B2=np.eye(2), g2=lambda t: np.zeros(2))
     failed = {c.name for c in validate_system(system).checks if not c.ok}
     assert failed == {"free state components"}
     with pytest.raises(ValueError, match="no free state components"):
@@ -331,8 +324,7 @@ def test_incompatible_initial_data_warns():
         ConstrainedSystem(
             M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
             u0=np.array([0.0, 0.0]),
-            B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1),
-            lift=np.array([[1.0], [0.0]]))
+            B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1))
 
 
 def test_incompatible_initial_data_warning_points_at_the_caller():
@@ -340,8 +332,7 @@ def test_incompatible_initial_data_warning_points_at_the_caller():
         ConstrainedSystem(
             M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
             u0=np.array([0.0, 0.0]),
-            B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1),
-            lift=np.array([[1.0], [0.0]]))
+            B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1))
     assert record[0].filename == __file__
 
 
@@ -349,8 +340,7 @@ def test_compatible_initial_data_is_silent(recwarn):
     ConstrainedSystem(
         M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
         u0=np.array([1.0, 0.0]),
-        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1),
-        lift=np.array([[1.0], [0.0]]))
+        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1))
     assert len(recwarn) == 0
 
 
@@ -358,10 +348,9 @@ def test_constrained_system_shape_validation():
     with pytest.raises(ValueError):
         ConstrainedSystem(M=np.eye(2), A=np.eye(3),
                           f=lambda t: np.zeros(2), u0=np.zeros(2))
-    with pytest.raises(ValueError):  # B2 without lift
+    with pytest.raises(ValueError):  # B2 without g2
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
-                          u0=np.zeros(2), B2=np.array([[1.0, 0.0]]),
-                          g2=lambda t: np.zeros(1))
+                          u0=np.zeros(2), B2=np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):  # B1 without g1
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2), B1=np.array([[1.0, 0.0]]))
@@ -412,7 +401,7 @@ def test_load_system_with_constraint_block(tmp_path):
     ({"M": [[1.0]], "u0": [0.0], "f": "cubic"}, "unknown preset"),
     ({"M": [[1.0]], "u0": [0.0], "exact_u": ["zero", "zero"]}, "dimension"),
     ({"M": [[1.0, 0.0], [0.0, 1.0]], "u0": [0.0, 0.0],
-      "B2": [[1.0, 0.0]], "g2": "zero"}, "lift"),
+      "B2": [[1.0, 0.0, 0.0]], "g2": "zero"}, "B2 must have shape"),
     (5, "JSON object"),
     (None, "JSON object"),
     ({"M": 5, "u0": [0.0]}, "M must be a 2-D array"),
@@ -436,11 +425,10 @@ def test_load_system_rejects_a_number_beyond_the_float_range(tmp_path):
         load_system(path)
 
 
-@pytest.mark.parametrize("field", ["M", "A", "B1", "B2", "u0", "lift", "normU", "normQ1"])
+@pytest.mark.parametrize("field", ["M", "A", "B1", "B2", "u0", "normU", "normQ1"])
 def test_constrained_system_rejects_non_finite_arrays(field):
     fields = dict(M=np.eye(2), A=np.eye(2), u0=np.zeros(2), B1=np.array([[1.0, 1.0]]),
-                  B2=np.array([[1.0, 0.0]]), lift=np.array([[1.0], [0.0]]),
-                  normU=np.eye(2), normQ1=np.eye(1))
+                  B2=np.array([[1.0, 0.0]]), normU=np.eye(2), normQ1=np.eye(1))
     fields[field] = np.where(np.ones_like(fields[field], dtype=bool), np.nan, fields[field])
     with pytest.raises(ValueError, match=f"{field} has non-finite"):
         ConstrainedSystem(f=lambda t: np.zeros(2), g1=lambda t: np.zeros(1),

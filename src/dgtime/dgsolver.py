@@ -44,10 +44,10 @@ builds kappa.
 
 solve_monolithic is the independent check.  It eliminates the explicit
 block with its own SVD of B2 alone: with Z an orthonormal basis of ker B2
-and L = pinv(B2), the solution is written as U = Z y + D2 L^T, and the
-slab system above, posed for y on the kernel, is assembled in kron form
-for all slabs.  The slab condition estimates factor the same kernel
-system once per distinct width, when they are first read.
+and L = pinv(B2), U = Z y + D2 L^T.  Slabs couple only through e M u_prev,
+so the all-slabs system for y is block lower-triangular.  It is solved slab
+by slab, on LU factors of the slab system above in kron form, taken once
+per distinct width; the slab condition estimates read the same factors.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class MixedSolution:
     """Broken state U, broken multiplier P (None when r1 = 0), diagnostics.
 
     condition_estimates, (N,), is the LAPACK gecon estimate of the 1-norm
-    condition of every slab's matrix, computed on first access.
+    condition of every slab's kron matrix, from the per-width LU factors
+    solve_monolithic solves with; the march factors them on first access.
     """
 
     U: BrokenFunction
@@ -225,13 +226,24 @@ def _slab_matrix(q: int, width: float, Mz, Az, B1z) -> np.ndarray:
     ])
 
 
+def _slab_factors(system, Z: np.ndarray, q: int, k: np.ndarray):
+    """Yield _factor of every slab's kron matrix on ker B2 = span Z, in slab order.
+
+    Each distinct width is factored once and its factors are held until its
+    last slab; a singular matrix raises SlabSolveError with its first slab.
+    """
+    blocks = Z.T @ system.M @ Z, Z.T @ system.A @ Z, system.B1 @ Z
+    last, held = {w: n for n, w in enumerate(k)}, {}
+    for n, w in enumerate(k):
+        if w not in held:
+            held[w] = _factor(_slab_matrix(q, w, *blocks), n + 1)
+        yield held[w] if last[w] > n else held.pop(w)
+
+
 def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
     """gecon estimates at the slab widths k, one factorization per distinct width."""
     Z, _ = _kernel_basis(system)
-    blocks = Z.T @ system.M @ Z, Z.T @ system.A @ Z, system.B1 @ Z
-    widths, first, cls = np.unique(k, return_index=True, return_inverse=True)
-    conds = [_factor(_slab_matrix(q, w, *blocks), int(n) + 1)[1] for w, n in zip(widths, first)]
-    return np.array(conds)[cls]
+    return np.array([cond for _, cond in _slab_factors(system, Z, q, k)])
 
 
 def _modes(system):
@@ -334,47 +346,35 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
 
 
 def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
-    """Assemble all slabs into one block lower-triangular system and solve once.
+    """Solve the block lower-triangular all-slabs system slab by slab.
 
-    Produces the same solution as the sequential solvers (cross-check path;
-    the global matrix is dense, so keep N small).
+    The cross-check of the sequential solvers: slab n solves rhs_n + E u_prev
+    on the LU factors of its width, the factors the condition estimates read.
     """
     data = _slab_data(system, mesh, opts)
     M, A, B1 = system.M, system.A, system.B1
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
     Z, L = _kernel_basis(system)
     mz = Z.shape[1]
-    s = q * (mz + r1)
-    blocks = Z.T @ M @ Z, Z.T @ A @ Z, B1 @ Z
     Dmat, _, e = assemble_temporal_matrices(q, 1.0)
     # u_j = Z y_j + C_j with C = D2 L^T the g2 coefficients on pinv(B2)
     C = data.D2 @ L.T
     S = data.S[:, :, None]
     F = (data.F - Dmat @ (C @ M.T) - S * (C @ A.T)) @ Z
     G = data.G - S * (C @ B1.T)
-    # E maps the previous terminal value u_prev to its right-hand side term,
-    # e (x) Z^T M u_prev; Pend maps x to the kernel part of the slab's
-    # terminal value, Z sum_j y_j.
-    E = np.zeros((s, m))
-    E[: q * mz] = np.kron(e[:, None], Z.T @ M)
-    Pend = np.zeros((m, s))
-    Pend[:, : q * mz] = np.kron(np.ones((1, q)), Z)
     rhs = np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
-    rhs[0] += E @ system.u0
-    # the C part of the previous terminal value stays on the right-hand side
-    rhs[1:] += C[:-1].sum(axis=1) @ E.T
-    couple = E @ Pend
-    Kg = np.zeros((N * s, N * s))
-    for n, k in enumerate(mesh.widths):
-        row = n * s
-        Kg[row: row + s, row: row + s] = _slab_matrix(q, k, *blocks)
-        if n > 0:
-            Kg[row: row + s, row - s: row] = -couple
-    lu, cond = _factor(Kg, 0)
-    X = lu_solve(lu, rhs.ravel(), check_finite=False).reshape(N, s)
+    # E u_prev is the upwind term e (x) Z^T M u_prev of the previous terminal value
+    E = np.zeros((rhs.shape[1], m))
+    E[: q * mz] = np.kron(e[:, None], Z.T @ M)
+    X, conds = np.empty_like(rhs), np.empty(N)
+    u_prev = system.u0
+    for n, (lu, cond) in enumerate(_slab_factors(system, Z, q, mesh.widths)):
+        X[n] = lu_solve(lu, rhs[n] + E @ u_prev, check_finite=False)
+        conds[n] = cond
+        u_prev = X[n, : q * mz].reshape(q, mz).sum(axis=0) @ Z.T + C[n].sum(axis=0)
     U = BrokenFunction(mesh, X[:, : q * mz].reshape(N, q, mz) @ Z.T + C)
     P = BrokenFunction(mesh, X[:, q * mz:].reshape(N, q, r1)) if r1 else None
-    return MixedSolution(U, P, lambda: np.full(N, cond))
+    return MixedSolution(U, P, lambda: conds)
 
 
 def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,

@@ -149,6 +149,10 @@ class ConstrainedSystem:
             raise ValueError("g2 data required when B2 is present")
         normU = _readonly(self.normU if self.normU is not None else M + A)
         normQ1 = _readonly(self.normQ1 if self.normQ1 is not None else np.eye(B1.shape[0]))
+        if normU.shape != (m, m):
+            raise ValueError("normU must have shape (m, m)")
+        if normQ1.shape != (B1.shape[0],) * 2:
+            raise ValueError("normQ1 must have shape (r1, r1)")
         for fld, val in (("M", M), ("A", A), ("B1", B1), ("B2", B2), ("u0", u0),
                          ("normU", normU), ("normQ1", normQ1)):
             if not np.isfinite(val).all():

@@ -190,12 +190,6 @@ class SlabPoly:
         """Values at an array of times, shape (d, len(ts))."""
         return npleg.legval(self._x(ts), self.coeffs)
 
-    def derivative(self) -> "SlabPoly":
-        if self.coeffs.shape[0] == 1:
-            return SlabPoly(self.a, self.b, np.zeros_like(self.coeffs))
-        c = npleg.legder(self.coeffs, axis=0) * (2.0 / (self.b - self.a))
-        return SlabPoly(self.a, self.b, c)
-
     def value_start(self) -> np.ndarray:
         """Right limit at the left endpoint a (inside the slab)."""
         e = (-1.0) ** np.arange(self.coeffs.shape[0])
@@ -229,16 +223,6 @@ class BrokenFunction:
             raise ValueError("need q >= 1 coefficients and dim >= 1")
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def from_slabs(cls, mesh: TimeMesh, slabs) -> "BrokenFunction":
-        slabs = list(slabs)
-        if len(slabs) != mesh.N:
-            raise ValueError("one SlabPoly per slab required")
-        for n, s in enumerate(slabs):
-            if not (np.isclose(s.a, mesh.breakpoints[n]) and np.isclose(s.b, mesh.breakpoints[n + 1])):
-                raise ValueError(f"slab {n} interval does not match the mesh")
-        return cls(mesh, np.stack([s.coeffs for s in slabs]))
-
     @property
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
@@ -246,10 +230,6 @@ class BrokenFunction:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[2]
-
-    @property
-    def slabs(self) -> tuple:
-        return tuple(self.slab(n) for n in range(self.mesh.N))
 
     def slab(self, n: int) -> SlabPoly:
         bp = self.mesh.breakpoints
@@ -287,14 +267,6 @@ class BrokenFunction:
         _check_same_domain(self, other)
         q = max(self.coeffs.shape[1], other.coeffs.shape[1])
         return BrokenFunction(self.mesh, self._pad_to(q) - other._pad_to(q))
-
-    def __add__(self, other: "BrokenFunction") -> "BrokenFunction":
-        _check_same_domain(self, other)
-        q = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        return BrokenFunction(self.mesh, self._pad_to(q) + other._pad_to(q))
-
-    def __rmul__(self, s: float) -> "BrokenFunction":
-        return BrokenFunction(self.mesh, float(s) * self.coeffs)
 
 
 def _check_same_domain(Y: BrokenFunction, X: BrokenFunction):

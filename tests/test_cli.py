@@ -261,8 +261,13 @@ def test_validate_missing_file_exits_2(capsys):
 
 
 @pytest.mark.parametrize("text", ["5", "null", '{"M": [[1.0, 0.0], [0.0, null]], "u0": [0, 0]}',
-                                  '{"M": [[1.0]], "A": [[1e400]], "u0": [0.0]}'],
-                         ids=["number", "null", "nan-entry", "overflowing-entry"])
+                                  '{"M": [[1.0]], "A": [[1e400]], "u0": [0.0]}',
+                                  '{"M": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u0": [0, 0, 0], '
+                                  '"normU": [[1, 0], [0, 1]]}',
+                                  '{"M": [[1, 0], [0, 1]], "u0": [0, 0], "B1": [[1, 0]], '
+                                  '"g1": "zero", "normQ1": [[1, 0], [0, 1]]}'],
+                         ids=["number", "null", "nan-entry", "overflowing-entry",
+                              "normU-shape", "normQ1-shape"])
 def test_validate_malformed_system_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "malformed.json"
     path.write_text(text)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -265,6 +266,23 @@ def test_monolithic_matches_sequential_heat():
     assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-11 * scale
 
 
+def test_monolithic_solves_slab_by_slab_in_small_memory():
+    # the all-slabs matrix here, (N s)^2 with s = q (m - r2 + r1) = 254, takes 126 MiB
+    system = build_heat_1d(64)
+    mesh = build_uniform_mesh(1.0, 16)
+    opts = SolverOptions(q=2)
+    tracemalloc.start()
+    try:
+        mono = solve_monolithic(system, mesh, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 126 * 2**20 / 10
+    seq = solve_constrained(system, mesh, opts)
+    scale = 1.0 + np.abs(seq.U.coeffs).max()
+    assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-11 * scale
+
+
 def test_monolithic_matches_sequential_nonuniform():
     system = build_saddle_dae("stokes3")
     mesh = TimeMesh(np.array([0.0, 0.2, 0.7, 1.0]))
@@ -517,9 +535,10 @@ def test_singular_modal_block_raises_with_slab_index():
     # q = 1 blocks are 1 + k sigma with sigma = -2: the second slab has k = 0.5
     system = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1),
                                f=lambda t: np.zeros(1), u0=np.ones(1))
-    with pytest.raises(SlabSolveError) as err:
-        solve_mixed(system, TimeMesh(np.array([0.0, 0.3, 0.8, 1.0])), SolverOptions(q=1))
-    assert err.value.slab == 2
+    for solve in (solve_mixed, solve_monolithic):
+        with pytest.raises(SlabSolveError) as err:
+            solve(system, TimeMesh(np.array([0.0, 0.3, 0.8, 1.0])), SolverOptions(q=1))
+        assert err.value.slab == 2
 
 
 def test_rank_deficient_weak_constraint_raises_on_the_first_slab():
@@ -726,6 +745,9 @@ def test_condition_estimates_bound_exact_condition(problem, q):
     exact = _exact_slab_conditions(system, mesh, q)
     assert np.all(exact / 10.0 <= est)
     assert np.all(est <= exact * (1.0 + 1e-8))
+    # the oracle's estimates are per slab too, read from the factors it solves with
+    mono = solve_monolithic(system, mesh, SolverOptions(q=q)).condition_estimates
+    np.testing.assert_allclose(mono, est, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,13 @@ def test_constrained_system_shape_validation():
     with pytest.raises(ValueError):  # B1 without g1
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2), B1=np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="normU must have shape"):
+        ConstrainedSystem(M=np.eye(3), A=np.eye(3), f=lambda t: np.zeros(3),
+                          u0=np.zeros(3), normU=np.eye(2))
+    with pytest.raises(ValueError, match="normQ1 must have shape"):
+        ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+                          u0=np.zeros(2), B1=np.array([[1.0, 0.0]]),
+                          g1=lambda t: np.zeros(1), normQ1=np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +417,10 @@ def test_load_system_with_constraint_block(tmp_path):
     ({"M": [[1.0]], "A": [[float("inf")]], "u0": [0.0]}, "A has non-finite"),
     ({"M": [[1.0]], "u0": [[0.0]]}, "u0 must be a 1-D array"),
     ({"M": [[1.0]], "u0": [0.0], "B1": [[1.0], [1.0, 2.0]]}, "B1 must be a 2-D array"),
+    ({"M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "u0": [0.0, 0.0, 0.0],
+      "normU": [[1.0, 0.0], [0.0, 1.0]]}, "normU must have shape"),
+    ({"M": [[1.0, 0.0], [0.0, 1.0]], "u0": [0.0, 0.0], "B1": [[1.0, 0.0]], "g1": "zero",
+      "normQ1": [[1.0, 0.0], [0.0, 1.0]]}, "normQ1 must have shape"),
 ])
 def test_load_system_errors(tmp_path, payload, match):
     path = tmp_path / "bad.json"

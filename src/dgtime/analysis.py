@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dgsolver import SolverOptions, solve_constrained, solve_mixed
+from .dgsolver import SolverOptions, solve_constrained
 from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _slab_integral,
@@ -154,8 +154,7 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
 
     ``problem`` is "heat1d", "stokes3", or a ConstrainedSystem with
     manufactured exact solutions; the table carries the system's name.
-    Each N gets a uniform mesh on (0, 1]; the solve path (B2 eliminated
-    vs multiplier only) follows the constraint blocks.
+    Each N gets a uniform mesh on (0, 1].
     """
     opts = SolverOptions(q=q, use_projection=use_projection)
     if q + 3 > _MAX_POINTS:
@@ -173,10 +172,9 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     if "multiplier" in norms and (system.r1 == 0 or system.exact_p is None):
         raise ValueError("multiplier norm requires r1 >= 1 and exact_p")
     errquad = gauss_legendre(q + 3)
-    solve = solve_constrained if system.r2 > 0 else solve_mixed
 
     def one(N: int) -> dict:
-        sol = solve(system, build_uniform_mesh(1.0, N), opts)
+        sol = solve_constrained(system, build_uniform_mesh(1.0, N), opts)
         rec = {"N": N, "k": 1.0 / N}
         if "energy" in norms:
             rec["err_energy"] = error_l2_energy(sol.U, system.exact_u, system.normU, errquad)

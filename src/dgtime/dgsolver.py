@@ -21,7 +21,7 @@ on every slab; switched off, G_i falls back to the raw quadrature moments
 of g1 (the discrete constraint then only matches g1 in the L2 sense, which
 costs nodal superconvergence and a full order of the multiplier).
 
-The marching solvers never form this dense system.  One SVD of the
+The marching solver never forms this dense system.  One SVD of the
 stacked constraints B = [B1; B2], the reduction validate_system checks,
 gives Q, an orthonormal basis of ker B, and R = pinv(B), so both blocks
 enter the same way: every coefficient is u_j = V w_j + kappa_j, where
@@ -325,30 +325,25 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
                          partial(_conditions, system, q, mesh.widths))
 
 
-def solve_mixed(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
-    """Sequential slab-by-slab solve of the multiplier formulation (r2 = 0)."""
-    if system.r2 != 0:
-        raise ValueError("solve_mixed requires r2 = 0; use solve_constrained")
-    return _march(system, mesh, opts)
-
-
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
-    """Sequential solve with the explicit constraint block eliminated (r2 >= 1).
+    """Sequential slab-by-slab solve of any constraint configuration.
 
-    The projected g2 data is imposed exactly through R = pinv([B1; B2]),
-    computed from B2 (and B1) itself, and the rest of the solution is
-    marched on ker [B1; B2], as in solve_mixed.  When B1 is also present,
-    the multiplier is recovered as in solve_mixed (combined case).
+    The system takes B1 only, B2 only, both, or neither.  The projected g2
+    data is imposed exactly through R = pinv([B1; B2]), computed from the
+    constraint blocks themselves, and the rest of the solution is marched
+    on ker [B1; B2].  P carries the multiplier of B1, None when r1 = 0.
     """
-    if system.r2 == 0:
-        raise ValueError("solve_constrained requires r2 >= 1; use solve_mixed")
     return _march(system, mesh, opts)
+
+
+# the same solver under its older name
+solve_mixed = solve_constrained
 
 
 def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Solve the block lower-triangular all-slabs system slab by slab.
 
-    The cross-check of the sequential solvers: slab n solves rhs_n + E u_prev
+    The cross-check of the sequential solver: slab n solves rhs_n + E u_prev
     on the LU factors of its width, the factors the condition estimates read.
     """
     data = _slab_data(system, mesh, opts)
@@ -377,6 +372,13 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     return MixedSolution(U, P, lambda: conds)
 
 
+def _check_on_mesh(mesh: TimeMesh, **funcs) -> None:
+    """Reject a broken function that lives on other breakpoints than mesh."""
+    for name, F in funcs.items():
+        if F is not None and not np.array_equal(F.mesh.breakpoints, mesh.breakpoints):
+            raise ValueError(f"{name} lives on another mesh than the one given")
+
+
 def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
                 P: Optional[BrokenFunction] = None) -> np.ndarray:
     """Max absolute residual of the discrete equations, per slab.
@@ -388,6 +390,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     """
     if U.dim != system.m or U.degree != opts.q - 1:
         raise ValueError("solution shape does not match system/options")
+    _check_on_mesh(mesh, U=U, P=P)
     r1 = system.r1
     if r1 and (P is None or P.dim != r1):
         raise ValueError("multiplier P of dimension r1 required")
@@ -417,6 +420,7 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
     the projection switch is on: the discrete constraint holds as a
     polynomial identity on every slab, not just in quadrature.
     """
+    _check_on_mesh(mesh, U=U)
     quad = opts.quadrature()
     out = np.zeros(mesh.N)
     for B, g, field in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):

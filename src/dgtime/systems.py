@@ -72,7 +72,7 @@ def _kernel_reduction(system) -> tuple:
     """(u, sv, vt, Q, Q^T M Q, Q^T A Q) from one SVD u diag(sv) vt of B = [B1; B2].
 
     Q = vt[r:].T, r = r1 + r2, spans ker B when B has full row rank.  The
-    solvers march on it and validate_system checks it with their rules.
+    marching solver runs on it and validate_system checks it with its rules.
     """
     u, sv, vt = svd(np.vstack([system.B1, system.B2]))
     Q = vt[system.r1 + system.r2:].T

@@ -171,14 +171,6 @@ class SlabPoly:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
     def _x(self, t):
         return 2.0 * (np.asarray(t, dtype=float) - self.a) / (self.b - self.a) - 1.0
 

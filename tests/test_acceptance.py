@@ -287,8 +287,7 @@ def test_criterion_10_constraint_residual_at_machine_precision():
         system = build_heat_1d(4) if problem == "heat1d" else build_saddle_dae("stokes3")
         mesh = build_uniform_mesh(1.0, N)
         opts = SolverOptions(q=q, use_projection=True)
-        solve = solve_constrained if system.r2 > 0 else solve_mixed
-        sol = solve(system, mesh, opts)
+        sol = solve_constrained(system, mesh, opts)
         res = constraint_residual(system, mesh, opts, sol.U).max()
         worst = max(worst, res / (1.0 + _sup_norm_of_data(system)))
     ok = worst <= 1e-11
@@ -341,8 +340,7 @@ def test_criterion_12_sequential_matches_monolithic():
     for system, N, q, use_projection in cases:
         mesh = build_uniform_mesh(1.0, N)
         opts = SolverOptions(q=q, use_projection=use_projection)
-        solve = solve_constrained if system.r2 > 0 else solve_mixed
-        seq = solve(system, mesh, opts)
+        seq = solve_constrained(system, mesh, opts)
         mono = solve_monolithic(system, mesh, opts)
         dev = np.abs(seq.U.coeffs - mono.U.coeffs).max() / (1.0 + np.abs(seq.U.coeffs).max())
         worst = max(worst, dev)

@@ -219,7 +219,7 @@ def test_study_and_eoc_reject_slab_counts_that_do_not_increase(Ns, monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before rejecting Ns")
 
-    monkeypatch.setattr(analysis, "solve_mixed", no_solve)
+    monkeypatch.setattr(analysis, "solve_constrained", no_solve)
     with pytest.raises(ValueError, match="Ns must be strictly increasing"):
         run_study("stokes3", 2, Ns)
     with pytest.raises(ValueError, match="Ns must be strictly increasing"):
@@ -230,7 +230,7 @@ def test_run_study_rejects_q_beyond_its_error_rule(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before rejecting q")
 
-    monkeypatch.setattr(analysis, "solve_mixed", no_solve)
+    monkeypatch.setattr(analysis, "solve_constrained", no_solve)
     with pytest.raises(ValueError, match="q must be at most 13 for a study"):
         run_study("stokes3", 14, [4, 8])
 

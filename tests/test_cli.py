@@ -28,8 +28,8 @@ def test_study_config_defaults():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(q=0), dict(q=7), dict(Ns=()), dict(Ns=(8, 8)), dict(Ns=(16, 8)),
-    dict(projection="maybe"), dict(format="tex"), dict(norms=("energy", "sup")),
+    dict(Ns=(8, 4)), dict(Ns=(4, 8, 8)), dict(Ns=()), dict(Ns=(8, 8)), dict(Ns=(16, 8)),
+    dict(projection="maybe"), dict(format="tex"), dict(format="CSV"),
 ])
 def test_study_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -165,15 +165,23 @@ def test_study_config_file_ignores_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["study", "--problem", "heat1d", "--Ns", ""],          # empty list
     ["study", "--problem", "heat1d", "--Ns", "16,8"],      # not increasing
-    ["study", "--problem", "heat1d", "--q", "9"],          # q out of range
+    ["study", "--problem", "heat1d", "--q", "14"],         # q beyond the study's rule
     ["study", "--problem", "nosuch.json"],                 # missing file
     ["study", "--Ns", "4,8"],                              # no problem given
     ["study", "--problem", "heat1d", "--norms", "multiplier"],  # r1 = 0
     ["study", "--problem", "heat1d", "--seed", "1"],       # no such flag
+    ["study", "--problem", "heat1d", "--q", "0"],          # q out of range
+    ["study", "--problem", "heat1d", "--norms", "energy,sup"],  # unknown norm
 ])
 def test_study_unusable_configuration_exits_2(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_study_runs_every_q_run_study_accepts(capsys):
+    argv = ["study", "--problem", "stokes3", "--q", "7", "--Ns", "4,8", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == format_csv(run_study("stokes3", 7, (4, 8))) + "\n"
 
 
 def test_study_solver_failure_exits_3(tmp_path, capsys):

@@ -69,9 +69,11 @@ def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) ->
 
 
 def _check_slab_counts(Ns: Sequence[int]) -> None:
-    """The slab-count rule of a study: Ns is non-empty and strictly increasing."""
+    """The slab-count rule of a study: Ns is non-empty, integer and strictly increasing."""
     if len(Ns) == 0:
         raise ValueError("Ns must not be empty")
+    if not all(isinstance(N, (int, np.integer)) for N in Ns):
+        raise ValueError(f"Ns must be integers, got {list(Ns)}")
     if not all(Ns[i] < Ns[i + 1] for i in range(len(Ns) - 1)):
         raise ValueError("Ns must be strictly increasing")
 
@@ -81,11 +83,11 @@ def eoc(errors: Sequence[float], Ns: Sequence[int]) -> list:
     if len(errors) != len(Ns) or len(errors) < 2:
         raise ValueError("need equally long error/N sequences of length >= 2")
     _check_slab_counts(Ns)
+    if not all(0.0 <= e < math.inf for e in errors):
+        raise ValueError(f"errors must be finite and nonnegative, got {list(errors)}")
     out = []
     for i in range(1, len(errors)):
         e_prev, e_cur = errors[i - 1], errors[i]
-        if e_prev < 0.0 or e_cur < 0.0:
-            raise ValueError("errors must be nonnegative")
         if e_prev < EOC_FLOOR or e_cur < EOC_FLOOR:
             out.append(math.nan)  # at the floating-point floor
         else:
@@ -160,8 +162,8 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     if q + 3 > _MAX_POINTS:
         raise ValueError(f"q must be at most {_MAX_POINTS - 3} for a study, whose error "
                          f"quadrature has q + 3 points; got {q}")
-    Ns = [int(N) for N in Ns]
     _check_slab_counts(Ns)
+    Ns = [int(N) for N in Ns]
     norms = tuple(norms)
     unknown = set(norms) - set(STUDY_NORMS)
     if unknown:
@@ -182,6 +184,9 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
             rec["err_nodal"] = error_nodal_max(sol.U, system.exact_u, system.M)
         if "multiplier" in norms:
             rec["err_p"] = error_l2_multiplier(sol.P, system.exact_p, system.normQ1, errquad)
+        for key, err in rec.items():
+            if not math.isfinite(err):
+                raise ValueError(f"{key} is not finite ({err}) at N = {N}")
         return rec
 
     recs = [one(N) for N in Ns]

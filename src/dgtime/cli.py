@@ -6,11 +6,14 @@ study     run a convergence study and emit CSV or Markdown tables
 validate  check the structural assumptions of a problem or system file
 project   print the slab projection of a named data preset
 
-Exit codes: 0 success; 1 validation failures; 2 unusable configuration or
-input files; 3 solver failure.  Table output is deterministic: identical
-configurations produce byte-identical files.  Values are printed with 6
-significant digits; EOC cells read "at-floor" when the error sits at the
-floating-point floor, and unselected-norm cells stay empty.
+The settings of a ``study --config`` JSON file are parsed as if given as
+flags before the command-line ones.  Exit codes, mapped from errors once in
+``main``: 0 success; 1 validation failures; 2 unusable configuration or input
+files, or an --output path that cannot be written; 3 solver failure.  Table
+output is deterministic: identical configurations produce byte-identical
+files.  Values are printed with 6 significant digits; EOC cells read
+"at-floor" when the error sits at the floating-point floor, and
+unselected-norm cells stay empty.
 """
 
 from __future__ import annotations
@@ -21,17 +24,15 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import (_PROBLEMS, EOCTable, StudyRow, _check_slab_counts, _resolve_problem,
-                       run_study)
+from .analysis import _PROBLEMS, EOCTable, StudyRow, _resolve_problem, run_study
 from .dgsolver import DataError, SlabSolveError, SolverOptions
 from .projection import ProjectionSpec, project_broken
 from .systems import PRESET_FUNCTIONS, ConstrainedSystem, load_system, validate_system
 from .timecore import build_uniform_mesh
 
-__all__ = ["main", "StudyConfig", "format_csv", "format_markdown", "parse_table_csv"]
+__all__ = ["main", "format_csv", "format_markdown", "parse_table_csv"]
 
 CSV_COLUMNS = ("N", "k", "err_energy", "eoc_energy", "err_nodal", "eoc_nodal",
                "err_p", "eoc_p")
@@ -40,55 +41,36 @@ CSV_COLUMNS = ("N", "k", "err_energy", "eoc_energy", "err_nodal", "eoc_nodal",
 # ---------------------------------------------------------------------------
 # study configuration
 
-@dataclass(frozen=True)
-class StudyConfig:
-    problem: str
-    q: int = 2
-    Ns: tuple = (8, 16, 32, 64)
-    projection: str = "on"
-    norms: tuple = ("energy", "nodal")
-    output: Optional[str] = None
-    format: str = "md"
-
-    def __post_init__(self):
-        _check_slab_counts(self.Ns)
-        if self.projection not in ("on", "off", "both"):
-            raise ValueError("projection must be on, off, or both")
-        if self.format not in ("csv", "md"):
-            raise ValueError("format must be csv or md")
+def _names(text: str) -> tuple:
+    """--norms: comma-separated names, blanks dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _parse_int_list(text: str) -> tuple:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(int(s) for s in items)
+def _slab_counts(text: str) -> tuple:
+    """--Ns: comma-separated integers; run_study checks that they increase."""
+    try:
+        return tuple(int(s) for s in _names(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
-# StudyConfig fields that a config file and a flag give as they are
-_PLAIN_FIELDS = ("problem", "q", "projection", "format", "output")
+def _config_argv(path: str) -> list:
+    """The study settings of a JSON config file as --key=value tokens.
 
-
-def _study_config(args) -> StudyConfig:
-    fields: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        fields.update((key, raw[key]) for key in _PLAIN_FIELDS if key in raw)
-        if "Ns" in raw:
-            fields["Ns"] = tuple(int(n) for n in raw["Ns"])
-        if "norms" in raw:
-            fields["norms"] = tuple(raw["norms"])
-    # command-line flags override file values
-    fields.update((key, getattr(args, key)) for key in _PLAIN_FIELDS
-                  if getattr(args, key) is not None)
-    if args.Ns is not None:
-        fields["Ns"] = _parse_int_list(args.Ns)
-    if args.norms is not None:
-        fields["norms"] = tuple(s.strip() for s in args.norms.split(",") if s.strip())
-    if "problem" not in fields:
-        raise ValueError("a problem must be given (--problem or config file)")
-    return StudyConfig(**fields)
+    Lists are joined by commas; unknown keys and null values are left out.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a JSON object")
+    tokens = []
+    for key in ("problem", "q", "Ns", "projection", "norms", "format", "output"):
+        value = raw.get(key)
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None:
+            tokens.append(f"--{key}={value}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -168,40 +150,25 @@ def _load_problem(ref: str) -> ConstrainedSystem:
 
 
 def _cmd_study(args) -> int:
-    try:
-        config = _study_config(args)
-        system = _load_problem(config.problem)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    variants = {"on": [True], "off": [False], "both": [True, False]}[config.projection]
-    tables = []
-    for use_projection in variants:
-        try:
-            tables.append(run_study(system, config.q, config.Ns,
-                                    use_projection=use_projection, norms=config.norms))
-        except (SlabSolveError, DataError) as exc:
-            print(f"error: solver failure (N sweep aborted): {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    render = format_csv if config.format == "csv" else format_markdown
-    if config.output is None:
-        for table in tables:
-            if config.format == "csv" and len(tables) > 1:
-                proj = "on" if table.use_projection else "off"
-                print(f"# projection {proj}")
-            print(render(table), end="")
-            if config.format == "csv":
-                print()
-        return 0
+    if args.problem is None:
+        raise ValueError("a problem must be given (--problem or config file)")
+    system = _load_problem(args.problem)
+    variants = {"on": [True], "off": [False], "both": [True, False]}[args.projection]
+    tables = [run_study(system, args.q, args.Ns, use_projection=use_projection,
+                        norms=args.norms)
+              for use_projection in variants]
+    render = format_csv if args.format == "csv" else format_markdown
     for table in tables:
-        path = config.output
+        proj = "on" if table.use_projection else "off"
+        if args.output is None:
+            if args.format == "csv" and len(tables) > 1:
+                print(f"# projection {proj}")
+            print(render(table), end="\n" if args.format == "csv" else "")
+            continue
+        path = args.output
         if len(tables) > 1:
             stem, dot, ext = path.rpartition(".")
-            suffix = "on" if table.use_projection else "off"
-            path = f"{stem}_projection_{suffix}.{ext}" if dot else f"{path}_projection_{suffix}"
+            path = f"{stem}_projection_{proj}.{ext}" if dot else f"{path}_projection_{proj}"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(render(table))
         print(f"wrote {path}")
@@ -209,12 +176,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        system = _load_problem(args.problem)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = validate_system(system)
+    report = validate_system(_load_problem(args.problem))
     for check in report.checks:
         status = "PASS" if check.ok else "FAIL"
         print(f"[{status}] {check.name} — {check.detail}")
@@ -226,15 +188,10 @@ def _cmd_validate(args) -> int:
 def _cmd_project(args) -> int:
     fn = PRESET_FUNCTIONS.get(args.preset)
     if fn is None:
-        print(f"error: unknown preset {args.preset!r} "
-              f"(known: {', '.join(sorted(PRESET_FUNCTIONS))})", file=sys.stderr)
-        return 2
-    try:
-        mesh = build_uniform_mesh(args.T, args.N)
-        spec = ProjectionSpec(args.q, SolverOptions(q=args.q).quadrature())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown preset {args.preset!r} "
+                         f"(known: {', '.join(sorted(PRESET_FUNCTIONS))})")
+    mesh = build_uniform_mesh(args.T, args.N)
+    spec = ProjectionSpec(args.q, SolverOptions(q=args.q).quadrature())
     F = project_broken(fn, mesh, 1, spec)
     print(f"projection of preset '{args.preset}' with q = {args.q} "
           f"on {mesh.N} slab(s), T = {mesh.T:g}")
@@ -253,16 +210,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_study = sub.add_parser("study", help="run a convergence study")
-    p_study.add_argument("--problem", choices=None, default=None,
-                         help="heat1d, stokes3, or a system JSON file")
-    p_study.add_argument("--q", type=int, default=None, help="temporal dofs per slab")
-    p_study.add_argument("--Ns", default=None, help="comma-separated slab counts, increasing")
-    p_study.add_argument("--projection", choices=("on", "off", "both"), default=None)
-    p_study.add_argument("--norms", default=None,
+    p_study.add_argument("--problem", help="heat1d, stokes3, or a system JSON file")
+    p_study.add_argument("--q", type=int, default=2,
+                         help="temporal dofs per slab, i.e. polynomial degree q - 1 (default 2)")
+    p_study.add_argument("--Ns", type=_slab_counts, default=(8, 16, 32, 64),
+                         help="comma-separated slab counts, strictly increasing "
+                              "(default 8,16,32,64)")
+    p_study.add_argument("--projection", choices=("on", "off", "both"), default="on")
+    p_study.add_argument("--norms", type=_names, default=("energy", "nodal"),
                          help="comma-separated subset of energy,nodal,multiplier")
-    p_study.add_argument("--format", choices=("csv", "md"), default=None)
-    p_study.add_argument("--output", default=None, help="output file (stdout if omitted)")
-    p_study.add_argument("--config", default=None, help="JSON config file; flags override")
+    p_study.add_argument("--format", choices=("csv", "md"), default="md")
+    p_study.add_argument("--output", help="output file (stdout if omitted)")
+    p_study.add_argument("--config", help="JSON config file; flags override")
     p_study.set_defaults(handler=_cmd_study)
 
     p_val = sub.add_parser("validate", help="validate a problem or system file")
@@ -280,12 +239,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # argv[0] is the subcommand; the flags after it override the file
+            args = parser.parse_args([argv[0], *_config_argv(args.config), *argv[1:]])
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.handler(args)
+    except (SlabSolveError, DataError) as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

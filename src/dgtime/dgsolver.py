@@ -100,7 +100,7 @@ class SolverOptions:
     use_projection: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.q <= _MAX_POINTS - 2:
+        if not (isinstance(self.q, (int, np.integer)) and 1 <= self.q <= _MAX_POINTS - 2):
             raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q}")
 
     def quadrature(self) -> Quadrature:

@@ -50,8 +50,8 @@ class ProjectionSpec:
     quadrature: Quadrature
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
+        if not (isinstance(self.q, (int, np.integer)) and self.q >= 1):
+            raise ValueError(f"q must be an integer >= 1, got {self.q!r}")
         if self.quadrature.exactness_degree < 2 * self.q - 2:
             raise ValueError(
                 "moment quadrature must be exact to degree >= 2q - 2 "

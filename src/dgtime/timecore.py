@@ -65,6 +65,8 @@ class TimeMesh:
         bp = _readonly(self.breakpoints)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("mesh needs at least two breakpoints")
+        if not np.isfinite(bp).all():
+            raise ValueError("breakpoints must be finite")
         if bp[0] != 0.0:
             raise ValueError("time mesh must start at t = 0")
         if not np.all(np.diff(bp) > 0.0):
@@ -93,7 +95,7 @@ class TimeMesh:
         bp = self.breakpoints
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if t < bp[0] or t > bp[-1]:
+        if not bp[0] <= t <= bp[-1]:
             raise ValueError(f"t = {t} outside [0, {self.T}]")
         if side == "left":
             if t <= bp[0]:
@@ -106,10 +108,10 @@ class TimeMesh:
 
 def build_uniform_mesh(T: float, N: int) -> TimeMesh:
     """Uniform mesh of N slabs on (0, T]."""
-    if not T > 0.0:
-        raise ValueError("final time T must be positive")
-    if N < 1:
-        raise ValueError("slab count N must be >= 1")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"final time T must be finite and positive, got {T}")
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"slab count N must be an integer >= 1, got {N!r}")
     return TimeMesh(np.linspace(0.0, float(T), int(N) + 1))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,6 +138,9 @@ def test_eoc_validation():
         eoc([1.0, -0.5], [4, 8])
     with pytest.raises(ValueError):
         eoc([1.0, 0.5, 0.25], [4, 8])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            eoc([1.0, bad], [4, 8])
 
 
 @settings(deadline=None, max_examples=60)
@@ -186,6 +190,7 @@ def test_run_study_row_layout():
         math.log2(table.rows[0].err_energy / table.rows[1].err_energy), rel=1e-12)
     assert table.rows[0].err_p is None               # multiplier not selected
     assert table.column("N") == [4, 8]
+    assert run_study("heat1d", 2, np.array([4, 8])) == table  # numpy integers are counts
 
 
 def test_run_study_single_level_has_no_orders():
@@ -212,6 +217,8 @@ def test_run_study_argument_validation():
         run_study("heat1d", 2, [4, 8], norms=("multiplier",))  # r1 = 0
     with pytest.raises(ValueError):
         run_study("wave2d", 2, [4, 8])
+    with pytest.raises(ValueError, match="integers"):
+        run_study("stokes3", 2, (4.7, 8))
 
 
 @pytest.mark.parametrize("Ns", [(8, 8), (16, 8)])
@@ -254,3 +261,12 @@ def test_nonfinite_exact_solution_raises_data_error():
         error_nodal_max(sol.U, nan_u, system.M)
     with pytest.raises(DataError, match="exact_p returned shape"):
         error_l2_multiplier(sol.P, lambda t: np.zeros(2), system.normQ1, quad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("Ns", [(4, 8), (4,)], ids=["two-levels", "one-level"])
+def test_run_study_rejects_a_non_finite_error(Ns):
+    # an indefinite norm weight makes the energy error sqrt(negative) = nan
+    system = dataclasses.replace(build_saddle_dae("stokes3"), normU=-np.eye(3))
+    with pytest.raises(ValueError, match=r"err_energy is not finite \(nan\) at N = 4"):
+        run_study(system, 2, Ns)

@@ -7,33 +7,11 @@ import pytest
 from dgtime import load_system, run_study
 from dgtime.cli import (
     CSV_COLUMNS,
-    StudyConfig,
     format_csv,
     format_markdown,
     main,
     parse_table_csv,
 )
-
-
-# ---------------------------------------------------------------------------
-# configuration object
-
-
-def test_study_config_defaults():
-    cfg = StudyConfig(problem="heat1d")
-    assert cfg.q == 2
-    assert cfg.Ns == (8, 16, 32, 64)
-    assert cfg.projection == "on"
-    assert cfg.format == "md"
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(Ns=(8, 4)), dict(Ns=(4, 8, 8)), dict(Ns=()), dict(Ns=(8, 8)), dict(Ns=(16, 8)),
-    dict(projection="maybe"), dict(format="tex"), dict(format="CSV"),
-])
-def test_study_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        StudyConfig(problem="heat1d", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +150,61 @@ def test_study_config_file_ignores_unknown_keys(tmp_path, capsys):
     ["study", "--problem", "heat1d", "--seed", "1"],       # no such flag
     ["study", "--problem", "heat1d", "--q", "0"],          # q out of range
     ["study", "--problem", "heat1d", "--norms", "energy,sup"],  # unknown norm
+    ["study", "--problem", "heat1d", "--Ns", "8,4"],       # decreasing
+    ["study", "--problem", "heat1d", "--Ns", "4,8,8"],     # repeated
+    ["study", "--problem", "heat1d", "--Ns", "8,8"],       # repeated
+    ["study", "--problem", "heat1d", "--projection", "maybe"],
+    ["study", "--problem", "heat1d", "--format", "tex"],
+    ["study", "--problem", "heat1d", "--format", "CSV"],   # choices are case-sensitive
 ])
 def test_study_unusable_configuration_exits_2(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(Ns=(8, 4)), dict(Ns=(4, 8, 8)), dict(Ns=()), dict(Ns=(8, 8)), dict(Ns=(16, 8)),
+    dict(projection="maybe"), dict(format="tex"), dict(format="CSV"),
+])
+def test_study_config_validation(tmp_path, capsys, kwargs):
+    # the same settings given in a config file are rejected like the flags
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"problem": "heat1d", **kwargs}))
+    assert main(["study", "--config", str(cfg)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_study_defaults_are_the_documented_ones(capsys):
+    assert main(["study", "--problem", "stokes3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == format_csv(run_study("stokes3", 2, (8, 16, 32, 64))) + "\n"
+
+
+@pytest.mark.parametrize("text", ['{"problem": "heat1d", "q": 2.5}',
+                                  '{"problem": "heat1d", "Ns": [4.7, 8]}',
+                                  '["problem", "heat1d"]'],
+                         ids=["fractional-q", "fractional-N", "list"])
+def test_study_config_file_values_are_checked_like_flags(tmp_path, capsys, text):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(text)
+    assert main(["study", "--config", str(cfg)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_study_config_file_values_read_as_flags(tmp_path, capsys):
+    # a string where a list is expected, and null for "absent"
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"problem": "stokes3", "Ns": [4, 8], "norms": "nodal", "q": None,
+                               "projection": None, "format": None, "output": None}))
+    assert main(["study", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["study", "--problem", "stokes3", "--Ns", "4,8", "--norms", "nodal"]) == 0
+    assert from_file == capsys.readouterr().out
+
+
+def test_study_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert main(["study", "--problem", "stokes3", "--Ns", "4,8", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_study_runs_every_q_run_study_accepts(capsys):
@@ -339,6 +368,13 @@ def test_project_unknown_preset_exits_2(capsys):
 
 def test_project_bad_mesh_exits_2(capsys):
     assert main(["project", "--preset", "t", "--N", "0"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_project_data_failure_exits_3(capsys):
+    # exp(t) overflows on a mesh to T = 1e308
+    assert main(["project", "--preset", "exp_t", "--T", "1e308", "--N", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: solver failure: ")
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,9 @@ def test_temporal_matrix_argument_validation():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(q=0)
+    with pytest.raises(ValueError, match="got 2.5"):
+        SolverOptions(q=2.5)
+    assert SolverOptions(q=np.int64(3)).quadrature().npoints == 5
     assert SolverOptions(q=2).quadrature().npoints == 4
     assert SolverOptions(q=5).quadrature().npoints == 7
 

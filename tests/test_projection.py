@@ -154,6 +154,9 @@ def test_spec_validates_quadrature_exactness():
         ProjectionSpec(4, gauss_legendre(2))  # exactness 3 < 2q-2 = 6
     with pytest.raises(ValueError):
         ProjectionSpec(0, gauss_legendre(4))
+    with pytest.raises(ValueError, match="integer"):
+        ProjectionSpec(2.5, gauss_legendre(4))
+    assert ProjectionSpec(np.int64(2), gauss_legendre(4)).q == 2
     with pytest.raises(ValueError):
         project_slab(np.exp, (1.0, 1.0), _spec(2))
 

@@ -42,6 +42,7 @@ def test_nonuniform_mesh():
     [0.0, 0.5, 0.5, 1.0],      # repeated breakpoint
     [0.0, 0.7, 0.4],           # decreasing
     [0.0],                     # single point
+    [0.0, 1.0, np.inf],        # infinite end
 ])
 def test_mesh_rejects_bad_breakpoints(bad):
     with pytest.raises(ValueError):
@@ -53,6 +54,12 @@ def test_build_uniform_mesh_rejects_bad_args():
         build_uniform_mesh(0.0, 4)
     with pytest.raises(ValueError):
         build_uniform_mesh(1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        build_uniform_mesh(1.0, 2.5)
+    for T in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_uniform_mesh(T, 2)
+    assert build_uniform_mesh(1.0, np.int64(3)).N == 3
 
 
 def test_slab_index_sides():
@@ -70,6 +77,8 @@ def test_slab_index_sides():
         mesh.slab_index(1.0, side="right")
     with pytest.raises(ValueError):
         mesh.slab_index(1.5)
+    with pytest.raises(ValueError):
+        mesh.slab_index(np.nan)
     with pytest.raises(ValueError):
         mesh.slab_index(0.5, side="above")
 

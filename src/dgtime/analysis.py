@@ -24,7 +24,7 @@ import numpy as np
 from .dgsolver import SolverOptions, solve_constrained
 from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
-from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _slab_integral,
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _is_count, _slab_integral,
                        _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
 
 __all__ = [
@@ -72,7 +72,7 @@ def _check_slab_counts(Ns: Sequence[int]) -> None:
     """The slab-count rule of a study: Ns is non-empty, integer and strictly increasing."""
     if len(Ns) == 0:
         raise ValueError("Ns must not be empty")
-    if not all(isinstance(N, (int, np.integer)) for N in Ns):
+    if not all(_is_count(N) for N in Ns):
         raise ValueError(f"Ns must be integers, got {list(Ns)}")
     if not all(Ns[i] < Ns[i + 1] for i in range(len(Ns) - 1)):
         raise ValueError("Ns must be strictly increasing")
@@ -156,7 +156,9 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
 
     ``problem`` is "heat1d", "stokes3", or a ConstrainedSystem with
     manufactured exact solutions; the table carries the system's name.
-    Each N gets a uniform mesh on (0, 1].
+    Each N gets a uniform mesh on (0, 1]; ``norms`` names at least one of
+    STUDY_NORMS.  All levels solve the one system object, so they share its
+    spatial reduction.
     """
     opts = SolverOptions(q=q, use_projection=use_projection)
     if q + 3 > _MAX_POINTS:
@@ -165,6 +167,8 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     _check_slab_counts(Ns)
     Ns = [int(N) for N in Ns]
     norms = tuple(norms)
+    if not norms:
+        raise ValueError(f"norms must name at least one of {STUDY_NORMS}")
     unknown = set(norms) - set(STUDY_NORMS)
     if unknown:
         raise ValueError(f"unknown norms {sorted(unknown)} (choose from {STUDY_NORMS})")

@@ -28,7 +28,10 @@ enter the same way: every coefficient is u_j = V w_j + kappa_j, where
 kappa_j = [G_j / Smat_jj, D2_j] R^T, D2 the g2 coefficients, is known
 from the data.  One generalized symmetric eigendecomposition of
 (Q^T A Q, Q^T M Q) gives sigma and V = Q W with V^T M V = I and
-V^T A V = diag(sigma).  Tested with V, every slab, at any width k,
+V^T A V = diag(sigma).  The SVD and the eigenbasis depend only on M, A,
+B1 and B2, so they are computed once per system, on its first solve, and
+kept on it: the solves of a convergence study share them.  Tested with
+V, every slab, at any width k,
 splits into one q x q block per mode l,
 
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l,
@@ -63,8 +66,9 @@ from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
 from .systems import (_asymmetry, _explicit_reduction, _free_components, _full_row_rank,
-                      _kernel_reduction)
-from .timecore import _MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, gauss_legendre
+                      _kept, _kernel_reduction)
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _is_count,
+                       gauss_legendre)
 
 __all__ = [
     "SolverOptions",
@@ -100,7 +104,7 @@ class SolverOptions:
     use_projection: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer)) and 1 <= self.q <= _MAX_POINTS - 2):
+        if not (_is_count(self.q) and 1 <= self.q <= _MAX_POINTS - 2):
             raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q}")
 
     def quadrature(self) -> Quadrature:
@@ -246,6 +250,7 @@ def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
     return np.array([cond for _, cond in _slab_factors(system, Z, q, k)])
 
 
+@_kept
 def _modes(system):
     """(sigma, V, R): the spatial eigenbasis of the slab equations and pinv(B).
 
@@ -253,7 +258,8 @@ def _modes(system):
     orthonormal basis of ker B, B = [B1; B2], and R = pinv(B), (m, r1 + r2);
     R's first r1 columns lie in ker B2.  eigh(Q^T A Q, Q^T M Q) gives sigma,
     (mw,), and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I
-    and V^T A V = diag(sigma).
+    and V^T A V = diag(sigma).  Computed once per system and kept on it
+    (_kept); a system that fails these rules raises on every call.
     """
     _check_explicit_block(system)
     u, sv, vt, Q, Mw, Aw = _kernel_reduction(system)
@@ -275,9 +281,11 @@ def _modes(system):
 def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Sequential solve in the spatial eigenbasis, one q x q block per slab and mode.
 
-    Every coefficient is u_j = V w_j + kappa_j, kappa the known part: the
-    constraint data on R = pinv(B).  Only the modal terminal value w_end
-    runs through the slabs, by w_end_n = alpha_n + r_n w_end_{n-1}.
+    The eigenbasis is the system's own (_modes), so only the first solve on
+    a system pays its O(m^3) reduction.  Every coefficient is
+    u_j = V w_j + kappa_j, kappa the known part: the constraint data on
+    R = pinv(B).  Only the modal terminal value w_end runs through the
+    slabs, by w_end_n = alpha_n + r_n w_end_{n-1}.
     """
     sigma, V, R = _modes(system)
     data = _slab_data(system, mesh, opts)

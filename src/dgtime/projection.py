@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .timecore import BrokenFunction, Quadrature, SlabPoly, TimeMesh
+from .timecore import BrokenFunction, Quadrature, SlabPoly, TimeMesh, _is_count
 
 __all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
 
@@ -50,7 +50,7 @@ class ProjectionSpec:
     quadrature: Quadrature
 
     def __post_init__(self):
-        if not (isinstance(self.q, (int, np.integer)) and self.q >= 1):
+        if not (_is_count(self.q) and self.q >= 1):
             raise ValueError(f"q must be an integer >= 1, got {self.q!r}")
         if self.quadrature.exactness_degree < 2 * self.q - 2:
             raise ValueError(

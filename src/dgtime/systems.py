@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,11 +69,36 @@ def _free_components(system) -> tuple:
     return system.m - system.r2, system.m > system.r2
 
 
+def _kept(reduce):
+    """Keep reduce(system) on the system, as functools.cached_property keeps a value.
+
+    The first call stores the value in the instance __dict__, with every
+    array in it made read-only, and later calls return it.  A call that
+    raises stores nothing, so the next call raises again.  The value lives
+    and dies with the system; dataclasses.replace builds a new system, which
+    reduces afresh.
+    """
+    key = f"_kept_{reduce.__name__}"
+
+    @wraps(reduce)
+    def kept(system):
+        if key not in system.__dict__:
+            value = reduce(system)
+            for a in value:
+                a.setflags(write=False)
+            system.__dict__[key] = value
+        return system.__dict__[key]
+
+    return kept
+
+
+@_kept
 def _kernel_reduction(system) -> tuple:
     """(u, sv, vt, Q, Q^T M Q, Q^T A Q) from one SVD u diag(sv) vt of B = [B1; B2].
 
     Q = vt[r:].T, r = r1 + r2, spans ker B when B has full row rank.  The
     marching solver runs on it and validate_system checks it with its rules.
+    Kept on the system (_kept).
     """
     u, sv, vt = svd(np.vstack([system.B1, system.B2]))
     Q = vt[system.r1 + system.r2:].T
@@ -110,6 +136,14 @@ class ConstrainedSystem:
     A function field maps one time to a scalar or (d,) vector; it may also
     map an array of times (n,) to (d, n), which lets the solvers sample it
     once for all slabs; they probe for this and otherwise call it per time.
+
+    The solvers keep the spatial reduction of (M, A, B1, B2) on the instance:
+    computed on first use, read-only, and reused by every later solve and
+    validate_system.  It holds the SVD factors of [B1; B2] (u, sv, vt),
+    the kernel pair Q^T M Q and Q^T A Q, (mw, mw), and the eigenbasis
+    (sigma, V, R), where V, like Q, is m x mw floats, mw = m - r1 - r2,
+    and vt is m x m.  Build a new system (dataclasses.replace) to change
+    the matrices.
     """
 
     M: np.ndarray

@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+def _is_count(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool (an int subclass) is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _readonly(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -110,7 +115,7 @@ def build_uniform_mesh(T: float, N: int) -> TimeMesh:
     """Uniform mesh of N slabs on (0, T]."""
     if not 0.0 < T < np.inf:
         raise ValueError(f"final time T must be finite and positive, got {T}")
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not _is_count(N) or N < 1:
         raise ValueError(f"slab count N must be an integer >= 1, got {N!r}")
     return TimeMesh(np.linspace(0.0, float(T), int(N) + 1))
 

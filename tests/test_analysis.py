@@ -221,6 +221,16 @@ def test_run_study_argument_validation():
         run_study("stokes3", 2, (4.7, 8))
 
 
+def test_run_study_rejects_empty_norms_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before rejecting norms")
+
+    monkeypatch.setattr(analysis, "solve_constrained", no_solve)
+    for norms in ((), []):
+        with pytest.raises(ValueError, match="norms must name at least one of"):
+            run_study("stokes3", 2, [4, 8], norms=norms)
+
+
 @pytest.mark.parametrize("Ns", [(8, 8), (16, 8)])
 def test_study_and_eoc_reject_slab_counts_that_do_not_increase(Ns, monkeypatch):
     def no_solve(*args):

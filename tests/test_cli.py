@@ -150,6 +150,8 @@ def test_study_config_file_ignores_unknown_keys(tmp_path, capsys):
     ["study", "--problem", "heat1d", "--seed", "1"],       # no such flag
     ["study", "--problem", "heat1d", "--q", "0"],          # q out of range
     ["study", "--problem", "heat1d", "--norms", "energy,sup"],  # unknown norm
+    ["study", "--problem", "stokes3", "--Ns", "4,8", "--norms", ""],  # no norm
+    ["study", "--problem", "stokes3", "--Ns", "4,8", "--norms", " , "],  # blanks only
     ["study", "--problem", "heat1d", "--Ns", "8,4"],       # decreasing
     ["study", "--problem", "heat1d", "--Ns", "4,8,8"],     # repeated
     ["study", "--problem", "heat1d", "--Ns", "8,8"],       # repeated
@@ -164,7 +166,7 @@ def test_study_unusable_configuration_exits_2(argv, capsys):
 
 @pytest.mark.parametrize("kwargs", [
     dict(Ns=(8, 4)), dict(Ns=(4, 8, 8)), dict(Ns=()), dict(Ns=(8, 8)), dict(Ns=(16, 8)),
-    dict(projection="maybe"), dict(format="tex"), dict(format="CSV"),
+    dict(projection="maybe"), dict(format="tex"), dict(format="CSV"), dict(norms=[]),
 ])
 def test_study_config_validation(tmp_path, capsys, kwargs):
     # the same settings given in a config file are rejected like the flags

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import null_space
 
-from dgtime import dgsolver
+from dgtime import dgsolver, systems
 from dgtime import (
     BrokenFunction,
     ConstrainedSystem,
@@ -26,6 +26,7 @@ from dgtime import (
     dg_residual,
     dh_form,
     load_system,
+    run_study,
     solve_constrained,
     solve_mixed,
     solve_monolithic,
@@ -903,3 +904,96 @@ def test_uniform_mesh_with_unequal_float_widths_keeps_the_constraint_exact():
     assert np.unique(mesh.widths).size > 1
     sol = solve_mixed(system, mesh, opts)
     assert constraint_residual(system, mesh, opts, sol.U).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the spatial reduction is computed once per system and kept on it
+
+
+_BUILDERS = {"stokes3": lambda: build_saddle_dae("stokes3"), "heat1d": lambda: build_heat_1d(4)}
+
+
+def _solution_arrays(system, mesh, opts):
+    sol = solve_constrained(system, mesh, opts)
+    P = None if sol.P is None else sol.P.coeffs
+    return sol.U.coeffs, P, dg_residual(system, mesh, opts, sol.U, sol.P)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_repeated_solve_is_bitwise_equal_to_a_fresh_system(problem, q):
+    system, mesh = _BUILDERS[problem](), build_uniform_mesh(1.0, 12)
+    for use_projection in (True, False):
+        opts = SolverOptions(q=q, use_projection=use_projection)
+        first = _solution_arrays(system, mesh, opts)
+        again = _solution_arrays(system, mesh, opts)
+        fresh = _solution_arrays(_BUILDERS[problem](), mesh, opts)
+        for a, b, c in zip(first, again, fresh):
+            if a is None:
+                assert b is None and c is None
+                continue
+            np.testing.assert_array_equal(b, a)
+            np.testing.assert_array_equal(c, a)
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_study_on_one_system_calls_eigh_once(problem):
+    system = _BUILDERS[problem]()
+    with mock.patch.object(dgsolver, "eigh", wraps=dgsolver.eigh) as eigh:
+        for use_projection in (True, False):
+            run_study(system, 2, [4, 8, 16, 32, 64], use_projection=use_projection)
+    assert eigh.call_count == 1
+
+
+def test_validator_and_solves_share_one_svd():
+    system, mesh = build_heat_1d(4), build_uniform_mesh(1.0, 4)
+    with mock.patch.object(systems, "svd", wraps=systems.svd) as svd:
+        assert validate_system(system).passed
+        for q in (1, 2):
+            solve_constrained(system, mesh, SolverOptions(q=q))
+    assert svd.call_count == 1
+
+
+def test_replaced_system_reduces_afresh():
+    system, mesh, opts = build_saddle_dae("stokes3"), build_uniform_mesh(1.0, 8), SolverOptions()
+    U = solve_constrained(system, mesh, opts).U.coeffs
+    A = _STOKES3_A + np.diag([1.0, 2.0, 3.0])
+    replaced = replace(system, A=A)
+    sigma, sigma_new = dgsolver._modes(system)[0], dgsolver._modes(replaced)[0]
+    assert not np.array_equal(sigma_new, sigma)
+    U_new = solve_constrained(replaced, mesh, opts).U.coeffs
+    built = replace(build_saddle_dae("stokes3"), A=A)  # never solved before
+    np.testing.assert_array_equal(U_new, solve_constrained(built, mesh, opts).U.coeffs)
+    assert not np.array_equal(U_new, U)
+
+
+@pytest.mark.parametrize("case", [
+    "rank-deficient B1", "dependent B1", "rank-deficient B2", "B2 fixes every component",
+    "A unsymmetric", "M indefinite on the kernel"])
+def test_failed_reduction_raises_the_same_error_on_every_call(case):
+    builders = {
+        **{name: build for name, (_, build) in _HAND_BUILT.items()},
+        "A unsymmetric": lambda: ConstrainedSystem(
+            M=np.eye(2), A=np.array([[1.0, 1.0], [0.0, 1.0]]), f=_zero(2), u0=np.zeros(2)),
+        "M indefinite on the kernel": lambda: ConstrainedSystem(
+            M=np.diag([1.0, -1.0]), A=np.eye(2), f=_zero(2), u0=np.zeros(2)),
+    }
+    system, mesh = builders[case](), build_uniform_mesh(1.0, 2)
+    errors = []
+    for _ in range(2):
+        with pytest.raises((ValueError, SlabSolveError)) as err:
+            solve_constrained(system, mesh, SolverOptions())
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_kept_reduction_is_read_only(problem):
+    system = _BUILDERS[problem]()
+    solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions())
+    arrays = systems._kernel_reduction(system) + dgsolver._modes(system)
+    assert len(arrays) == 9
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0

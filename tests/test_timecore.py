@@ -4,12 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from dgtime import (
     BrokenFunction,
+    ProjectionSpec,
     SlabPoly,
+    SolverOptions,
     TimeMesh,
     build_uniform_mesh,
     dh_form,
     dh_star_form,
+    eoc,
     gauss_legendre,
+    run_study,
 )
 
 
@@ -23,6 +27,26 @@ def test_uniform_mesh_breakpoints():
     assert mesh.T == 1.0
     np.testing.assert_allclose(mesh.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_allclose(mesh.widths, 0.25)
+
+
+# every integer count rejects a bool, which Python counts as an int
+_COUNT_CHECKS = {
+    "SolverOptions.q": (lambda b: SolverOptions(q=b), r"q must be in 1\.\.14, got"),
+    "build_uniform_mesh N": (lambda b: build_uniform_mesh(1.0, b),
+                             "slab count N must be an integer >= 1, got"),
+    "ProjectionSpec.q": (lambda b: ProjectionSpec(b, gauss_legendre(4)),
+                         "q must be an integer >= 1, got"),
+    "run_study Ns": (lambda b: run_study("stokes3", 2, [b, 4]), "Ns must be integers, got"),
+    "eoc Ns": (lambda b: eoc([1.0, 0.5], [b, 4]), "Ns must be integers, got"),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("check", sorted(_COUNT_CHECKS))
+def test_integer_counts_reject_bool(check, flag):
+    make, message = _COUNT_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        make(flag)
 
 
 def test_single_slab_mesh():

@@ -3,7 +3,7 @@
 Discontinuous Galerkin discretization in time (piecewise polynomials of
 degree q - 1 per slab) for systems M u' + A u + B1^T p = f subject to
 linear constraints B1 u = g1 (weak, via a Lagrange multiplier) and
-B2 u = g2 (explicit, eliminated with pinv(B2)).  Constraint data is
+B2 u = g2 (explicit, eliminated with pinv([B1; B2])).  Constraint data is
 projected slab-wise onto polynomials that interpolate at the slab
 endpoints; this single modification preserves nodal superconvergence of
 order 2q - 1 and the optimal multiplier rate q, both of which degrade with

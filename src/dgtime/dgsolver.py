@@ -45,12 +45,13 @@ residual tested with them, divided by Smat.  Since U - kappa is solved
 on ker B, the solution does not depend on which right inverse of B
 builds kappa.
 
-solve_monolithic is the independent check.  It eliminates the explicit
-block with its own SVD of B2 alone: with Z an orthonormal basis of ker B2
-and L = pinv(B2), U = Z y + D2 L^T.  Slabs couple only through e M u_prev,
-so the all-slabs system for y is block lower-triangular.  It is solved slab
-by slab, on LU factors of the slab system above in kron form, taken once
-per distinct width; the slab condition estimates read the same factors.
+solve_monolithic is the independent check, the paper's implicit treatment
+of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
+Slab n solves the kron form of the system above with B = [B1; B2] in place
+of B1 and the g2 rows Smat D2 after G.  Slabs couple only through u_prev,
+so the all-slabs system is block lower-triangular.  It is solved slab by
+slab, on LU factors taken once per distinct width; the slab condition
+estimates read the same factors.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
-from .systems import (_asymmetry, _explicit_reduction, _free_components, _full_row_rank,
-                      _kept, _kernel_reduction)
+from .systems import (_asymmetry, _free_components, _full_row_rank, _kept,
+                      _kernel_reduction)
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _is_count,
                        gauss_legendre)
 
@@ -117,7 +118,7 @@ class MixedSolution:
     """Broken state U, broken multiplier P (None when r1 = 0), diagnostics.
 
     condition_estimates, (N,), is the LAPACK gecon estimate of the 1-norm
-    condition of every slab's kron matrix, from the per-width LU factors
+    condition of every slab's saddle matrix, from the per-width LU factors
     solve_monolithic solves with; the march factors them on first access.
     """
 
@@ -197,7 +198,7 @@ def _factor(K: np.ndarray, slab: int):
         lu, piv = lu_factor(K, check_finite=False)
     d = np.abs(np.diag(lu))
     if d.size == 0 or d.min() <= d.max() * K.shape[0] * _EPS:
-        raise SlabSolveError(slab, _SINGULAR)
+        raise SlabSolveError(slab, _SINGULAR) from None  # no context when called in an except
     rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
 
@@ -208,46 +209,47 @@ def _check_explicit_block(system):
         raise ValueError("B2 leaves no free state components")
 
 
-def _kernel_basis(system) -> tuple:
-    """(Z, L) of _explicit_reduction: ker B2 and pinv(B2), for a B2 the march accepts."""
+def _right_inverse(system) -> np.ndarray:
+    """R = pinv(B), (m, r1 + r2), B = [B1; B2], from the kept SVD, for a B the march accepts.
+
+    R's first r1 columns lie in ker B2 and invert B1; B2 R[:, r1:] = I.
+    """
     _check_explicit_block(system)
-    explicit = _explicit_reduction(system)
-    if explicit is None:
+    u, sv, vt = _kernel_reduction(system)[:3]
+    r = system.r1 + system.r2
+    if not _full_row_rank(sv, r):
         raise SlabSolveError(1, _SINGULAR)
-    return explicit
+    return (vt[:r].T / sv) @ u.T
 
 
-def _slab_matrix(q: int, width: float, Mz, Az, B1z) -> np.ndarray:
-    """The kron slab system for the kernel coefficients and the multiplier."""
+def _slab_matrix(q: int, width: float, M, A, B) -> np.ndarray:
+    """The kron slab system for the state coefficients and the multipliers of B."""
     Dmat, Smat, _ = assemble_temporal_matrices(q, width)
-    top = np.kron(Dmat, Mz) + np.kron(Smat, Az)
-    if B1z.shape[0] == 0:
-        return top
-    nc = q * B1z.shape[0]
+    nc = q * B.shape[0]
     return np.block([
-        [top, np.kron(Smat, B1z.T)],
-        [np.kron(Smat, B1z), np.zeros((nc, nc))],
+        [np.kron(Dmat, M) + np.kron(Smat, A), np.kron(Smat, B.T)],
+        [np.kron(Smat, B), np.zeros((nc, nc))],
     ])
 
 
-def _slab_factors(system, Z: np.ndarray, q: int, k: np.ndarray):
-    """Yield _factor of every slab's kron matrix on ker B2 = span Z, in slab order.
+def _slab_factors(system, q: int, k: np.ndarray):
+    """Yield _factor of every slab's full-space saddle matrix, in slab order.
 
     Each distinct width is factored once and its factors are held until its
     last slab; a singular matrix raises SlabSolveError with its first slab.
     """
-    blocks = Z.T @ system.M @ Z, Z.T @ system.A @ Z, system.B1 @ Z
+    _check_explicit_block(system)
+    B = np.vstack([system.B1, system.B2])
     last, held = {w: n for n, w in enumerate(k)}, {}
     for n, w in enumerate(k):
         if w not in held:
-            held[w] = _factor(_slab_matrix(q, w, *blocks), n + 1)
+            held[w] = _factor(_slab_matrix(q, w, system.M, system.A, B), n + 1)
         yield held[w] if last[w] > n else held.pop(w)
 
 
 def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
     """gecon estimates at the slab widths k, one factorization per distinct width."""
-    Z, _ = _kernel_basis(system)
-    return np.array([cond for _, cond in _slab_factors(system, Z, q, k)])
+    return np.array([cond for _, cond in _slab_factors(system, q, k)])
 
 
 @_kept
@@ -255,17 +257,14 @@ def _modes(system):
     """(sigma, V, R): the spatial eigenbasis of the slab equations and pinv(B).
 
     The reduction validate_system checks, _kernel_reduction, gives Q, an
-    orthonormal basis of ker B, B = [B1; B2], and R = pinv(B), (m, r1 + r2);
-    R's first r1 columns lie in ker B2.  eigh(Q^T A Q, Q^T M Q) gives sigma,
+    orthonormal basis of ker B, B = [B1; B2], and R = pinv(B)
+    (_right_inverse).  eigh(Q^T A Q, Q^T M Q) gives sigma,
     (mw,), and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I
     and V^T A V = diag(sigma).  Computed once per system and kept on it
     (_kept); a system that fails these rules raises on every call.
     """
-    _check_explicit_block(system)
-    u, sv, vt, Q, Mw, Aw = _kernel_reduction(system)
-    r = system.r1 + system.r2
-    if not _full_row_rank(sv, r):
-        raise SlabSolveError(1, _SINGULAR)
+    R = _right_inverse(system)
+    Q, Mw, Aw = _kernel_reduction(system)[3:]
     for name, X in (("M", Mw), ("A", Aw)):
         asym, ok = _asymmetry(X)
         if not ok:
@@ -275,7 +274,7 @@ def _modes(system):
     except np.linalg.LinAlgError:
         raise SlabSolveError(1, "singular slab system: M is not positive definite "
                                 "on the constraint kernel") from None
-    return sigma, Q @ W, (vt[:r].T / sv) @ u.T
+    return sigma, Q @ W, R
 
 
 def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -308,9 +307,10 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
         try:
             X = np.linalg.solve(K, Y)
         except np.linalg.LinAlgError:
-            smax, smin = np.linalg.svd(K, compute_uv=False)[..., [0, -1]].T
-            bad = (smin <= smax * q * _EPS).any(axis=0)
-            raise SlabSolveError(int(np.argmax(bad)) + 1, _SINGULAR) from None
+            for n, blocks in enumerate(K):  # _factor raises at the first singular block
+                for block in blocks:
+                    _factor(block, n + 1)
+            raise
         a, v = X[..., 0], X[..., 1]
         alpha, r = a.sum(axis=-1), v.sum(axis=-1)
         wprev = np.zeros((N, mw))  # modal terminal value of the previous slab
@@ -351,38 +351,37 @@ solve_mixed = solve_constrained
 def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     """Solve the block lower-triangular all-slabs system slab by slab.
 
-    The cross-check of the sequential solver: slab n solves rhs_n + E u_prev
-    on the LU factors of its width, the factors the condition estimates read.
+    The cross-check of the sequential solver, in the implicit treatment of
+    both blocks: slab n solves rhs_n + E u_prev for U and the multipliers
+    of [B1; B2] on the LU factors of its width, the factors the condition
+    estimates read.  P is the multiplier of B1; that of B2 is dropped.
     """
     data = _slab_data(system, mesh, opts)
-    M, A, B1 = system.M, system.A, system.B1
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
-    Z, L = _kernel_basis(system)
-    mz = Z.shape[1]
-    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
-    # u_j = Z y_j + C_j with C = D2 L^T the g2 coefficients on pinv(B2)
-    C = data.D2 @ L.T
-    S = data.S[:, :, None]
-    F = (data.F - Dmat @ (C @ M.T) - S * (C @ A.T)) @ Z
-    G = data.G - S * (C @ B1.T)
-    rhs = np.concatenate([F.reshape(N, -1), G.reshape(N, -1)], axis=1)
-    # E u_prev is the upwind term e (x) Z^T M u_prev of the previous terminal value
+    _, _, e = assemble_temporal_matrices(q, 1.0)
+    # the constraint rows hold Smat times the g1 and the g2 coefficients
+    C = np.concatenate([data.G, data.S[:, :, None] * data.D2], axis=-1)
+    rhs = np.concatenate([data.F.reshape(N, -1), C.reshape(N, -1)], axis=1)
+    # E u_prev is the upwind term e (x) M u_prev of the previous terminal value
     E = np.zeros((rhs.shape[1], m))
-    E[: q * mz] = np.kron(e[:, None], Z.T @ M)
+    E[: q * m] = np.kron(e[:, None], system.M)
     X, conds = np.empty_like(rhs), np.empty(N)
     u_prev = system.u0
-    for n, (lu, cond) in enumerate(_slab_factors(system, Z, q, mesh.widths)):
+    for n, (lu, cond) in enumerate(_slab_factors(system, q, mesh.widths)):
         X[n] = lu_solve(lu, rhs[n] + E @ u_prev, check_finite=False)
         conds[n] = cond
-        u_prev = X[n, : q * mz].reshape(q, mz).sum(axis=0) @ Z.T + C[n].sum(axis=0)
-    U = BrokenFunction(mesh, X[:, : q * mz].reshape(N, q, mz) @ Z.T + C)
-    P = BrokenFunction(mesh, X[:, q * mz:].reshape(N, q, r1)) if r1 else None
+        u_prev = X[n, : q * m].reshape(q, m).sum(axis=0)
+    U = BrokenFunction(mesh, X[:, : q * m].reshape(N, q, m))
+    P = BrokenFunction(mesh, X[:, q * m:].reshape(N, q, -1)[..., :r1]) if r1 else None
     return MixedSolution(U, P, lambda: conds)
 
 
-def _check_on_mesh(mesh: TimeMesh, **funcs) -> None:
-    """Reject a broken function that lives on other breakpoints than mesh."""
-    for name, F in funcs.items():
+def _check_solution(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
+                    P: Optional[BrokenFunction] = None) -> None:
+    """Reject a U (or P) of another shape than system and opts give, or on another mesh."""
+    if U.dim != system.m or U.degree != opts.q - 1 or (P is not None and P.degree != U.degree):
+        raise ValueError("solution shape does not match system/options")
+    for name, F in (("U", U), ("P", P)):
         if F is not None and not np.array_equal(F.mesh.breakpoints, mesh.breakpoints):
             raise ValueError(f"{name} lives on another mesh than the one given")
 
@@ -392,31 +391,29 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     """Max absolute residual of the discrete equations, per slab.
 
     Tests the momentum equation against every temporal basis function (on
-    the constraint kernel when an explicit block is present) and the
-    constraint equations in their modal coefficients, using the same data
-    treatment as the solvers.
+    ker B2 when an explicit block is present) and the constraint equations
+    in their modal coefficients, using the same data treatment as the
+    solvers.  I - R2 B2, R2 = pinv([B1; B2])[:, r1:], projects onto ker B2.
     """
-    if U.dim != system.m or U.degree != opts.q - 1:
-        raise ValueError("solution shape does not match system/options")
-    _check_on_mesh(mesh, U=U, P=P)
+    _check_solution(system, mesh, opts, U, P)
     r1 = system.r1
     if r1 and (P is None or P.dim != r1):
         raise ValueError("multiplier P of dimension r1 required")
-    M, A, B1 = system.M, system.A, system.B1
-    Z, _ = _kernel_basis(system)
+    M, A, B1, B2 = system.M, system.A, system.B1, system.B2
+    R2 = _right_inverse(system)[:, r1:]
     data = _slab_data(system, mesh, opts)
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     S = data.S[:, :, None]
     uc = U.coeffs
     u_prev = np.vstack([system.u0, uc[:-1].sum(axis=1)])
-    R = Dmat @ (uc @ M.T) + S * (uc @ A.T) - data.F - e[:, None] * (u_prev @ M.T)[:, None, :]
+    Rm = Dmat @ (uc @ M.T) + S * (uc @ A.T) - data.F - e[:, None] * (u_prev @ M.T)[:, None, :]
     if r1:
-        R = R + S * (P.coeffs @ B1)
-    parts = [np.abs(R @ Z).max(axis=(1, 2))]
+        Rm = Rm + S * (P.coeffs @ B1)
+    parts = [np.abs(Rm - (Rm @ R2) @ B2).max(axis=(1, 2))]
     if r1:
         parts.append(np.abs(S * (uc @ B1.T) - data.G).max(axis=(1, 2)))
     if system.r2 > 0:
-        parts.append(np.abs(uc @ system.B2.T - data.D2).max(axis=(1, 2)))
+        parts.append(np.abs(uc @ B2.T - data.D2).max(axis=(1, 2)))
     return np.max(parts, axis=0)
 
 
@@ -428,7 +425,7 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
     the projection switch is on: the discrete constraint holds as a
     polynomial identity on every slab, not just in quadrature.
     """
-    _check_on_mesh(mesh, U=U)
+    _check_solution(system, mesh, opts, U)
     quad = opts.quadrature()
     out = np.zeros(mesh.N)
     for B, g, field in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):

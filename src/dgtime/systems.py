@@ -8,9 +8,10 @@ A system collects the data of
     u(0) = u0,
 
 with M SPD, A symmetric and elliptic on ker([B1; B2]), and [B1; B2] of
-full row rank.  Either constraint block may be empty.  Solvers substitute
-u = w + L g2, w in ker(B2), with L = pinv(B2) or pinv([B1; B2]) computed
-from the matrices; the solution does not depend on that choice.
+full row rank.  Either constraint block may be empty.  The marching solver
+eliminates B2 with R = pinv([B1; B2]), computed from the matrices; the
+monolithic oracle keeps both blocks with a multiplier each instead.  Both
+give the same discrete state.
 
 Two generators with manufactured exact solutions are built in:
 
@@ -97,23 +98,12 @@ def _kernel_reduction(system) -> tuple:
     """(u, sv, vt, Q, Q^T M Q, Q^T A Q) from one SVD u diag(sv) vt of B = [B1; B2].
 
     Q = vt[r:].T, r = r1 + r2, spans ker B when B has full row rank.  The
-    marching solver runs on it and validate_system checks it with its rules.
-    Kept on the system (_kept).
+    only SVD of a system: the marching solver and dg_residual run on it,
+    validate_system checks it with their rules.  Kept on the system (_kept).
     """
     u, sv, vt = svd(np.vstack([system.B1, system.B2]))
     Q = vt[system.r1 + system.r2:].T
     return u, sv, vt, Q, Q.T @ system.M @ Q, Q.T @ system.A @ Q
-
-
-def _explicit_reduction(system) -> Optional[tuple]:
-    """(Z, L) from one SVD u diag(sv) vt of B2; None unless B2 has full row rank.
-
-    Z = vt[r2:].T spans ker B2 (the identity without B2); L = pinv(B2).
-    """
-    u, sv, vt = svd(system.B2)
-    if not _full_row_rank(sv, system.r2):
-        return None
-    return vt[system.r2:].T, (vt[:system.r2].T / sv) @ u.T
 
 
 def _u0_mismatch(system) -> list:
@@ -237,13 +227,15 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
 
     Applies the solvers' rules to their reduction (_kernel_reduction): full
     row rank of B = [B1; B2], M and A symmetric and M positive definite on
-    ker B and a free state component; B2 is eliminated with pinv(B2) or
-    pinv(B), computed from B itself.  A is elliptic on ker B when the
+    ker B and a free state component.  A is elliptic on ker B when the
     smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12 times the
-    largest in size; B1 is checked for inf-sup rank on ker(B2).
+    largest in size.  B1 is checked for inf-sup rank on ker(B2): its
+    singular values there are the reciprocals of those of R[:, :r1],
+    R = pinv(B) = vt[:r]^T diag(1/sv) u^T, which are those of u[:r1] / sv.
     Initial-data compatibility is reported as a warning, never a failure.
     """
-    _, sv, _, _, Mw, Aw = _kernel_reduction(system)
+    u, sv, _, _, Mw, Aw = _kernel_reduction(system)
+    rank_ok = _full_row_rank(sv, system.r1 + system.r2)
     try:  # the Cholesky factorization of Q^T M Q is eigh's first step
         sigma = eigh(Aw, Mw, eigvals_only=True)
     except np.linalg.LinAlgError:
@@ -256,7 +248,7 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
     if sv.size == 0:
         checks.append(Check("constraint row rank", True, None, "no constraints"))
     else:
-        checks.append(Check("constraint row rank", _full_row_rank(sv, system.r1 + system.r2),
+        checks.append(Check("constraint row rank", rank_ok,
                             float(sv[-1]), f"smallest singular value {sv[-1]:.3e}"))
     if sigma is None:
         checks.append(Check("kernel ellipticity", False, None, "M not positive definite"))
@@ -270,10 +262,10 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
         checks.append(Check("free state components", ok, float(free),
                             f"{free} of {system.m} components not fixed by B2"))
     if system.r1 > 0:
-        explicit = _explicit_reduction(system)  # None fails the rank check above too
-        sv = svdvals(system.B1 @ explicit[0]) if explicit else np.zeros(0)
-        smin = float(sv[-1]) if sv.size else 0.0
-        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(sv, system.r1), smin,
+        # no R without full row rank of B, which fails the rank check above too
+        s1 = (1.0 / svdvals(u[:system.r1] / sv))[::-1] if rank_ok else np.zeros(0)
+        smin = float(s1[-1]) if s1.size else 0.0
+        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(s1, system.r1), smin,
                             f"smallest singular value {smin:.3e}"))
 
     warns = tuple(f"initial state incompatible with {label}(0) (residual {res:.3e})"
@@ -522,9 +514,9 @@ def load_system(path) -> ConstrainedSystem:
     The file holds one object.  Matrices are row-major nested arrays of
     numbers; data functions (f, g1, g2, exact_u, exact_p) are named presets
     from PRESET_FUNCTIONS, either one name (broadcast over components) or a
-    list of per-component names.  The solvers eliminate B2 with pinv(B2) or
-    pinv([B1; B2]), computed from the matrices, so a file gives no right
-    inverse.  Unknown keys are ignored; malformed content raises ValueError.
+    list of per-component names.  A file gives no right inverse of B2: the
+    solvers take what they need from the matrices.  Unknown keys are
+    ignored; malformed content raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)

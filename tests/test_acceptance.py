@@ -350,3 +350,26 @@ def test_criterion_12_sequential_matches_monolithic():
     ok = worst <= 1e-11
     _report(12, "slab-sequential and all-at-once solves agree to 1e-11 (N <= 4)",
             ok, f"worst relative deviation {worst:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# 13. the paper's two constraint treatments give one discrete state
+
+
+def test_criterion_13_explicit_and_implicit_constraints_give_one_state():
+    explicit = build_heat_1d(4)
+    # the same problem with its Dirichlet rows weak, through a multiplier
+    implicit = ConstrainedSystem(M=explicit.M, A=explicit.A, f=explicit.f, u0=explicit.u0,
+                                 B1=explicit.B2, g1=explicit.g2, exact_u=explicit.exact_u)
+    mesh = build_uniform_mesh(1.0, 32)
+    worst = 0.0
+    for solve in (solve_constrained, solve_monolithic):
+        for q in (1, 2, 3):
+            for use_projection in (True, False):
+                opts = SolverOptions(q=q, use_projection=use_projection)
+                U = solve(explicit, mesh, opts).U.coeffs
+                dev = np.abs(solve(implicit, mesh, opts).U.coeffs - U).max() / np.abs(U).max()
+                worst = max(worst, dev)
+    ok = worst <= 1e-13
+    _report(13, "heat1d's Dirichlet rows eliminated (B2) or weak (B1) give one state to 1e-13",
+            ok, f"worst relative deviation {worst:.2e}, q = 1..3, both solvers")

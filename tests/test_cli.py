@@ -277,7 +277,7 @@ def test_validate_passes_a_stiffness_unsymmetric_only_in_a_dirichlet_row(tmp_pat
 
 
 def test_validate_ignores_a_lift_key(tmp_path, capsys):
-    # the solvers compute pinv(B2) themselves; a file that still gives a
+    # the solvers compute their right inverse themselves; a file that still gives a
     # right inverse of B2 loads, with the key ignored like any unknown key
     path = tmp_path / "with_lift.json"
     path.write_text(json.dumps({

@@ -431,6 +431,26 @@ def test_dg_residual_shape_guard():
         dg_residual(system, mesh, opts, sol.U, on_other.P)
 
 
+@pytest.mark.parametrize("residual", [dg_residual, constraint_residual])
+def test_residuals_reject_a_solution_of_another_shape(residual):
+    # otherwise a q = 1 U is broadcast against q = 3 data and returns numbers
+    system, mesh = build_saddle_dae("stokes3"), build_uniform_mesh(1.0, 2)
+    sol = solve_constrained(system, mesh, SolverOptions(q=1))
+    P = (sol.P,) if residual is dg_residual else ()
+    wide = BrokenFunction(mesh, np.zeros((mesh.N, 1, system.m + 1)))
+    for opts, U in ((SolverOptions(q=3), sol.U), (SolverOptions(q=1), wide)):
+        with pytest.raises(ValueError, match="solution shape does not match system/options"):
+            residual(system, mesh, opts, U, *P)
+
+
+def test_dg_residual_rejects_a_multiplier_of_another_degree():
+    system, mesh = build_saddle_dae("stokes3"), build_uniform_mesh(1.0, 2)
+    U = solve_constrained(system, mesh, SolverOptions(q=1)).U
+    P = solve_constrained(system, mesh, SolverOptions(q=2)).P
+    with pytest.raises(ValueError, match="solution shape does not match system/options"):
+        dg_residual(system, mesh, SolverOptions(q=1), U, P)
+
+
 def test_dg_residual_constrained_path():
     system = build_heat_1d(3)
     mesh = build_uniform_mesh(1.0, 4)
@@ -617,20 +637,6 @@ def _rank_deficient_b2_system():
                              B2=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), g2=_zero(2))
 
 
-def test_rank_deficient_explicit_constraint_raises_on_the_first_slab():
-    # no solver or oracle may turn the missing right inverse of B2 into NaN
-    system, mesh, opts = _rank_deficient_b2_system(), build_uniform_mesh(1.0, 2), SolverOptions()
-    U = BrokenFunction(mesh, np.zeros((mesh.N, opts.q, system.m)))
-    for run in (lambda: solve_constrained(system, mesh, opts),
-                lambda: solve_monolithic(system, mesh, opts),
-                lambda: dg_residual(system, mesh, opts, U),
-                # what MixedSolution.condition_estimates reads
-                lambda: dgsolver._conditions(system, opts.q, mesh.widths)):
-        with pytest.raises(SlabSolveError) as err:
-            run()
-        assert err.value.slab == 1
-
-
 # hand-built systems on both sides of the structural rules, and whether they pass
 _HAND_BUILT = {
     "rank-deficient B1": (False, lambda: ConstrainedSystem(
@@ -650,6 +656,24 @@ _HAND_BUILT = {
 # the checks of the rules the march itself relies on
 _KERNEL_CHECKS = {"constraint row rank", "kernel mass SPD", "kernel stiffness symmetric",
                   "free state components"}
+
+
+def test_rank_deficient_explicit_constraint_raises_on_the_first_slab():
+    # no solver or oracle may turn the missing right inverse of [B1; B2] into NaN;
+    # the oracle's slab matrix is singular, the others apply the march's rank rule
+    mesh, opts = build_uniform_mesh(1.0, 2), SolverOptions()
+    for case in ("rank-deficient B2", "dependent B1"):
+        system = _HAND_BUILT[case][1]()
+        U = BrokenFunction(mesh, np.zeros((mesh.N, opts.q, system.m)))
+        P = BrokenFunction(mesh, np.zeros((mesh.N, opts.q, system.r1))) if system.r1 else None
+        for run in (lambda: solve_constrained(system, mesh, opts),
+                    lambda: solve_monolithic(system, mesh, opts),
+                    lambda: dg_residual(system, mesh, opts, U, P),
+                    # what MixedSolution.condition_estimates reads
+                    lambda: dgsolver._conditions(system, opts.q, mesh.widths)):
+            with pytest.raises(SlabSolveError) as err:
+                run()
+            assert err.value.slab == 1, case
 
 
 def _reduces(system) -> bool:
@@ -731,19 +755,16 @@ def test_nonfinite_forcing_raises_data_error():
 
 
 def _exact_slab_conditions(system, mesh, q):
-    """1-norm condition of every slab matrix, assembled here from scratch."""
-    M, A, B1 = system.M, system.A, system.B1
-    if system.r2:
-        Z = null_space(system.B2)  # the kernel basis the solver uses
-        M, A, B1 = Z.T @ M @ Z, Z.T @ A @ Z, B1 @ Z
+    """1-norm condition of every full-space saddle slab matrix, assembled here from scratch."""
+    B = np.vstack([system.B1, system.B2])  # a multiplier for each constraint row
     out = []
     for k in mesh.widths:
         Dmat, Smat, _ = assemble_temporal_matrices(q, k)
-        K = np.kron(Dmat, M) + np.kron(Smat, A)
-        if system.r1:
-            nc = q * system.r1
-            K = np.block([[K, np.kron(Smat, B1.T)],
-                          [np.kron(Smat, B1), np.zeros((nc, nc))]])
+        K = np.kron(Dmat, system.M) + np.kron(Smat, system.A)
+        if B.shape[0]:
+            nc = q * B.shape[0]
+            K = np.block([[K, np.kron(Smat, B.T)],
+                          [np.kron(Smat, B), np.zeros((nc, nc))]])
         out.append(np.linalg.cond(K, 1))
     return np.array(out)
 
@@ -951,6 +972,21 @@ def test_validator_and_solves_share_one_svd():
         assert validate_system(system).passed
         for q in (1, 2):
             solve_constrained(system, mesh, SolverOptions(q=q))
+    assert svd.call_count == 1
+
+
+def test_oracle_needs_no_svd_and_the_rest_share_one():
+    system, mesh = _random_system(5, "combined", 4, 1), build_uniform_mesh(1.0, 4)
+    assert system.r1 and system.r2
+    with mock.patch.object(systems, "svd", wraps=systems.svd) as svd:
+        mono = solve_monolithic(system, mesh, SolverOptions(q=2))
+        mono.condition_estimates
+        assert svd.call_count == 0
+        assert "_kept__kernel_reduction" not in system.__dict__
+        assert validate_system(system).passed
+        for q in (1, 2):
+            sol = solve_constrained(system, mesh, SolverOptions(q=q))
+        dg_residual(system, mesh, SolverOptions(q=2), sol.U, sol.P)
     assert svd.call_count == 1
 
 

@@ -19,7 +19,8 @@ from dgtime import (
     solve_mixed,
     validate_system,
 )
-from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _explicit_reduction, _p2_shapes
+from dgtime import dgsolver
+from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _p2_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,8 @@ def test_heat_shapes_and_defaults():
     assert system.m == 9
     assert system.r1 == 0 and system.r2 == 2
     assert system.B2.shape == (2, 9)
-    # the solvers' right inverse pinv(B2) of the boundary-row selection is B2^T
-    np.testing.assert_array_equal(_explicit_reduction(system)[1], system.B2.T)
+    # the solvers' right inverse pinv([B1; B2]) of the boundary-row selection is B2^T
+    np.testing.assert_array_equal(dgsolver._right_inverse(system), system.B2.T)
     np.testing.assert_allclose(system.normU, system.M + system.A)
     # default solution has u(x, 0) = x, which is compatible with g2(0)
     np.testing.assert_allclose(system.u0, np.linspace(0, 1, 9), atol=1e-15)

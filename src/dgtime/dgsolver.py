@@ -34,16 +34,19 @@ kept on it: the solves of a convergence study share them.  Tested with
 V, every slab, at any width k,
 splits into one q x q block per mode l,
 
-    (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l,
+    (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l.
 
-and the blocks of all slabs and modes are solved in one batched call.
-Since V^T M V = I, the only sequential step is the scalar recurrence of
-the modal terminal value, w_end_n = alpha_n + r_n w_end_{n-1}, with
-r_n = 1^T K^{-1} e the DG stability function at k sigma.  The first r1
-columns of R lie in ker B2 and invert B1; the multiplier is the momentum
-residual tested with them, divided by Smat.  Since U - kappa is solved
-on ker B, the solution does not depend on which right inverse of B
-builds kappa.
+The block depends only on k and sigma_l, so slabs of one exact width share
+one factorization per mode: a single batched LAPACK call solves every
+width's blocks with all of that width's slabs as right-hand sides.  Since
+V^T M V = I, the only sequential step is the scalar recurrence of the
+modal terminal value, w_end_n = alpha_n + r_n w_end_{n-1}, with
+r_n = 1^T K^{-1} e the DG stability function at k sigma; it runs in
+blocks of about sqrt(N) slabs, so about 2 sqrt(N) Python steps.  The
+first r1 columns of R lie in ker B2 and invert B1; the multiplier is the
+momentum residual tested with them, divided by Smat.  Since U - kappa is
+solved on ker B, the solution does not depend on which right inverse of
+B builds kappa.
 
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
@@ -56,6 +59,7 @@ estimates read the same factors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -277,14 +281,76 @@ def _modes(system):
     return sigma, Q @ W, R
 
 
+def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """x @ B for x (..., a) and B (a, b) as one 2-D product; a or b may be 0."""
+    lead = x.shape[:-1]
+    return (x.reshape(math.prod(lead), x.shape[-1]) @ B).reshape(*lead, B.shape[1])
+
+
+def _width_groups(k: np.ndarray):
+    """(slot, first, size): where the grouped block solve puts each slab.
+
+    Slabs of one exact width share their q x q blocks.  Each width's slabs,
+    in order, fill groups of at most size = ceil(N / #widths) slabs, so
+    there are at most 2 #widths groups and about 2N right-hand-side
+    columns.  Slab n is column slot[n] % (size + 1) of group
+    slot[n] // (size + 1), whose last column is left for e; first[g] is
+    group g's first slab.
+    """
+    N = k.size
+    _, cls, counts = np.unique(k, return_inverse=True, return_counts=True)
+    size = -(-N // counts.size)
+    per_class = -(-counts // size)
+    rank = np.empty(N, dtype=np.intp)  # the slab's place among the slabs of its width
+    rank[np.argsort(cls, kind="stable")] = np.arange(N) - np.repeat(np.cumsum(counts) - counts,
+                                                                   counts)
+    group, column = (np.cumsum(per_class) - per_class)[cls] + rank // size, rank % size
+    heads = np.flatnonzero(column == 0)
+    first = np.empty(heads.size, dtype=np.intp)
+    first[group[heads]] = heads
+    return group * (size + 1) + column, first, size
+
+
+def _terminal_values(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """w with w[0] = 0 and w[n] = alpha[n-1] + r[n-1] w[n-1], (N, mw).
+
+    The recurrence runs in blocks of b = ceil(sqrt(N)) slabs: one loop down
+    every block at once from a zero start gives loc and the running product
+    P of r, then one loop carries each block's end into the next, and a
+    slab's value is loc + P carry.  About 2 sqrt(N) Python steps; a doubling
+    scan would take log N, but its error grows several times faster in N.
+    """
+    N, mw = alpha.shape
+    b = math.isqrt(N - 1) + 1
+    nb = -(-N // b)
+    pad = ((0, nb * b - N), (0, 0))
+    # row j, column i holds slab i b + j, so each step of the first loop is contiguous
+    loc = np.pad(alpha, pad).reshape(nb, b, mw).transpose(1, 0, 2).copy()
+    P = np.pad(r, pad, constant_values=1.0).reshape(nb, b, mw).transpose(1, 0, 2).copy()
+    for j in range(1, b):
+        loc[j] += P[j] * loc[j - 1]
+        P[j] *= P[j - 1]
+    carry = np.zeros((nb, mw))
+    for i in range(1, nb):
+        carry[i] = loc[-1, i - 1] + P[-1, i - 1] * carry[i - 1]
+    w = np.zeros((N, mw))
+    w[1:] = (loc + P * carry).transpose(1, 0, 2).reshape(nb * b, mw)[:N - 1]
+    return w
+
+
 def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
-    """Sequential solve in the spatial eigenbasis, one q x q block per slab and mode.
+    """Sequential solve in the spatial eigenbasis, one q x q block per slab width and mode.
 
     The eigenbasis is the system's own (_modes), so only the first solve on
     a system pays its O(m^3) reduction.  Every coefficient is
     u_j = V w_j + kappa_j, kappa the known part: the constraint data on
-    R = pinv(B).  Only the modal terminal value w_end runs through the
-    slabs, by w_end_n = alpha_n + r_n w_end_{n-1}.
+    R = pinv(B).  Every product with an m x m matrix is one 2-D GEMM over
+    all slabs, and the known part is formed at rank r1 + r2.  Slabs of one
+    exact width share their blocks: one LAPACK call factors each width's
+    block per mode once and solves it for all of that width's slabs
+    (_width_groups).  Only the modal terminal value w_end runs through the
+    slabs, by w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks
+    (_terminal_values).
     """
     sigma, V, R = _modes(system)
     data = _slab_data(system, mesh, opts)
@@ -292,38 +358,38 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     N, q, mw = mesh.N, opts.q, sigma.size
     S = data.S[:, :, None]
+    slot, first, size = _width_groups(mesh.widths)
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = np.concatenate([data.G / S, data.D2], axis=-1) @ R.T
-        kM = kappa @ M.T
+        c = np.concatenate([data.G / S, data.D2], axis=-1)
+        kappa, kM, kA = (_gemm(c, X.T) for X in (R, M @ R, A @ R))
         # tested with the modes V and, for the multiplier, with R1
         VR = np.hstack([V, R1])
-        rhs = (data.F - Dmat @ kM - S * (kappa @ A.T)) @ VR
+        rhs = _gemm(data.F - Dmat @ kM - S * kA, VR)
         # the known part of every slab's u_prev term: u0, then kappa's terminal value
         prev = np.vstack([M @ system.u0, kM[:-1].sum(axis=1)]) @ VR
-        K = Dmat + (data.S[:, None, :] * sigma[:, None])[..., None] * np.eye(q)
-        Y = np.empty((N, mw, q, 2))
-        Y[..., 0] = (rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]).transpose(0, 2, 1)
-        Y[..., 1] = e
+        K = Dmat + (data.S[first][:, None, :] * sigma[:, None])[..., None] * np.eye(q)
+        # column j of group g is row g (size + 1) + j; each group's last column is e
+        rows = first.size * (size + 1)
+        Y = np.zeros((first.size, size + 1, q, mw))
+        Y.reshape(rows, q, mw)[slot] = rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]
+        Y[:, -1] = e[:, None]
         try:
-            X = np.linalg.solve(K, Y)
+            X = np.linalg.solve(K, Y.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1)
         except np.linalg.LinAlgError:
-            for n, blocks in enumerate(K):  # _factor raises at the first singular block
-                for block in blocks:
-                    _factor(block, n + 1)
+            for g in np.argsort(first):  # _factor raises at the first singular block
+                for block in K[g]:
+                    _factor(block, first[g] + 1)
             raise
-        a, v = X[..., 0], X[..., 1]
-        alpha, r = a.sum(axis=-1), v.sum(axis=-1)
-        wprev = np.zeros((N, mw))  # modal terminal value of the previous slab
-        for n in range(1, N):
-            wprev[n] = alpha[n - 1] + r[n - 1] * wprev[n - 1]
-        w = (a + v * wprev[:, :, None]).transpose(0, 2, 1)
-        U = w @ V.T + kappa
+        a, v = X.reshape(rows, q, mw)[slot], X[slot // (size + 1), -1]
+        wprev = _terminal_values(a.sum(axis=1), v.sum(axis=1))
+        w = a + v * wprev[:, None, :]
+        U = _gemm(w, V.T) + kappa
         P = None
         if system.r1:
             # the momentum residual tested with R1 is S_ii p_i
             RMV, RAV = R1.T @ M @ V, R1.T @ A @ V
             P = (rhs[:, :, mw:] + e[:, None] * (prev[:, mw:] + wprev @ RMV.T)[:, None, :]
-                 - Dmat @ (w @ RMV.T) - S * (w @ RAV.T)) / S
+                 - Dmat @ _gemm(w, RMV.T) - S * _gemm(w, RAV.T)) / S
     bad = ~np.isfinite(U).all(axis=(1, 2))
     if P is not None:
         bad |= ~np.isfinite(P).all(axis=(1, 2))

@@ -436,11 +436,6 @@ def build_saddle_dae(preset: Optional[str] = None, *,
     A = np.asarray(A, dtype=float)
     B1 = np.zeros((0, M.shape[0])) if B1 is None else np.asarray(B1, dtype=float)
     r1 = B1.shape[0]
-    if r1 > 0:
-        if not _full_row_rank(svdvals(B1), r1):
-            raise ValueError("B1 must have full row rank")
-        if exact_p is None:
-            raise ValueError("exact_p handle required when B1 is present")
 
     def f(t: float) -> np.ndarray:
         out = M @ exact_du(t) + A @ exact_u(t)
@@ -450,13 +445,20 @@ def build_saddle_dae(preset: Optional[str] = None, *,
 
     g1 = (lambda t: B1 @ exact_u(t)) if r1 > 0 else None
 
-    return ConstrainedSystem(
+    system = ConstrainedSystem(
         M=M, A=A, f=f, u0=np.asarray(exact_u(0.0), dtype=float),
         B1=B1 if r1 > 0 else None, g1=g1,
         normU=M + A, normQ1=np.eye(r1),
         exact_u=exact_u, exact_p=exact_p if r1 > 0 else None,
         name=name or "saddle-dae",
     )
+    if r1 > 0:
+        # the system's own reduction, which its solves and validation then reuse
+        if not _full_row_rank(_kernel_reduction(system)[1], r1):
+            raise ValueError("B1 must have full row rank")
+        if exact_p is None:
+            raise ValueError("exact_p handle required when B1 is present")
+    return system
 
 
 # ---------------------------------------------------------------------------

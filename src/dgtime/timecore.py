@@ -33,6 +33,7 @@ D(Y, Y) >= 0.5 * ||Y^N||_M^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -146,8 +147,14 @@ class Quadrature:
 _MAX_POINTS = 16  # largest Gauss rule gauss_legendre builds
 
 
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(n: int) -> Quadrature:
-    """n-point Gauss-Legendre rule on [0, 1]; exact up to degree 2n - 1."""
+    """n-point Gauss-Legendre rule on [0, 1]; exact up to degree 2n - 1.
+
+    Each rule is built once per n and shared by every caller: Quadrature
+    is frozen and its arrays are read-only.  The cache is typed, so a
+    float n still fails in leggauss rather than hitting an int's rule.
+    """
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f"point count must be in 1..{_MAX_POINTS}, got {n}")
     x, w = npleg.leggauss(n)

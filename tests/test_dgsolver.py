@@ -565,13 +565,18 @@ def test_singular_slab_system_raises_with_slab_index():
 
 
 def test_singular_modal_block_raises_with_slab_index():
-    # q = 1 blocks are 1 + k sigma with sigma = -2: the second slab has k = 0.5
+    # q = 1 blocks are 1 + k sigma with sigma = -2: slabs with k = 0.5 are
+    # singular, and the first of them is the second slab, also when the
+    # singular width recurs and its slabs share one block
     system = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1),
                                f=lambda t: np.zeros(1), u0=np.ones(1))
-    for solve in (solve_mixed, solve_monolithic):
-        with pytest.raises(SlabSolveError) as err:
-            solve(system, TimeMesh(np.array([0.0, 0.3, 0.8, 1.0])), SolverOptions(q=1))
-        assert err.value.slab == 2
+    for widths in ([0.3, 0.5, 0.2], [0.3, 0.5, 0.2, 0.5]):
+        mesh = TimeMesh(np.cumsum([0.0] + widths))
+        assert mesh.widths[1] == 0.5
+        for solve in (solve_mixed, solve_monolithic):
+            with pytest.raises(SlabSolveError) as err:
+                solve(system, mesh, SolverOptions(q=1))
+            assert err.value.slab == 2
 
 
 def test_rank_deficient_weak_constraint_raises_on_the_first_slab():
@@ -975,6 +980,18 @@ def test_validator_and_solves_share_one_svd():
     assert svd.call_count == 1
 
 
+def test_saddle_builder_validator_and_solves_share_one_svd():
+    mesh = build_uniform_mesh(1.0, 4)
+    with mock.patch.object(systems, "svd", wraps=systems.svd) as svd, \
+            mock.patch.object(systems, "svdvals", wraps=systems.svdvals) as svdvals:
+        system = build_saddle_dae("stokes3")
+        assert validate_system(system).passed
+        for q in (1, 2):
+            solve_constrained(system, mesh, SolverOptions(q=q))
+    # the one svdvals is the validator's inf-sup value, read from that SVD
+    assert (svd.call_count, svdvals.call_count) == (1, 1)
+
+
 def test_oracle_needs_no_svd_and_the_rest_share_one():
     system, mesh = _random_system(5, "combined", 4, 1), build_uniform_mesh(1.0, 4)
     assert system.r1 and system.r2
@@ -1033,3 +1050,89 @@ def test_kept_reduction_is_read_only(problem):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the march: one grouped block solve and a blocked terminal-value recurrence
+
+
+def _block_solves(system, mesh, q):
+    """(K, Y, X) of every np.linalg.solve call that one solve_constrained makes."""
+    calls, solve = [], np.linalg.solve
+
+    def recording(K, Y):
+        X = solve(K, Y)
+        calls.append((K, Y, X))
+        return X
+
+    with mock.patch.object(np.linalg, "solve", recording):
+        solve_constrained(system, mesh, SolverOptions(q=q))
+    return calls
+
+
+_GROUPING_MESHES = {
+    "uniform1024": lambda: build_uniform_mesh(1.0, 1024),  # one exact width
+    "uniform1000": lambda: build_uniform_mesh(1.0, 1000),  # nine exact widths
+    "random": lambda: TimeMesh(np.r_[0.0, np.cumsum(
+        np.random.default_rng(3).uniform(0.2, 1.0, 60))]),  # every width differs
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+@pytest.mark.parametrize("mesh_name", sorted(_GROUPING_MESHES))
+def test_grouped_block_solve_is_one_call_bitwise_equal_to_per_slab_blocks(mesh_name, problem,
+                                                                         q):
+    system, mesh = _BUILDERS[problem](), _GROUPING_MESHES[mesh_name]()
+    [(K, Y, X)] = _block_solves(system, mesh, q)
+    sigma = dgsolver._modes(system)[0]
+    widths = np.unique(mesh.widths).size
+    groups, mw = K.shape[:2]
+    assert mw == sigma.size and K.shape[2:] == (q, q)
+    expected = {"uniform1024": groups == 1, "uniform1000": widths == 9 and groups <= 2 * widths,
+                "random": widths == mesh.N and groups == mesh.N}
+    assert expected[mesh_name]
+    # every slab's own blocks, built as the per-slab march built them
+    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+    S = mesh.widths[:, None] / (2.0 * np.arange(q) + 1.0)
+    K_slab = Dmat + (S[:, None, :] * sigma[:, None])[..., None] * np.eye(q)
+    slot, _, size = dgsolver._width_groups(mesh.widths)
+    group, column = slot // (size + 1), slot % (size + 1)
+    np.testing.assert_array_equal(K[group], K_slab)
+    # the per-slab batched call: the slab's column and e
+    X_slab = np.linalg.solve(K_slab, np.stack([Y[group, :, :, column],
+                                               np.broadcast_to(e, K_slab.shape[:3])], axis=-1))
+    np.testing.assert_array_equal(X[group, :, :, column], X_slab[..., 0])
+    np.testing.assert_array_equal(X[group, :, :, -1], X_slab[..., 1])
+
+
+def _sequential_terminal_values(alpha, r, dtype):
+    w = np.zeros(alpha.shape, dtype=dtype)
+    alpha, r = alpha.astype(dtype), r.astype(dtype)
+    for n in range(1, alpha.shape[0]):
+        w[n] = alpha[n - 1] + r[n - 1] * w[n - 1]
+    return w
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                    reason="the reference recurrence needs an extended-precision long double")
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("N", [8192, 65536])
+def test_blocked_recurrence_stays_near_the_sequential_rounding(N, q):
+    with mock.patch.object(dgsolver, "_terminal_values", wraps=dgsolver._terminal_values) as tv:
+        solve_constrained(build_saddle_dae("stokes3"), build_uniform_mesh(1.0, N),
+                          SolverOptions(q=q))
+    alpha, r = tv.call_args.args
+    exact = _sequential_terminal_values(alpha, r, np.longdouble)
+    loop = np.abs(_sequential_terminal_values(alpha, r, float) - exact).max()
+    blocked = np.abs(dgsolver._terminal_values(alpha, r) - exact).max()
+    assert 0.0 < loop and blocked <= 4.0 * loop
+
+
+@pytest.mark.parametrize("N, mw", [(1, 2), (2, 2), (3, 2), (5, 0)])
+def test_blocked_recurrence_on_short_and_empty_sequences(N, mw):
+    rng = np.random.default_rng(N)
+    alpha, r = rng.standard_normal((N, mw)), rng.uniform(0.0, 1.0, (N, mw))
+    w = dgsolver._terminal_values(alpha, r)
+    # up to three slabs, the blocks reduce to the sequential arithmetic
+    np.testing.assert_array_equal(w, _sequential_terminal_values(alpha, r, float))

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dgtime"
-REDUCTIONS = {"svd", "null_space", "pinv"}
+REDUCTIONS = {"svd", "svdvals", "null_space", "pinv"}
 
 
 def _reduction_calls():
@@ -34,4 +34,7 @@ def _reduction_calls():
 
 
 def test_the_kernel_reduction_is_the_only_svd():
-    assert _reduction_calls() == [("systems.py", "_kernel_reduction", "svd")]
+    # validate_system's svdvals factors the r1 columns u[:r1] / sv of the kept
+    # SVD for the inf-sup value; it never factors B1 or B2 again
+    assert _reduction_calls() == [("systems.py", "_kernel_reduction", "svd"),
+                                  ("systems.py", "validate_system", "svdvals")]

@@ -1,6 +1,11 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from dgtime import timecore
 
 from dgtime import (
     BrokenFunction,
@@ -140,6 +145,27 @@ def test_gauss_legendre_monomial_exactness(n, data):
     approx = float(np.sum(quad.weights * quad.nodes**p))
     exact = 1.0 / (p + 1)  # int_0^1 t^p dt
     assert abs(approx - exact) <= 1e-13 * (1.0 + abs(exact))
+
+
+def test_gauss_legendre_returns_one_shared_rule_per_point_count():
+    assert gauss_legendre(5) is gauss_legendre(5)
+    assert gauss_legendre(5) is not gauss_legendre(6)
+    quad = gauss_legendre(3)
+    for a in (quad.nodes, quad.weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    with pytest.raises(TypeError):
+        gauss_legendre(3.0)  # not served from the cached 3-point rule
+
+
+def test_a_study_builds_each_gauss_rule_once():
+    gauss_legendre.cache_clear()
+    with mock.patch.object(timecore.npleg, "leggauss", wraps=timecore.npleg.leggauss) as leggauss:
+        for use_projection in (True, False):
+            run_study("stokes3", 2, [4, 8, 16], use_projection=use_projection)
+    counts = Counter(call.args[0] for call in leggauss.call_args_list)
+    assert counts and set(counts.values()) == {1}
 
 
 def test_quadrature_weights_must_be_positive():

@@ -21,10 +21,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dgsolver import SolverOptions, solve_constrained
+from .dgsolver import SolverOptions, _march
 from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
-from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _is_count, _slab_integral,
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _is_count, _slab_inner, _Slabs,
                        _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
 
 __all__ = [
@@ -43,11 +43,25 @@ EOC_FLOOR = 1e-13
 STUDY_NORMS = ("energy", "nodal", "multiplier")
 
 
+def _l2_errors(coeffs: np.ndarray, exact, W: np.ndarray, quad: Quadrature, slabs: _Slabs,
+               field: str) -> list:
+    """The L2-in-time error of U against exact on every mesh of slabs; U's coeffs (S, q, d)."""
+    ts = _slab_nodes(slabs, quad)
+    D = _slab_values(coeffs, quad.nodes) - _sample(exact, ts, field, coeffs.shape[2], slabs.number)
+    squares = _slab_inner(D, W, D, quad)
+    return [float(np.sqrt(s @ k)) for s, k in zip(slabs.split(squares), slabs.split(slabs.widths))]
+
+
+def _nodal_errors(coeffs: np.ndarray, exact, W: np.ndarray, slabs: _Slabs) -> list:
+    """max_n ||U^n - exact(t_n)||_W on every mesh of slabs; U's coeffs (S, q, d)."""
+    ts = slabs.right[:, None]
+    d = coeffs.sum(axis=1) - _sample(exact, ts, "exact_u", coeffs.shape[2], slabs.number)[:, 0]
+    return [float(e.max()) for e in slabs.split(np.sqrt(((d @ W) * d).sum(axis=-1)))]
+
+
 def _l2_error(U: BrokenFunction, exact, W, quad: Quadrature, field: str) -> float:
-    W = _weight_matrix(W, U.dim)
-    ts = _slab_nodes(U.mesh.breakpoints, quad)
-    D = _slab_values(U.coeffs, quad.nodes) - _sample(exact, ts, field, U.dim)
-    return float(np.sqrt(_slab_integral(D, W, D, U.mesh.widths, quad)))
+    return _l2_errors(U.coeffs, exact, _weight_matrix(W, U.dim), quad, _Slabs.of([U.mesh]),
+                      field)[0]
 
 
 def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
@@ -57,10 +71,7 @@ def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
 
 def error_nodal_max(U: BrokenFunction, exact, M) -> float:
     """max_n ||U^n - exact(t_n)||_M over the breakpoints t_1 .. t_N."""
-    W = _weight_matrix(M, U.dim)
-    ts = U.mesh.breakpoints[1:, None]
-    d = U.coeffs.sum(axis=1) - _sample(exact, ts, "exact_u", U.dim)[:, 0]
-    return float(np.sqrt(((d @ W) * d).sum(axis=-1)).max())
+    return _nodal_errors(U.coeffs, exact, _weight_matrix(M, U.dim), _Slabs.of([U.mesh]))[0]
 
 
 def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) -> float:
@@ -102,7 +113,7 @@ def l2_project_broken(phi, mesh, dim: int, q: int, quad: Quadrature) -> BrokenFu
     generally misses the breakpoint values; useful for comparing the two
     data treatments.
     """
-    return BrokenFunction(mesh, _slab_coeffs(phi, mesh.breakpoints, quad, q, "phi", dim, False))
+    return BrokenFunction(mesh, _slab_coeffs(phi, _Slabs.of([mesh]), quad, q, "phi", dim, False))
 
 
 @dataclass(frozen=True)
@@ -157,8 +168,13 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     ``problem`` is "heat1d", "stokes3", or a ConstrainedSystem with
     manufactured exact solutions; the table carries the system's name.
     Each N gets a uniform mesh on (0, 1]; ``norms`` names at least one of
-    STUDY_NORMS.  All levels solve the one system object, so they share its
-    spatial reduction.
+    STUDY_NORMS.  The study is one stacked march over all levels (the
+    solver's _march): every data field and every norm's exact solution is
+    sampled once for all levels, and each norm is reduced per level, so a
+    row holds what solve_constrained and the public norms give on its mesh.
+    A failure names the level's own N or 1-based slab; when several levels
+    fail, the first failing stage (data, solve, norms) reports its first
+    level.
     """
     opts = SolverOptions(q=q, use_projection=use_projection)
     if q + 3 > _MAX_POINTS:
@@ -179,21 +195,26 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
         raise ValueError("multiplier norm requires r1 >= 1 and exact_p")
     errquad = gauss_legendre(q + 3)
 
-    def one(N: int) -> dict:
-        sol = solve_constrained(system, build_uniform_mesh(1.0, N), opts)
-        rec = {"N": N, "k": 1.0 / N}
-        if "energy" in norms:
-            rec["err_energy"] = error_l2_energy(sol.U, system.exact_u, system.normU, errquad)
-        if "nodal" in norms:
-            rec["err_nodal"] = error_nodal_max(sol.U, system.exact_u, system.M)
-        if "multiplier" in norms:
-            rec["err_p"] = error_l2_multiplier(sol.P, system.exact_p, system.normQ1, errquad)
+    meshes = [build_uniform_mesh(1.0, N) for N in Ns]
+    sols = _march(system, meshes, opts)
+    slabs = _Slabs.of(meshes)
+    U = np.concatenate([sol.U.coeffs for sol in sols])
+    errors = {}
+    if "energy" in norms:
+        errors["err_energy"] = _l2_errors(U, system.exact_u, system.normU, errquad, slabs,
+                                          "exact_u")
+    if "nodal" in norms:
+        errors["err_nodal"] = _nodal_errors(U, system.exact_u, system.M, slabs)
+    if "multiplier" in norms:
+        P = np.concatenate([sol.P.coeffs for sol in sols])
+        errors["err_p"] = _l2_errors(P, system.exact_p, system.normQ1, errquad, slabs, "exact_p")
+    recs = []
+    for i, N in enumerate(Ns):
+        rec = {"N": N, "k": 1.0 / N, **{key: errs[i] for key, errs in errors.items()}}
         for key, err in rec.items():
             if not math.isfinite(err):
                 raise ValueError(f"{key} is not finite ({err}) at N = {N}")
-        return rec
-
-    recs = [one(N) for N in Ns]
+        recs.append(rec)
 
     orders = {}
     for key in ("err_energy", "err_nodal", "err_p"):

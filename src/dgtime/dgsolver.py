@@ -48,6 +48,12 @@ momentum residual tested with them, divided by Smat.  Since U - kappa is
 solved on ker B, the solution does not depend on which right inverse of
 B builds kappa.
 
+A convergence study is one such march over all of its meshes: their slabs
+are stacked mesh after mesh, the data is sampled once per field for all
+of them, the block solve is one LAPACK call, and the recurrence restarts
+from u0 at each mesh's first slab.  Each mesh keeps its own sqrt(N)
+blocks, so its recurrence is the one a march on it alone runs.
+
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
 Slab n solves the kron form of the system above with B = [B1; B2] in place
@@ -72,8 +78,8 @@ from scipy.linalg.lapack import dgecon
 from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
 from .systems import (_asymmetry, _free_components, _full_row_rank, _kept,
                       _kernel_reduction)
-from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _is_count,
-                       gauss_legendre)
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _gemm, _is_count,
+                       _Slabs, gauss_legendre)
 
 __all__ = [
     "SolverOptions",
@@ -178,17 +184,17 @@ class _SlabData:
     D2: np.ndarray
 
 
-def _slab_data(system, mesh: TimeMesh, opts: SolverOptions) -> _SlabData:
+def _slab_data(system, slabs: _Slabs, opts: SolverOptions) -> _SlabData:
     """Sample f, g1 and g2 once over all slabs and reduce them to slab data."""
-    q, quad = opts.q, opts.quadrature()
-    bp, k, N = mesh.breakpoints, mesh.widths, mesh.N
+    q, quad, k = opts.q, opts.quadrature(), slabs.widths
     S = k[:, None] / (2.0 * np.arange(q) + 1.0)
-    F = _moments(_sample(system.f, _slab_nodes(bp, quad), "f", system.m), k, quad, q)
+    F = _moments(_sample(system.f, _slab_nodes(slabs, quad), "f", system.m, slabs.number),
+                 k, quad, q)
 
     def coeffs(g, field, dim):
         if dim == 0:
-            return np.zeros((N, q, 0))
-        return _slab_coeffs(g, bp, quad, q, field, dim, opts.use_projection)
+            return np.zeros((k.size, q, 0))
+        return _slab_coeffs(g, slabs, quad, q, field, dim, opts.use_projection)
 
     G = S[:, :, None] * coeffs(system.g1, "g1", system.r1)
     return _SlabData(S, F, G, coeffs(system.g2, "g2", system.r2))
@@ -281,12 +287,6 @@ def _modes(system):
     return sigma, Q @ W, R
 
 
-def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """x @ B for x (..., a) and B (a, b) as one 2-D product; a or b may be 0."""
-    lead = x.shape[:-1]
-    return (x.reshape(math.prod(lead), x.shape[-1]) @ B).reshape(*lead, B.shape[1])
-
-
 def _width_groups(k: np.ndarray):
     """(slot, first, size): where the grouped block solve puts each slab.
 
@@ -311,62 +311,83 @@ def _width_groups(k: np.ndarray):
     return group * (size + 1) + column, first, size
 
 
-def _terminal_values(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """w with w[0] = 0 and w[n] = alpha[n-1] + r[n-1] w[n-1], (N, mw).
+def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """w with w[n] = alpha[n-1] + r[n-1] w[n-1], (S, mw), restarting from w = 0 at each start.
 
-    The recurrence runs in blocks of b = ceil(sqrt(N)) slabs: one loop down
-    every block at once from a zero start gives loc and the running product
-    P of r, then one loop carries each block's end into the next, and a
-    slab's value is loc + P carry.  About 2 sqrt(N) Python steps; a doubling
-    scan would take log N, but its error grows several times faster in N.
+    starts holds the first slab of every mesh and S; the recurrence of each
+    mesh runs in blocks of b = ceil(sqrt(N)) slabs, N its slab count: one
+    loop down every block of every mesh at once from a zero start gives loc
+    and the running product P of r, then one loop carries each block's end
+    into the next block of its mesh, and a slab's value is loc + P carry.
+    About sqrt(max N) + sum sqrt(N) Python steps; a doubling scan would take
+    log N, but its error grows several times faster in N.  A block shorter
+    than the longest is padded with alpha = 0, r = 1, which carries its end
+    unchanged, so every mesh gets the arithmetic it would get on its own.
     """
-    N, mw = alpha.shape
-    b = math.isqrt(N - 1) + 1
-    nb = -(-N // b)
-    pad = ((0, nb * b - N), (0, 0))
-    # row j, column i holds slab i b + j, so each step of the first loop is contiguous
-    loc = np.pad(alpha, pad).reshape(nb, b, mw).transpose(1, 0, 2).copy()
-    P = np.pad(r, pad, constant_values=1.0).reshape(nb, b, mw).transpose(1, 0, 2).copy()
-    for j in range(1, b):
+    counts = np.diff(starts)
+    b = np.array([math.isqrt(N - 1) + 1 for N in counts], dtype=np.intp)
+    nb = -(-counts // b)
+    local = np.arange(alpha.shape[0]) - np.repeat(starts[:-1], counts)
+    # slab i of mesh l is row i % b_l of block column col0_l + i // b_l
+    bs, col0 = np.repeat(b, counts), np.repeat(np.cumsum(nb) - nb, counts)
+    row, col = local % bs, col0 + local // bs
+    shape = (int(b.max()), int(nb.sum()), alpha.shape[1])
+    loc, P = np.zeros(shape), np.ones(shape)
+    loc[row, col], P[row, col] = alpha, r
+    for j in range(1, shape[0]):
         loc[j] += P[j] * loc[j - 1]
         P[j] *= P[j - 1]
-    carry = np.zeros((nb, mw))
-    for i in range(1, nb):
+    carry = np.zeros(shape[1:])
+    cont = np.ones(shape[1], dtype=bool)
+    cont[np.cumsum(nb) - nb] = False  # each mesh's first block starts from zero
+    for i in np.flatnonzero(cont).tolist():
         carry[i] = loc[-1, i - 1] + P[-1, i - 1] * carry[i - 1]
-    w = np.zeros((N, mw))
-    w[1:] = (loc + P * carry).transpose(1, 0, 2).reshape(nb * b, mw)[:N - 1]
+    ends = (loc + P * carry)[row, col]
+    w = np.zeros_like(alpha)
+    w[1:] = ends[:-1]
+    w[starts[:-1]] = 0.0
     return w
 
 
-def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
-    """Sequential solve in the spatial eigenbasis, one q x q block per slab width and mode.
+def _march(system, meshes, opts: SolverOptions) -> list:
+    """Solve on every mesh of meshes in one sequential solve; one MixedSolution per mesh.
 
-    The eigenbasis is the system's own (_modes), so only the first solve on
-    a system pays its O(m^3) reduction.  Every coefficient is
-    u_j = V w_j + kappa_j, kappa the known part: the constraint data on
-    R = pinv(B).  Every product with an m x m matrix is one 2-D GEMM over
-    all slabs, and the known part is formed at rank r1 + r2.  Slabs of one
-    exact width share their blocks: one LAPACK call factors each width's
-    block per mode once and solves it for all of that width's slabs
-    (_width_groups).  Only the modal terminal value w_end runs through the
-    slabs, by w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks
-    (_terminal_values).
+    The meshes' slabs are stacked one mesh after another and solved as one:
+    one data stage, one grouped block solve and one recurrence, cut at each
+    mesh's first slab, which starts from u0.  The spatial eigenbasis is the
+    system's own (_modes), so only the first solve on a system pays its
+    O(m^3) reduction.  Every coefficient is u_j = V w_j + kappa_j, kappa the
+    known part: the constraint data on R = pinv(B).  Every product with an
+    m x m matrix is one 2-D GEMM over all slabs, and the known part is
+    formed at rank r1 + r2.  Slabs of one exact width, in any mesh, share
+    their blocks: one LAPACK call factors each width's block per mode once
+    and solves it for all of that width's slabs (_width_groups).  Only the
+    modal terminal value w_end runs through the slabs, by
+    w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks of each mesh
+    (_terminal_values).  An error names the
+    1-based slab within its own mesh; it is raised at the first stage that
+    fails on any mesh, for the first such mesh.
     """
+    slabs = _Slabs.of(meshes)
     sigma, V, R = _modes(system)
-    data = _slab_data(system, mesh, opts)
+    data = _slab_data(system, slabs, opts)
     M, A, R1 = system.M, system.A, R[:, :system.r1]
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
-    N, q, mw = mesh.N, opts.q, sigma.size
+    q, mw, firsts = opts.q, sigma.size, slabs.starts[:-1]
     S = data.S[:, :, None]
-    slot, first, size = _width_groups(mesh.widths)
+    slot, first, size = _width_groups(slabs.widths)
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.concatenate([data.G / S, data.D2], axis=-1)
         kappa, kM, kA = (_gemm(c, X.T) for X in (R, M @ R, A @ R))
         # tested with the modes V and, for the multiplier, with R1
         VR = np.hstack([V, R1])
         rhs = _gemm(data.F - Dmat @ kM - S * kA, VR)
-        # the known part of every slab's u_prev term: u0, then kappa's terminal value
-        prev = np.vstack([M @ system.u0, kM[:-1].sum(axis=1)]) @ VR
+        # the known part of every slab's u_prev term: u0 on a mesh's first
+        # slab, else kappa's terminal value on the slab before
+        prev = np.empty((slabs.right.size, system.m))
+        prev[1:] = kM[:-1].sum(axis=1)
+        prev[firsts] = M @ system.u0
+        prev = prev @ VR
         K = Dmat + (data.S[first][:, None, :] * sigma[:, None])[..., None] * np.eye(q)
         # column j of group g is row g (size + 1) + j; each group's last column is e
         rows = first.size * (size + 1)
@@ -378,10 +399,10 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
         except np.linalg.LinAlgError:
             for g in np.argsort(first):  # _factor raises at the first singular block
                 for block in K[g]:
-                    _factor(block, first[g] + 1)
+                    _factor(block, int(slabs.number[first[g]]))
             raise
         a, v = X.reshape(rows, q, mw)[slot], X[slot // (size + 1), -1]
-        wprev = _terminal_values(a.sum(axis=1), v.sum(axis=1))
+        wprev = _terminal_values(a.sum(axis=1), v.sum(axis=1), slabs.starts)
         w = a + v * wprev[:, None, :]
         U = _gemm(w, V.T) + kappa
         P = None
@@ -394,9 +415,12 @@ def _march(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
     if P is not None:
         bad |= ~np.isfinite(P).all(axis=(1, 2))
     if bad.any():
-        raise SlabSolveError(int(np.argmax(bad)) + 1, "non-finite solution coefficients")
-    return MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
-                         partial(_conditions, system, q, mesh.widths))
+        raise SlabSolveError(int(slabs.number[np.argmax(bad)]), "non-finite solution coefficients")
+    Ps = [None] * len(meshes) if P is None else slabs.split(P)
+    return [MixedSolution(BrokenFunction(mesh, Ui),
+                          None if Pi is None else BrokenFunction(mesh, Pi),
+                          partial(_conditions, system, q, mesh.widths))
+            for mesh, Ui, Pi in zip(meshes, slabs.split(U), Ps)]
 
 
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -407,7 +431,7 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
     constraint blocks themselves, and the rest of the solution is marched
     on ker [B1; B2].  P carries the multiplier of B1, None when r1 = 0.
     """
-    return _march(system, mesh, opts)
+    return _march(system, [mesh], opts)[0]
 
 
 # the same solver under its older name
@@ -422,7 +446,7 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     of [B1; B2] on the LU factors of its width, the factors the condition
     estimates read.  P is the multiplier of B1; that of B2 is dropped.
     """
-    data = _slab_data(system, mesh, opts)
+    data = _slab_data(system, _Slabs.of([mesh]), opts)
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
     _, _, e = assemble_temporal_matrices(q, 1.0)
     # the constraint rows hold Smat times the g1 and the g2 coefficients
@@ -467,7 +491,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
         raise ValueError("multiplier P of dimension r1 required")
     M, A, B1, B2 = system.M, system.A, system.B1, system.B2
     R2 = _right_inverse(system)[:, r1:]
-    data = _slab_data(system, mesh, opts)
+    data = _slab_data(system, _Slabs.of([mesh]), opts)
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     S = data.S[:, :, None]
     uc = U.coeffs
@@ -492,10 +516,10 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
     polynomial identity on every slab, not just in quadrature.
     """
     _check_solution(system, mesh, opts, U)
-    quad = opts.quadrature()
+    quad, slabs = opts.quadrature(), _Slabs.of([mesh])
     out = np.zeros(mesh.N)
     for B, g, field in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):
         if B.shape[0]:
-            d = _slab_coeffs(g, mesh.breakpoints, quad, opts.q, field, B.shape[0], True)
+            d = _slab_coeffs(g, slabs, quad, opts.q, field, B.shape[0], True)
             out = np.maximum(out, np.abs(U.coeffs @ B.T - d).max(axis=(1, 2)))
     return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .timecore import BrokenFunction, Quadrature, SlabPoly, TimeMesh, _is_count
+from .timecore import BrokenFunction, Quadrature, SlabPoly, TimeMesh, _is_count, _Slabs
 
 __all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
 
@@ -78,15 +78,15 @@ def _batched(func, flat: np.ndarray, dim: int):
     return vals.T
 
 
-def _sample(func, ts: np.ndarray, field: str, dim: int) -> np.ndarray:
-    """Values of the data callable func at the times ts, shape (N, k, dim).
+def _sample(func, ts: np.ndarray, field: str, dim: int, number: np.ndarray) -> np.ndarray:
+    """Values of the data callable func at the times ts, shape (S, k, dim).
 
-    Row n of ts (shape (N, k)) lies in slab n + 1.  A callable that maps an
-    array of times (n,) to (dim, n) is called once; any other is called one
-    time at a time.  Wrong shapes and non-finite values raise DataError
-    naming the field and the 1-based slab.
+    Row s of ts (shape (S, k)) lies in slab number[s], counted from 1 in
+    its own mesh.  A callable that maps an array of times (n,) to (dim, n)
+    is called once; any other is called one time at a time.  Wrong shapes
+    and non-finite values raise DataError naming the field and that slab.
     """
-    N, k = ts.shape
+    S, k = ts.shape
     flat = ts.ravel()
     vals = _batched(func, flat, dim)
     if vals is None:
@@ -94,18 +94,18 @@ def _sample(func, ts: np.ndarray, field: str, dim: int) -> np.ndarray:
         for i, t in enumerate(flat.tolist()):
             v = np.atleast_1d(np.asarray(func(t), dtype=float))
             if v.shape != (dim,):
-                raise DataError(f"{field} returned shape {v.shape} on slab {i // k + 1}, "
+                raise DataError(f"{field} returned shape {v.shape} on slab {number[i // k]}, "
                                 f"expected ({dim},)")
             vals[i] = v
     bad = ~np.isfinite(vals).all(axis=1)
     if bad.any():
-        raise DataError(f"non-finite {field} data on slab {int(np.argmax(bad)) // k + 1}")
-    return vals.reshape(N, k, dim)
+        raise DataError(f"non-finite {field} data on slab {number[int(np.argmax(bad)) // k]}")
+    return vals.reshape(S, k, dim)
 
 
-def _slab_nodes(bp: np.ndarray, quad: Quadrature) -> np.ndarray:
-    """Quadrature nodes mapped into every slab of the breakpoints bp; shape (N, npts)."""
-    return bp[:-1, None] + np.diff(bp)[:, None] * quad.nodes
+def _slab_nodes(slabs: _Slabs, quad: Quadrature) -> np.ndarray:
+    """Quadrature nodes mapped into every slab; shape (S, npts)."""
+    return slabs.left[:, None] + slabs.widths[:, None] * quad.nodes
 
 
 def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> np.ndarray:
@@ -114,22 +114,22 @@ def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> 
     return widths[:, None, None] * (Phiw @ vals)
 
 
-def _slab_coeffs(func, bp: np.ndarray, quad: Quadrature, q: int, field: str, dim: int,
+def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
                  interpolate_end: bool) -> np.ndarray:
-    """Modal coefficients (N, q, dim) of func projected slab-wise onto degree q - 1.
+    """Modal coefficients (S, q, dim) of func projected slab-wise onto degree q - 1.
 
     interpolate_end selects the endpoint-interpolating projection; otherwise
     the plain L2 projection, which matches q moments instead.
     """
-    widths = np.diff(bp)
+    widths = slabs.widths
     n_mom = q - 1 if interpolate_end else q
     coeffs = np.zeros((widths.size, q, dim))
     if n_mom:
-        vals = _sample(func, _slab_nodes(bp, quad), field, dim)
+        vals = _sample(func, _slab_nodes(slabs, quad), field, dim, slabs.number)
         scale = (2.0 * np.arange(n_mom) + 1.0) / widths[:, None]
         coeffs[:, :n_mom] = scale[:, :, None] * _moments(vals, widths, quad, n_mom)
     if interpolate_end:
-        end = _sample(func, bp[1:, None], field, dim)[:, 0]
+        end = _sample(func, slabs.right[:, None], field, dim, slabs.number)[:, 0]
         coeffs[:, q - 1] = end - coeffs[:, : q - 1].sum(axis=1)
     return coeffs
 
@@ -153,7 +153,8 @@ def project_slab(phi, interval, spec: ProjectionSpec) -> SlabPoly:
     end = np.atleast_1d(np.asarray(phi(b), dtype=float))
     if end.ndim != 1:
         raise ValueError("data function must return a scalar or 1-D vector")
-    coeffs = _slab_coeffs(phi, np.array([a, b]), spec.quadrature, spec.q, "phi", end.size, True)
+    slab = _Slabs(np.array([a]), np.array([b]), np.array([0, 1]))
+    coeffs = _slab_coeffs(phi, slab, spec.quadrature, spec.q, "phi", end.size, True)
     return SlabPoly(a, b, coeffs[0])
 
 
@@ -166,5 +167,5 @@ def project_broken(phi, mesh: TimeMesh, dim: int, spec: ProjectionSpec) -> Broke
     within each slab.  A phi that maps an array of times (n,) to (dim, n)
     is called once for all nodes and once for all breakpoints.
     """
-    coeffs = _slab_coeffs(phi, mesh.breakpoints, spec.quadrature, spec.q, "phi", dim, True)
+    coeffs = _slab_coeffs(phi, _Slabs.of([mesh]), spec.quadrature, spec.q, "phi", dim, True)
     return BrokenFunction(mesh, coeffs)

@@ -347,16 +347,20 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
         M[idx, idx] += (h / 30.0) * EL_MASS
         A[idx, idx] += (1.0 / (3.0 * h)) * EL_STIFF
 
-    # f(t) = L v(t): v holds u_t - u_xx at the element Gauss points and L
-    # assembles h * weight * shape into the P2 load vector.
+    # f(t) assembles the P2 load vector from v(t) = u_t - u_xx at the element
+    # Gauss points: element e's three shapes take el_load @ v_e, and its end
+    # shapes add into the nodes it shares with its neighbours.
     x_gauss = (x_nodes[:-1:2][:, None] + h * _GAUSS3_X[None, :]).ravel()
-    L = np.zeros((m, x_gauss.size))
     el_load = h * (_GAUSS3_W[:, None] * _p2_shapes(_GAUSS3_X)).T  # (3 shapes, 3 gauss)
-    for e in range(n_elements):
-        L[2 * e: 2 * e + 3, 3 * e: 3 * e + 3] += el_load
 
     def f(t):
-        return L @ (_at_points(sol.u_t, x_gauss, t) - _at_points(sol.u_xx, x_gauss, t))
+        v = _at_points(sol.u_t, x_gauss, t) - _at_points(sol.u_xx, x_gauss, t)
+        loads = el_load @ v.reshape(n_elements, 3, -1)  # (element, shape, time)
+        out = np.zeros((m, loads.shape[2]))
+        out[:-1:2] = loads[:, 0]
+        out[1::2] = loads[:, 1]
+        out[2::2] += loads[:, 2]
+        return out.reshape((m,) + v.shape[1:])
 
     B2 = np.zeros((2, m))
     B2[0, 0] = 1.0

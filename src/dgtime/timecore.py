@@ -32,8 +32,9 @@ D(Y, Y) >= 0.5 * ||Y^N||_M^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -119,6 +120,39 @@ def build_uniform_mesh(T: float, N: int) -> TimeMesh:
     if not _is_count(N) or N < 1:
         raise ValueError(f"slab count N must be an integer >= 1, got {N!r}")
     return TimeMesh(np.linspace(0.0, float(T), int(N) + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class _Slabs:
+    """The slabs (left, right] of one or more meshes, stacked mesh after mesh.
+
+    left and right are (S,) endpoint arrays over all S slabs; mesh i owns
+    slabs starts[i]:starts[i + 1].  number is every slab's 1-based index
+    within its own mesh, the index an error message names.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, meshes) -> "_Slabs":
+        bps = [mesh.breakpoints for mesh in meshes]
+        return cls(np.concatenate([bp[:-1] for bp in bps]), np.concatenate([bp[1:] for bp in bps]),
+                   np.cumsum([0] + [bp.size - 1 for bp in bps]))
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        return self.right - self.left
+
+    @cached_property
+    def number(self) -> np.ndarray:
+        return np.arange(1, self.right.size + 1) - np.repeat(self.starts[:-1],
+                                                             np.diff(self.starts))
+
+    def split(self, x: np.ndarray) -> list:
+        """x, stacked over the slabs along its first axis, as one view per mesh."""
+        return [x[a:b] for a, b in zip(self.starts[:-1].tolist(), self.starts[1:].tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,10 +336,21 @@ def _slab_derivative_values(F: BrokenFunction, nodes: np.ndarray) -> np.ndarray:
     return _slab_values(dc, nodes)
 
 
+def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """x @ B for x (..., a) and B (a, b) as one 2-D product; a or b may be 0."""
+    lead = x.shape[:-1]
+    return (x.reshape(math.prod(lead), x.shape[-1]) @ B).reshape(*lead, B.shape[1])
+
+
+def _slab_inner(Yv: np.ndarray, M: np.ndarray, Xv: np.ndarray, quad: Quadrature) -> np.ndarray:
+    """int_{I_n} (Y, X)_M dt / k_n for every slab from node values (N, npts, d); shape (N,)."""
+    return (_gemm(Yv, M) * Xv).sum(axis=-1) @ quad.weights
+
+
 def _slab_integral(Yv: np.ndarray, M: np.ndarray, Xv: np.ndarray, widths: np.ndarray,
                    quad: Quadrature) -> float:
     """sum_n int_{I_n} (Y, X)_M dt from node values (N, npts, d)."""
-    return float((((Yv @ M) * Xv).sum(axis=-1) @ quad.weights) @ widths)
+    return float(_slab_inner(Yv, M, Xv, quad) @ widths)
 
 
 def _starts(F: BrokenFunction) -> np.ndarray:

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dgtime import analysis
 from dgtime import (
     BrokenFunction,
+    ConstrainedSystem,
     DataError,
+    SlabSolveError,
     EOC_FLOOR,
     SolverOptions,
     build_saddle_dae,
@@ -20,6 +22,7 @@ from dgtime import (
     gauss_legendre,
     l2_project_broken,
     run_study,
+    solve_constrained,
     solve_mixed,
 )
 
@@ -225,7 +228,7 @@ def test_run_study_rejects_empty_norms_before_solving(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before rejecting norms")
 
-    monkeypatch.setattr(analysis, "solve_constrained", no_solve)
+    monkeypatch.setattr(analysis, "_march", no_solve)
     for norms in ((), []):
         with pytest.raises(ValueError, match="norms must name at least one of"):
             run_study("stokes3", 2, [4, 8], norms=norms)
@@ -236,7 +239,7 @@ def test_study_and_eoc_reject_slab_counts_that_do_not_increase(Ns, monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before rejecting Ns")
 
-    monkeypatch.setattr(analysis, "solve_constrained", no_solve)
+    monkeypatch.setattr(analysis, "_march", no_solve)
     with pytest.raises(ValueError, match="Ns must be strictly increasing"):
         run_study("stokes3", 2, Ns)
     with pytest.raises(ValueError, match="Ns must be strictly increasing"):
@@ -247,7 +250,7 @@ def test_run_study_rejects_q_beyond_its_error_rule(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved before rejecting q")
 
-    monkeypatch.setattr(analysis, "solve_constrained", no_solve)
+    monkeypatch.setattr(analysis, "_march", no_solve)
     with pytest.raises(ValueError, match="q must be at most 13 for a study"):
         run_study("stokes3", 14, [4, 8])
 
@@ -280,3 +283,56 @@ def test_run_study_rejects_a_non_finite_error(Ns):
     system = dataclasses.replace(build_saddle_dae("stokes3"), normU=-np.eye(3))
     with pytest.raises(ValueError, match=r"err_energy is not finite \(nan\) at N = 4"):
         run_study(system, 2, Ns)
+
+
+def _level_by_level(system, q, Ns, norms):
+    """The study's levels solved and measured one after the other, each on its own."""
+    quad = gauss_legendre(q + 3)
+    for N in Ns:
+        sol = solve_constrained(system, build_uniform_mesh(1.0, N), SolverOptions(q=q))
+        rec = {}
+        if "energy" in norms:
+            rec["err_energy"] = error_l2_energy(sol.U, system.exact_u, system.normU, quad)
+        if "nodal" in norms:
+            rec["err_nodal"] = error_nodal_max(sol.U, system.exact_u, system.M)
+        for key, err in rec.items():
+            if not math.isfinite(err):
+                raise ValueError(f"{key} is not finite ({err}) at N = {N}")
+
+
+def _nan_at(fn, t0):
+    """fn with NaN data at exactly the time t0, evaluable at one time or an array of times."""
+    return lambda t: fn(t) + np.where(np.asarray(t) == t0, np.nan, 0.0)
+
+
+def _failing_levels():
+    stokes3 = build_saddle_dae("stokes3")
+    # 0.75 is the right end of slab 3 at N = 4; N = 2 samples g1 only at other times
+    nan_g1 = dataclasses.replace(stokes3, g1=_nan_at(stokes3.g1, 0.75))
+    # q = 1 blocks are 1 - 2k: singular at k = 0.5, the width of the N = 2 level only
+    growth = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1), f=lambda t: 0.0 * np.asarray(t),
+                               u0=np.ones(1), normU=np.eye(1),
+                               exact_u=lambda t: np.exp(2.0 * np.asarray(t)))
+    # an indefinite norm weight makes every energy error sqrt(negative) = nan
+    indefinite = dataclasses.replace(stokes3, normU=-np.eye(3))
+    return {
+        "data error on a finer level": (nan_g1, 2, (2, 4, 8), DataError,
+                                        "non-finite g1 data on slab 3"),
+        "singular width of one level": (growth, 1, (1, 2, 4), SlabSolveError,
+                                        "slab 1: singular slab system"),
+        "non-finite error": (indefinite, 2, (4, 8), ValueError,
+                             r"err_energy is not finite \(nan\) at N = 4"),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_failing_levels()))
+def test_a_failing_level_raises_what_its_own_solve_raises(case):
+    system, q, Ns, error, message = _failing_levels()[case]
+    norms = ("energy", "nodal")
+    with pytest.raises(error, match=message) as alone:
+        _level_by_level(system, q, Ns, norms)
+    with pytest.raises(error) as study:
+        run_study(system, q, Ns, norms=norms)
+    assert type(study.value) is type(alone.value)
+    assert str(study.value) == str(alone.value)

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -25,6 +26,10 @@ from dgtime import (
     constraint_residual,
     dg_residual,
     dh_form,
+    error_l2_energy,
+    error_l2_multiplier,
+    error_nodal_max,
+    gauss_legendre,
     load_system,
     run_study,
     solve_constrained,
@@ -850,17 +855,18 @@ def test_scalar_only_data_matches_vectorized_data(widths, q, use_projection, pro
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-13 * max(1.0, np.abs(b.coeffs).max())
 
 
-def _counting(system):
-    calls = [0]
+def _counting(system, fields=("f", "g1", "g2")):
+    """system with its callables in fields wrapped, and the calls of each, by field."""
+    calls = Counter()
 
-    def wrap(fn):
+    def wrap(name, fn):
         def call(t):
-            calls[0] += 1
+            calls[name] += 1
             return fn(t)
         return call
 
-    return replace(system, **{name: wrap(getattr(system, name))
-                              for name in ("f", "g1", "g2") if getattr(system, name)}), calls
+    return replace(system, **{name: wrap(name, getattr(system, name))
+                              for name in fields if getattr(system, name)}), calls
 
 
 @pytest.mark.parametrize("problem", ["stokes3", "heat1d"])
@@ -872,7 +878,7 @@ def test_data_calls_per_solve_do_not_grow_with_N(problem, use_projection):
         counted, calls = _counting(system)
         solve_constrained(counted, build_uniform_mesh(1.0, N),
                           SolverOptions(q=3, use_projection=use_projection))
-        counts.append(calls[0])
+        counts.append(calls)
     assert counts[0] == counts[1]
 
 
@@ -887,7 +893,7 @@ def test_preset_data_is_sampled_in_one_call(tmp_path):
     for N in (16, 512):
         counted, calls = _counting(system)
         solve_mixed(counted, build_uniform_mesh(1.0, N), SolverOptions(q=2))
-        counts.append(calls[0])
+        counts.append(calls)
     assert counts[0] == counts[1]
 
 
@@ -1122,10 +1128,10 @@ def test_blocked_recurrence_stays_near_the_sequential_rounding(N, q):
     with mock.patch.object(dgsolver, "_terminal_values", wraps=dgsolver._terminal_values) as tv:
         solve_constrained(build_saddle_dae("stokes3"), build_uniform_mesh(1.0, N),
                           SolverOptions(q=q))
-    alpha, r = tv.call_args.args
+    alpha, r, starts = tv.call_args.args
     exact = _sequential_terminal_values(alpha, r, np.longdouble)
     loop = np.abs(_sequential_terminal_values(alpha, r, float) - exact).max()
-    blocked = np.abs(dgsolver._terminal_values(alpha, r) - exact).max()
+    blocked = np.abs(dgsolver._terminal_values(alpha, r, starts) - exact).max()
     assert 0.0 < loop and blocked <= 4.0 * loop
 
 
@@ -1133,6 +1139,114 @@ def test_blocked_recurrence_stays_near_the_sequential_rounding(N, q):
 def test_blocked_recurrence_on_short_and_empty_sequences(N, mw):
     rng = np.random.default_rng(N)
     alpha, r = rng.standard_normal((N, mw)), rng.uniform(0.0, 1.0, (N, mw))
-    w = dgsolver._terminal_values(alpha, r)
+    w = dgsolver._terminal_values(alpha, r, np.array([0, N]))
     # up to three slabs, the blocks reduce to the sequential arithmetic
     np.testing.assert_array_equal(w, _sequential_terminal_values(alpha, r, float))
+
+
+@settings(max_examples=12, deadline=None)
+@given(starts=st.lists(st.integers(1, 60), min_size=1, max_size=5).map(
+           lambda counts: np.cumsum([0] + counts)),
+       mw=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_blocked_recurrence_restarts_at_each_mesh_with_its_own_blocks(starts, mw, seed):
+    rng = np.random.default_rng(seed)
+    alpha, r = rng.standard_normal((starts[-1], mw)), rng.uniform(-1.0, 1.0, (starts[-1], mw))
+    w = dgsolver._terminal_values(alpha, r, starts)
+    for a, b in zip(starts[:-1], starts[1:]):
+        alone = dgsolver._terminal_values(alpha[a:b], r[a:b], np.array([0, b - a]))
+        np.testing.assert_array_equal(w[a:b], alone)
+
+
+# ---------------------------------------------------------------------------
+# a convergence study is one stacked march over all of its levels
+
+
+def _study_cases():
+    return {"stokes3": lambda seed: build_saddle_dae("stokes3"),
+            "heat1d": lambda seed: build_heat_1d(4),
+            **{kind: lambda seed, kind=kind: _with_exact(_random_system(seed, kind, 4, 2))
+               for kind in ("spd", "saddle", "combined")}}
+
+
+def _pointwise(fn):
+    """fn evaluated one time at a time, so a value does not depend on the other times of a call.
+
+    The random systems' g1 and g2 are BLAS products B @ path(t) over all
+    times of a call, whose rounding may change with the number of times.
+    """
+    def call(t):
+        if np.ndim(t) == 0:
+            return fn(t)
+        return np.stack([fn(ti) for ti in np.asarray(t).tolist()], axis=-1)
+    return call
+
+
+def _with_exact(system):
+    """A random system with pointwise data and smooth stand-ins for exact_u and exact_p."""
+    g = {name: _pointwise(getattr(system, name)) for name in ("g1", "g2") if getattr(system, name)}
+    return replace(system, **g, exact_u=system.f, exact_p=g.get("g1"))
+
+
+def _recorded_study(system, q, Ns, use_projection, norms):
+    """run_study's table and the solutions of the one _march call it makes."""
+    marched = []
+
+    def recording(*args):
+        marched.append(dgsolver._march(*args))
+        return marched[-1]
+
+    with mock.patch("dgtime.analysis._march", recording):
+        table = run_study(system, q, Ns, use_projection=use_projection, norms=norms)
+    assert len(marched) == 1
+    return table, marched[0]
+
+
+def _close(x, ref, rtol):
+    assert np.abs(x - ref).max() <= rtol * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_study_cases())), seed=st.integers(0, 2**32 - 1),
+       q=st.integers(1, 4), use_projection=st.booleans(),
+       Ns=st.sets(st.integers(1, 40), min_size=1, max_size=5).map(sorted))
+def test_study_equals_per_level_solves_and_public_norms(case, seed, q, use_projection, Ns):
+    system = _study_cases()[case](seed)
+    norms = ("energy", "nodal") + (("multiplier",) if system.r1 else ())
+    table, sols = _recorded_study(system, q, Ns, use_projection, norms)
+    opts, quad = SolverOptions(q=q, use_projection=use_projection), gauss_legendre(q + 3)
+    for N, row, sol in zip(Ns, table.rows, sols):
+        mesh = build_uniform_mesh(1.0, N)
+        ref = solve_constrained(system, mesh, opts)
+        np.testing.assert_array_equal(sol.U.mesh.breakpoints, mesh.breakpoints)
+        _close(sol.U.coeffs, ref.U.coeffs, 1e-13)
+        errors = {"err_energy": error_l2_energy(ref.U, system.exact_u, system.normU, quad),
+                  "err_nodal": error_nodal_max(ref.U, system.exact_u, system.M)}
+        if system.r1:
+            _close(sol.P.coeffs, ref.P.coeffs, 1e-13)
+            errors["err_p"] = error_l2_multiplier(ref.P, system.exact_p, system.normQ1, quad)
+        else:
+            assert sol.P is None and row.err_p is None
+        for key, err in errors.items():
+            assert abs(getattr(row, key) - err) <= 1e-13 * err
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+@pytest.mark.parametrize("use_projection", [True, False])
+def test_data_and_exact_calls_per_study_do_not_grow_with_its_levels(problem, use_projection):
+    system = _BUILDERS[problem]()
+    norms = ("energy", "nodal") + (("multiplier",) if system.r1 else ())
+    counts = []
+    for Ns in ((8,), (8, 16, 32, 64, 128)):
+        counted, calls = _counting(system, ("f", "g1", "g2", "exact_u", "exact_p"))
+        run_study(counted, 2, Ns, use_projection=use_projection, norms=norms)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["f"] == 2  # one array call and its scalar probe
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_a_study_makes_one_block_solve_call(problem):
+    system = _BUILDERS[problem]()
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        run_study(system, 2, (8, 16, 32, 64, 128))
+    assert solve.call_count == 1

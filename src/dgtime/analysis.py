@@ -43,25 +43,24 @@ EOC_FLOOR = 1e-13
 STUDY_NORMS = ("energy", "nodal", "multiplier")
 
 
-def _l2_errors(coeffs: np.ndarray, exact, W: np.ndarray, quad: Quadrature, slabs: _Slabs,
-               field: str) -> list:
-    """The L2-in-time error of U against exact on every mesh of slabs; U's coeffs (S, q, d)."""
-    ts = _slab_nodes(slabs, quad)
-    D = _slab_values(coeffs, quad.nodes) - _sample(exact, ts, field, coeffs.shape[2], slabs.number)
+def _l2_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, quad: Quadrature,
+               slabs: _Slabs) -> list:
+    """The L2-in-time error on every mesh of slabs; coeffs (S, q, d), exact (S, npts, d) at quad."""
+    D = _slab_values(coeffs, quad.nodes) - exact
     squares = _slab_inner(D, W, D, quad)
     return [float(np.sqrt(s @ k)) for s, k in zip(slabs.split(squares), slabs.split(slabs.widths))]
 
 
-def _nodal_errors(coeffs: np.ndarray, exact, W: np.ndarray, slabs: _Slabs) -> list:
-    """max_n ||U^n - exact(t_n)||_W on every mesh of slabs; U's coeffs (S, q, d)."""
-    ts = slabs.right[:, None]
-    d = coeffs.sum(axis=1) - _sample(exact, ts, "exact_u", coeffs.shape[2], slabs.number)[:, 0]
+def _nodal_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, slabs: _Slabs) -> list:
+    """max_n ||U^n - exact(t_n)||_W on every mesh of slabs; coeffs (S, q, d), exact (S, d)."""
+    d = coeffs.sum(axis=1) - exact
     return [float(e.max()) for e in slabs.split(np.sqrt(((d @ W) * d).sum(axis=-1)))]
 
 
 def _l2_error(U: BrokenFunction, exact, W, quad: Quadrature, field: str) -> float:
-    return _l2_errors(U.coeffs, exact, _weight_matrix(W, U.dim), quad, _Slabs.of([U.mesh]),
-                      field)[0]
+    W, slabs = _weight_matrix(W, U.dim), _Slabs.of([U.mesh])
+    values = _sample(exact, _slab_nodes(slabs, quad), field, U.dim, slabs.number)
+    return _l2_errors(U.coeffs, values, W, quad, slabs)[0]
 
 
 def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
@@ -71,7 +70,9 @@ def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
 
 def error_nodal_max(U: BrokenFunction, exact, M) -> float:
     """max_n ||U^n - exact(t_n)||_M over the breakpoints t_1 .. t_N."""
-    return _nodal_errors(U.coeffs, exact, _weight_matrix(M, U.dim), _Slabs.of([U.mesh]))[0]
+    W, slabs = _weight_matrix(M, U.dim), _Slabs.of([U.mesh])
+    values = _sample(exact, slabs.right[:, None], "exact_u", U.dim, slabs.number)[:, 0]
+    return _nodal_errors(U.coeffs, values, W, slabs)[0]
 
 
 def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) -> float:
@@ -169,12 +170,13 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     manufactured exact solutions; the table carries the system's name.
     Each N gets a uniform mesh on (0, 1]; ``norms`` names at least one of
     STUDY_NORMS.  The study is one stacked march over all levels (the
-    solver's _march): every data field and every norm's exact solution is
-    sampled once for all levels, and each norm is reduced per level, so a
-    row holds what solve_constrained and the public norms give on its mesh.
-    A failure names the level's own N or 1-based slab; when several levels
-    fail, the first failing stage (data, solve, norms) reports its first
-    level.
+    solver's _march), which returns stacked coefficients.  Each data field
+    is sampled once for all levels, exact_u in one call at the error rule's
+    nodes and the right end of every slab, and each norm is reduced per
+    level, so a row holds what solve_constrained and the public norms give
+    on its mesh.  A failure names the level's own N or 1-based slab; when
+    several levels fail, the first failing stage (data, solve, norms)
+    reports its first level.
     """
     opts = SolverOptions(q=q, use_projection=use_projection)
     if q + 3 > _MAX_POINTS:
@@ -195,40 +197,26 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
         raise ValueError("multiplier norm requires r1 >= 1 and exact_p")
     errquad = gauss_legendre(q + 3)
 
-    meshes = [build_uniform_mesh(1.0, N) for N in Ns]
-    sols = _march(system, meshes, opts)
-    slabs = _Slabs.of(meshes)
-    U = np.concatenate([sol.U.coeffs for sol in sols])
+    slabs = _Slabs.of([build_uniform_mesh(1.0, N) for N in Ns])
+    U, P = _march(system, slabs, opts)
+    nodes = _slab_nodes(slabs, errquad)
+    u = _sample(system.exact_u, np.hstack([nodes, slabs.right[:, None]]), "exact_u", system.m,
+                slabs.number)
     errors = {}
     if "energy" in norms:
-        errors["err_energy"] = _l2_errors(U, system.exact_u, system.normU, errquad, slabs,
-                                          "exact_u")
+        errors["energy"] = _l2_errors(U, u[:, :-1], system.normU, errquad, slabs)
     if "nodal" in norms:
-        errors["err_nodal"] = _nodal_errors(U, system.exact_u, system.M, slabs)
+        errors["nodal"] = _nodal_errors(U, u[:, -1], system.M, slabs)
     if "multiplier" in norms:
-        P = np.concatenate([sol.P.coeffs for sol in sols])
-        errors["err_p"] = _l2_errors(P, system.exact_p, system.normQ1, errquad, slabs, "exact_p")
-    recs = []
+        p = _sample(system.exact_p, nodes, "exact_p", system.r1, slabs.number)
+        errors["p"] = _l2_errors(P, p, system.normQ1, errquad, slabs)
+    rows = []
     for i, N in enumerate(Ns):
-        rec = {"N": N, "k": 1.0 / N, **{key: errs[i] for key, errs in errors.items()}}
-        for key, err in rec.items():
-            if not math.isfinite(err):
-                raise ValueError(f"{key} is not finite ({err}) at N = {N}")
-        recs.append(rec)
-
-    orders = {}
-    for key in ("err_energy", "err_nodal", "err_p"):
-        if key in recs[0] and len(recs) >= 2:
-            orders[key] = [None] + eoc([r[key] for r in recs], Ns)
-        else:
-            orders[key] = [None] * len(recs)
-    rows = tuple(
-        StudyRow(
-            N=r["N"], k=r["k"],
-            err_energy=r.get("err_energy"), eoc_energy=orders["err_energy"][i],
-            err_nodal=r.get("err_nodal"), eoc_nodal=orders["err_nodal"][i],
-            err_p=r.get("err_p"), eoc_p=orders["err_p"][i],
-        )
-        for i, r in enumerate(recs)
-    )
-    return EOCTable(problem=system.name, q=q, use_projection=use_projection, rows=rows)
+        cells = {}
+        for name, errs in errors.items():
+            if not math.isfinite(errs[i]):
+                raise ValueError(f"err_{name} is not finite ({errs[i]}) at N = {N}")
+            cells[f"err_{name}"] = errs[i]
+            cells[f"eoc_{name}"] = eoc(errs[i - 1:i + 1], Ns[i - 1:i + 1])[0] if i else None
+        rows.append(StudyRow(N=N, k=1.0 / N, **cells))
+    return EOCTable(problem=system.name, q=q, use_projection=use_projection, rows=tuple(rows))

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -167,8 +168,8 @@ def _cmd_study(args) -> int:
             continue
         path = args.output
         if len(tables) > 1:
-            stem, dot, ext = path.rpartition(".")
-            path = f"{stem}_projection_{proj}.{ext}" if dot else f"{path}_projection_{proj}"
+            root, ext = os.path.splitext(path)  # a dot in a directory is no extension
+            path = f"{root}_projection_{proj}{ext}"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(render(table))
         print(f"wrote {path}")

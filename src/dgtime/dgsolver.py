@@ -12,7 +12,8 @@ where Dmat collects the weak time derivative plus the upwind jump term,
 Smat = diag(k / (2j+1)) is the slab mass matrix, e_i = phi_i(t_{n-1}+)
 = (-1)^i, F_i = int_{I_n} phi_i f dt, and u_prev is the terminal value of
 the previous slab (the initial state for n = 1).  All data (load moments
-and projected constraint data) is computed for every slab at once.
+and projected constraint data) is computed for every slab at once, from
+one call per data field.
 
 Constraint data enters through G_i.  With the projection switch on, g1 is
 replaced by its endpoint-interpolating slab projection, which makes the
@@ -52,7 +53,8 @@ A convergence study is one such march over all of its meshes: their slabs
 are stacked mesh after mesh, the data is sampled once per field for all
 of them, the block solve is one LAPACK call, and the recurrence restarts
 from u0 at each mesh's first slab.  Each mesh keeps its own sqrt(N)
-blocks, so its recurrence is the one a march on it alone runs.
+blocks, so its recurrence is the one a march on it alone runs.  The march
+returns stacked arrays; only solve_constrained builds a MixedSolution.
 
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
@@ -349,14 +351,15 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     return w
 
 
-def _march(system, meshes, opts: SolverOptions) -> list:
-    """Solve on every mesh of meshes in one sequential solve; one MixedSolution per mesh.
+def _march(system, slabs: _Slabs, opts: SolverOptions):
+    """(U, P): the coefficients of one sequential solve on every mesh of slabs, stacked.
 
-    The meshes' slabs are stacked one mesh after another and solved as one:
-    one data stage, one grouped block solve and one recurrence, cut at each
-    mesh's first slab, which starts from u0.  The spatial eigenbasis is the
-    system's own (_modes), so only the first solve on a system pays its
-    O(m^3) reduction.  Every coefficient is u_j = V w_j + kappa_j, kappa the
+    U is (S, q, m) and P (S, q, r1), None when r1 = 0, both stacked like
+    the slabs.  The meshes' slabs are solved as one: one data stage, one
+    grouped block solve and one recurrence, cut at each mesh's first slab,
+    which starts from u0.  The spatial eigenbasis is the system's own
+    (_modes), so only the first solve on a system pays its O(m^3)
+    reduction.  Every coefficient is u_j = V w_j + kappa_j, kappa the
     known part: the constraint data on R = pinv(B).  Every product with an
     m x m matrix is one 2-D GEMM over all slabs, and the known part is
     formed at rank r1 + r2.  Slabs of one exact width, in any mesh, share
@@ -368,7 +371,6 @@ def _march(system, meshes, opts: SolverOptions) -> list:
     1-based slab within its own mesh; it is raised at the first stage that
     fails on any mesh, for the first such mesh.
     """
-    slabs = _Slabs.of(meshes)
     sigma, V, R = _modes(system)
     data = _slab_data(system, slabs, opts)
     M, A, R1 = system.M, system.A, R[:, :system.r1]
@@ -416,11 +418,7 @@ def _march(system, meshes, opts: SolverOptions) -> list:
         bad |= ~np.isfinite(P).all(axis=(1, 2))
     if bad.any():
         raise SlabSolveError(int(slabs.number[np.argmax(bad)]), "non-finite solution coefficients")
-    Ps = [None] * len(meshes) if P is None else slabs.split(P)
-    return [MixedSolution(BrokenFunction(mesh, Ui),
-                          None if Pi is None else BrokenFunction(mesh, Pi),
-                          partial(_conditions, system, q, mesh.widths))
-            for mesh, Ui, Pi in zip(meshes, slabs.split(U), Ps)]
+    return U, P
 
 
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -431,7 +429,9 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
     constraint blocks themselves, and the rest of the solution is marched
     on ker [B1; B2].  P carries the multiplier of B1, None when r1 = 0.
     """
-    return _march(system, [mesh], opts)[0]
+    U, P = _march(system, _Slabs.of([mesh]), opts)
+    return MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
+                         partial(_conditions, system, opts.q, mesh.widths))
 
 
 # the same solver under its older name

@@ -119,18 +119,22 @@ def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim:
     """Modal coefficients (S, q, dim) of func projected slab-wise onto degree q - 1.
 
     interpolate_end selects the endpoint-interpolating projection; otherwise
-    the plain L2 projection, which matches q moments instead.
+    the plain L2 projection, which matches q moments instead.  One call
+    samples func at the nodes and, to interpolate, the right ends.
     """
     widths = slabs.widths
     n_mom = q - 1 if interpolate_end else q
+    ts = _slab_nodes(slabs, quad) if n_mom else np.empty((widths.size, 0))
+    if interpolate_end:
+        ts = np.hstack([ts, slabs.right[:, None]])
+    vals = _sample(func, ts, field, dim, slabs.number)
     coeffs = np.zeros((widths.size, q, dim))
     if n_mom:
-        vals = _sample(func, _slab_nodes(slabs, quad), field, dim, slabs.number)
         scale = (2.0 * np.arange(n_mom) + 1.0) / widths[:, None]
-        coeffs[:, :n_mom] = scale[:, :, None] * _moments(vals, widths, quad, n_mom)
+        moments = _moments(vals[:, :quad.npoints], widths, quad, n_mom)
+        coeffs[:, :n_mom] = scale[:, :, None] * moments
     if interpolate_end:
-        end = _sample(func, slabs.right[:, None], field, dim, slabs.number)[:, 0]
-        coeffs[:, q - 1] = end - coeffs[:, : q - 1].sum(axis=1)
+        coeffs[:, q - 1] = vals[:, -1] - coeffs[:, : q - 1].sum(axis=1)
     return coeffs
 
 
@@ -165,7 +169,7 @@ def project_broken(phi, mesh: TimeMesh, dim: int, spec: ProjectionSpec) -> Broke
     be evaluable at the breakpoints and at interior quadrature nodes; data
     with (removable) breakpoint discontinuities is read as its limit from
     within each slab.  A phi that maps an array of times (n,) to (dim, n)
-    is called once for all nodes and once for all breakpoints.
+    is called once, for all nodes and breakpoints together.
     """
     coeffs = _slab_coeffs(phi, _Slabs.of([mesh]), spec.quadrature, spec.q, "phi", dim, True)
     return BrokenFunction(mesh, coeffs)

@@ -187,8 +187,10 @@ def gauss_legendre(n: int) -> Quadrature:
 
     Each rule is built once per n and shared by every caller: Quadrature
     is frozen and its arrays are read-only.  The cache is typed, so a
-    float n still fails in leggauss rather than hitting an int's rule.
+    float or bool n still fails here rather than hitting an int's rule.
     """
+    if not _is_count(n):
+        raise TypeError(f"point count must be an integer, got {n!r}")
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f"point count must be in 1..{_MAX_POINTS}, got {n}")
     x, w = npleg.leggauss(n)
@@ -309,11 +311,15 @@ class BrokenFunction:
         return BrokenFunction(self.mesh, self._pad_to(q) - other._pad_to(q))
 
 
-def _check_same_domain(Y: BrokenFunction, X: BrokenFunction):
+def _check_same_domain(Y: BrokenFunction, X: BrokenFunction, quad: Quadrature | None = None):
+    """Y and X share a mesh and a dimension, and quad, if given, integrates Y' X exactly."""
     if not np.array_equal(Y.mesh.breakpoints, X.mesh.breakpoints):
         raise ValueError("broken functions live on different meshes")
     if Y.dim != X.dim:
         raise ValueError(f"dimension mismatch: {Y.dim} vs {X.dim}")
+    if quad is not None and quad.exactness_degree < Y.degree + X.degree - 1:
+        raise ValueError(f"quadrature exact to degree {quad.exactness_degree}, the form needs "
+                         f"deg Y + deg X - 1 = {Y.degree + X.degree - 1}")
 
 
 def _weight_matrix(M, dim: int) -> np.ndarray:
@@ -361,10 +367,10 @@ def _starts(F: BrokenFunction) -> np.ndarray:
 def dh_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
     """DG time-derivative form D(Y, X) with M-weighted inner products.
 
-    Slab integrals use ``quad``; the rule must be exact for degree
-    deg(Y) + deg(X) - 1 to realize the polynomial identities exactly.
+    Slab integrals use ``quad``, which must be exact for degree
+    deg(Y) + deg(X) - 1, so the polynomial identities hold exactly.
     """
-    _check_same_domain(Y, X)
+    _check_same_domain(Y, X, quad)
     M = _weight_matrix(M, Y.dim)
     total = _slab_integral(_slab_derivative_values(Y, quad.nodes), M,
                            _slab_values(X.coeffs, quad.nodes), Y.mesh.widths, quad)
@@ -377,7 +383,7 @@ def dh_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
 
 def dh_star_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
     """Adjoint form D*(Y, X); satisfies dh_form(Y, X) = -dh_star_form(Y, X)."""
-    _check_same_domain(Y, X)
+    _check_same_domain(Y, X, quad)
     M = _weight_matrix(M, Y.dim)
     total = _slab_integral(_slab_values(Y.coeffs, quad.nodes), M,
                            _slab_derivative_values(X, quad.nodes), Y.mesh.widths, quad)

@@ -119,6 +119,21 @@ def test_study_both_variants_to_files(tmp_path, capsys):
     assert on.read_bytes() != off.read_bytes()
 
 
+@pytest.mark.parametrize("output, written", [
+    ("res.v2/table", ("res.v2/table_projection_on", "res.v2/table_projection_off")),
+    ("./table", ("table_projection_on", "table_projection_off")),
+])
+def test_study_both_variants_name_files_by_their_file_name(tmp_path, monkeypatch, capsys,
+                                                           output, written):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "res.v2").mkdir()
+    rc = main(["study", "--problem", "stokes3", "--Ns", "4,8", "--projection", "both",
+               "--format", "csv", "--output", output])
+    assert rc == 0
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) \
+        == sorted(written)
+
+
 def test_study_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps({

@@ -38,7 +38,7 @@ from dgtime import (
     validate_system,
 )
 from dgtime.systems import _STOKES3_A, _stokes3_handles
-from dgtime.timecore import _slab_values
+from dgtime.timecore import _slab_values, _Slabs
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +882,14 @@ def test_data_calls_per_solve_do_not_grow_with_N(problem, use_projection):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("problem, field", [("stokes3", "g1"), ("heat1d", "g2")])
+def test_projected_constraint_data_is_sampled_in_one_call(problem, field):
+    counted, calls = _counting(_BUILDERS[problem]())
+    calls.clear()  # building the system checks u0 against g1 and g2 at t = 0
+    solve_constrained(counted, build_uniform_mesh(1.0, 16), SolverOptions(q=3))
+    assert calls[field] == 2  # one array call over the nodes and right ends, and its probe
+
+
 def test_preset_data_is_sampled_in_one_call(tmp_path):
     path = tmp_path / "presets.json"
     path.write_text(json.dumps({
@@ -1188,12 +1196,13 @@ def _with_exact(system):
 
 
 def _recorded_study(system, q, Ns, use_projection, norms):
-    """run_study's table and the solutions of the one _march call it makes."""
+    """run_study's table and the slabs and stacked (U, P) of the one _march call it makes."""
     marched = []
 
-    def recording(*args):
-        marched.append(dgsolver._march(*args))
-        return marched[-1]
+    def recording(system, slabs, opts):
+        U, P = dgsolver._march(system, slabs, opts)
+        marched.append((slabs, U, P))
+        return U, P
 
     with mock.patch("dgtime.analysis._march", recording):
         table = run_study(system, q, Ns, use_projection=use_projection, norms=norms)
@@ -1212,20 +1221,23 @@ def _close(x, ref, rtol):
 def test_study_equals_per_level_solves_and_public_norms(case, seed, q, use_projection, Ns):
     system = _study_cases()[case](seed)
     norms = ("energy", "nodal") + (("multiplier",) if system.r1 else ())
-    table, sols = _recorded_study(system, q, Ns, use_projection, norms)
+    table, (slabs, U, P) = _recorded_study(system, q, Ns, use_projection, norms)
     opts, quad = SolverOptions(q=q, use_projection=use_projection), gauss_legendre(q + 3)
-    for N, row, sol in zip(Ns, table.rows, sols):
+    levels = zip(slabs.split(slabs.left), slabs.split(slabs.right), slabs.split(U),
+                 slabs.split(P) if system.r1 else [None] * len(Ns))
+    assert U.shape[0] == slabs.right.size and (P is None) == (system.r1 == 0)
+    for N, row, (left, right, Ui, Pi) in zip(Ns, table.rows, levels):
         mesh = build_uniform_mesh(1.0, N)
         ref = solve_constrained(system, mesh, opts)
-        np.testing.assert_array_equal(sol.U.mesh.breakpoints, mesh.breakpoints)
-        _close(sol.U.coeffs, ref.U.coeffs, 1e-13)
+        np.testing.assert_array_equal(np.r_[left[:1], right], mesh.breakpoints)
+        _close(Ui, ref.U.coeffs, 1e-13)
         errors = {"err_energy": error_l2_energy(ref.U, system.exact_u, system.normU, quad),
                   "err_nodal": error_nodal_max(ref.U, system.exact_u, system.M)}
         if system.r1:
-            _close(sol.P.coeffs, ref.P.coeffs, 1e-13)
+            _close(Pi, ref.P.coeffs, 1e-13)
             errors["err_p"] = error_l2_multiplier(ref.P, system.exact_p, system.normQ1, quad)
         else:
-            assert sol.P is None and row.err_p is None
+            assert row.err_p is None
         for key, err in errors.items():
             assert abs(getattr(row, key) - err) <= 1e-13 * err
 
@@ -1241,7 +1253,15 @@ def test_data_and_exact_calls_per_study_do_not_grow_with_its_levels(problem, use
         run_study(counted, 2, Ns, use_projection=use_projection, norms=norms)
         counts.append(calls)
     assert counts[0] == counts[1]
-    assert counts[0]["f"] == 2  # one array call and its scalar probe
+    # one array call and its scalar probe; exact_u at the error nodes and right ends together
+    assert counts[0]["f"] == counts[0]["exact_u"] == 2
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_a_study_builds_its_slabs_once(problem):
+    with mock.patch.object(_Slabs, "of", wraps=_Slabs.of) as of:
+        run_study(_BUILDERS[problem](), 2, (8, 16, 32))
+    assert of.call_count == 1
 
 
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))

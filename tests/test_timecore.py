@@ -155,8 +155,9 @@ def test_gauss_legendre_returns_one_shared_rule_per_point_count():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
-    with pytest.raises(TypeError):
-        gauss_legendre(3.0)  # not served from the cached 3-point rule
+    for n in (3.0, True):
+        with pytest.raises(TypeError):
+            gauss_legendre(n)  # not served from the cached 3- or 1-point rule
 
 
 def test_a_study_builds_each_gauss_rule_once():
@@ -348,6 +349,21 @@ def test_dh_form_weighted_by_matrix():
     X = _constant_broken(mesh, [0.0, 1.0])
     # only the initial term: e_1^T M e_2 = 1
     assert dh_form(Y, X, M, gauss_legendre(2)) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("form", [dh_form, dh_star_form])
+@pytest.mark.parametrize("qy, qx", [(3, 3), (2, 4), (4, 4)])
+def test_dh_forms_reject_a_rule_not_exact_to_deg_y_plus_deg_x_minus_1(form, qy, qx):
+    # unchecked, the one-point rule gives dh_form(U, U) = 3.07 for the exact 5.73 at q = 3
+    rng = np.random.default_rng(1)
+    mesh = build_uniform_mesh(1.0, 3)
+    Y, X = (BrokenFunction(mesh, rng.standard_normal((3, q, 2))) for q in (qy, qx))
+    need = (qy - 1) + (qx - 1) - 1
+    n = need // 2 + 1  # the fewest Gauss points exact to degree need
+    with pytest.raises(ValueError, match=f"deg Y \\+ deg X - 1 = {need}"):
+        form(Y, X, 1.0, gauss_legendre(n - 1))
+    assert form(Y, X, 1.0, gauss_legendre(n)) == pytest.approx(form(Y, X, 1.0, gauss_legendre(8)),
+                                                               rel=1e-12)
 
 
 @settings(deadline=None, max_examples=60)

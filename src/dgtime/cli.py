@@ -114,10 +114,11 @@ def parse_table_csv(text: str, problem: str = "", q: int = 0,
         raise ValueError(f"unexpected CSV header {header}")
     rows = []
     for rec in reader:
+        if len(rec) != len(CSV_COLUMNS):
+            raise ValueError(f"line {reader.line_num}: {len(rec)} cells, "
+                             f"expected {len(CSV_COLUMNS)}")
         vals = [_parse_cell(cell) for cell in rec]
-        rows.append(StudyRow(N=int(vals[0]), k=vals[1], err_energy=vals[2],
-                             eoc_energy=vals[3], err_nodal=vals[4], eoc_nodal=vals[5],
-                             err_p=vals[6], eoc_p=vals[7]))
+        rows.append(StudyRow(int(vals[0]), *vals[1:]))
     return EOCTable(problem=problem, q=q, use_projection=use_projection,
                     rows=tuple(rows))
 

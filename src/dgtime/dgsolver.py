@@ -6,7 +6,7 @@ form reduces to the dense linear system
 
     sum_j (Dmat_ij M + Smat_ij A) u_j [+ sum_j Smat_ij B1^T p_j]
         = F_i + e_i M u_prev,
-    sum_j Smat_ij B1 u_j = G_i,
+    sum_j Smat_ij B1 u_j = Smat_ii c_i,
 
 where Dmat collects the weak time derivative plus the upwind jump term,
 Smat = diag(k / (2j+1)) is the slab mass matrix, e_i = phi_i(t_{n-1}+)
@@ -15,19 +15,21 @@ the previous slab (the initial state for n = 1).  All data (load moments
 and projected constraint data) is computed for every slab at once, from
 one call per data field.
 
-Constraint data enters through G_i.  With the projection switch on, g1 is
-replaced by its endpoint-interpolating slab projection, which makes the
-discrete constraint B1 U = (projected g1) hold identically as a polynomial
-on every slab; switched off, G_i falls back to the raw quadrature moments
-of g1 (the discrete constraint then only matches g1 in the L2 sense, which
-costs nodal superconvergence and a full order of the multiplier).
+Constraint data enters through c_i, the slab coefficients of g1 (those of
+g2 fix B2 u_i).  With the projection switch on, they are its
+endpoint-interpolating slab projection, which makes the discrete
+constraint B1 U = (projected g1) hold identically as a polynomial on every
+slab; switched off, they are its L2 projection, Smat_ii c_i the raw
+quadrature moments of g1 (the discrete constraint then only matches g1 in
+the L2 sense, which costs nodal superconvergence and a full order of the
+multiplier).
 
 The marching solver never forms this dense system.  One SVD of the
 stacked constraints B = [B1; B2], the reduction validate_system checks,
 gives Q, an orthonormal basis of ker B, and R = pinv(B), so both blocks
 enter the same way: every coefficient is u_j = V w_j + kappa_j, where
-kappa_j = [G_j / Smat_jj, D2_j] R^T, D2 the g2 coefficients, is known
-from the data.  One generalized symmetric eigendecomposition of
+kappa_j = C_j R^T, C_j the j-th coefficients of [g1; g2], is known from
+the data.  One generalized symmetric eigendecomposition of
 (Q^T A Q, Q^T M Q) gives sigma and V = Q W with V^T M V = I and
 V^T A V = diag(sigma).  The SVD and the eigenbasis depend only on M, A,
 B1 and B2, so they are computed once per system, on its first solve, and
@@ -59,7 +61,7 @@ returns stacked arrays; only solve_constrained builds a MixedSolution.
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
 Slab n solves the kron form of the system above with B = [B1; B2] in place
-of B1 and the g2 rows Smat D2 after G.  Slabs couple only through u_prev,
+of B1 and Smat C on its constraint rows.  Slabs couple only through u_prev,
 so the all-slabs system is block lower-triangular.  It is solved slab by
 slab, on LU factors taken once per distinct width; the slab condition
 estimates read the same factors.
@@ -174,32 +176,33 @@ class _SlabData:
     """The data side of the slab equations, for all N slabs at once.
 
     S holds the slab mass matrix diagonals, (N, q).  F are the load moments
-    int phi_i f dt, (N, q, m); G the constraint-row data S times the g1
-    coefficients, (N, q, r1); D2 the g2 coefficients, (N, q, r2).
-    Constraint data is projected (endpoint-interpolating) or L2-projected
-    as the options say.
+    int phi_i f dt, (N, q, m); C the constraint data (_constraint_data),
+    (N, q, r1 + r2).
     """
 
     S: np.ndarray
     F: np.ndarray
-    G: np.ndarray
-    D2: np.ndarray
+    C: np.ndarray
+
+
+def _constraint_data(system, slabs: _Slabs, opts: SolverOptions) -> np.ndarray:
+    """Slab coefficients of [g1; g2], (N, q, r1 + r2), projected or L2-projected as opts say."""
+    q, r1 = opts.q, system.r1
+    C = np.zeros((slabs.widths.size, q, r1 + system.r2))
+    for g, field, block in ((system.g1, "g1", C[..., :r1]), (system.g2, "g2", C[..., r1:])):
+        if block.shape[-1]:
+            block[...] = _slab_coeffs(g, slabs, opts.quadrature(), q, field, block.shape[-1],
+                                      opts.use_projection)
+    return C
 
 
 def _slab_data(system, slabs: _Slabs, opts: SolverOptions) -> _SlabData:
     """Sample f, g1 and g2 once over all slabs and reduce them to slab data."""
     q, quad, k = opts.q, opts.quadrature(), slabs.widths
-    S = k[:, None] / (2.0 * np.arange(q) + 1.0)
     F = _moments(_sample(system.f, _slab_nodes(slabs, quad), "f", system.m, slabs.number),
                  k, quad, q)
-
-    def coeffs(g, field, dim):
-        if dim == 0:
-            return np.zeros((k.size, q, 0))
-        return _slab_coeffs(g, slabs, quad, q, field, dim, opts.use_projection)
-
-    G = S[:, :, None] * coeffs(system.g1, "g1", system.r1)
-    return _SlabData(S, F, G, coeffs(system.g2, "g2", system.r2))
+    return _SlabData(k[:, None] / (2.0 * np.arange(q) + 1.0), F,
+                     _constraint_data(system, slabs, opts))
 
 
 def _factor(K: np.ndarray, slab: int):
@@ -367,9 +370,14 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
     and solves it for all of that width's slabs (_width_groups).  Only the
     modal terminal value w_end runs through the slabs, by
     w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks of each mesh
-    (_terminal_values).  An error names the
-    1-based slab within its own mesh; it is raised at the first stage that
-    fails on any mesh, for the first such mesh.
+    (_terminal_values).  An error names the 1-based slab within its own
+    mesh; it is raised at the first stage that fails on any mesh, for the
+    first such mesh.
+
+    P, the momentum residual tested with R1 divided by Smat, carries the
+    data's rounding times about (2q - 1)/k: p depends on g1', so its
+    rounding floor, about (2q - 1) eps max|g1| / k, grows as k shrinks.
+    Sampled index-2 data causes it, not the march.
     """
     sigma, V, R = _modes(system)
     data = _slab_data(system, slabs, opts)
@@ -379,8 +387,7 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
     S = data.S[:, :, None]
     slot, first, size = _width_groups(slabs.widths)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.concatenate([data.G / S, data.D2], axis=-1)
-        kappa, kM, kA = (_gemm(c, X.T) for X in (R, M @ R, A @ R))
+        kappa, kM, kA = (_gemm(data.C, X.T) for X in (R, M @ R, A @ R))
         # tested with the modes V and, for the multiplier, with R1
         VR = np.hstack([V, R1])
         rhs = _gemm(data.F - Dmat @ kM - S * kA, VR)
@@ -449,9 +456,9 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     data = _slab_data(system, _Slabs.of([mesh]), opts)
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
     _, _, e = assemble_temporal_matrices(q, 1.0)
-    # the constraint rows hold Smat times the g1 and the g2 coefficients
-    C = np.concatenate([data.G, data.S[:, :, None] * data.D2], axis=-1)
-    rhs = np.concatenate([data.F.reshape(N, -1), C.reshape(N, -1)], axis=1)
+    # the constraint rows are Smat times the coefficients of [g1; g2]
+    rhs = np.concatenate([data.F.reshape(N, -1), (data.S[:, :, None] * data.C).reshape(N, -1)],
+                         axis=1)
     # E u_prev is the upwind term e (x) M u_prev of the previous terminal value
     E = np.zeros((rhs.shape[1], m))
     E[: q * m] = np.kron(e[:, None], system.M)
@@ -482,8 +489,9 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
 
     Tests the momentum equation against every temporal basis function (on
     ker B2 when an explicit block is present) and the constraint equations
-    in their modal coefficients, using the same data treatment as the
-    solvers.  I - R2 B2, R2 = pinv([B1; B2])[:, r1:], projects onto ker B2.
+    in their modal coefficients, the B1 rows times Smat, using the same
+    data treatment as the solvers.  I - R2 B2, R2 = pinv([B1; B2])[:, r1:],
+    projects onto ker B2.
     """
     _check_solution(system, mesh, opts, U, P)
     r1 = system.r1
@@ -496,15 +504,14 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     S = data.S[:, :, None]
     uc = U.coeffs
     u_prev = np.vstack([system.u0, uc[:-1].sum(axis=1)])
-    Rm = Dmat @ (uc @ M.T) + S * (uc @ A.T) - data.F - e[:, None] * (u_prev @ M.T)[:, None, :]
+    Rm = (Dmat @ _gemm(uc, M.T) + S * _gemm(uc, A.T) - data.F
+          - e[:, None] * _gemm(u_prev, M.T)[:, None, :])
     if r1:
-        Rm = Rm + S * (P.coeffs @ B1)
-    parts = [np.abs(Rm - (Rm @ R2) @ B2).max(axis=(1, 2))]
-    if r1:
-        parts.append(np.abs(S * (uc @ B1.T) - data.G).max(axis=(1, 2)))
-    if system.r2 > 0:
-        parts.append(np.abs(uc @ B2.T - data.D2).max(axis=(1, 2)))
-    return np.max(parts, axis=0)
+        Rm = Rm + S * _gemm(P.coeffs, B1)
+    gap = uc @ np.vstack([B1, B2]).T - data.C
+    gap[..., :r1] *= S
+    return np.maximum(np.abs(Rm - _gemm(_gemm(Rm, R2), B2)).max(axis=(1, 2)),
+                      np.abs(gap).max(axis=(1, 2), initial=0.0))
 
 
 def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
@@ -513,13 +520,9 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
 
     This is the quantity that vanishes identically (up to rounding) when
     the projection switch is on: the discrete constraint holds as a
-    polynomial identity on every slab, not just in quadrature.
+    polynomial identity on every slab, not just in quadrature.  Zero on
+    every slab of a system without constraints.
     """
     _check_solution(system, mesh, opts, U)
-    quad, slabs = opts.quadrature(), _Slabs.of([mesh])
-    out = np.zeros(mesh.N)
-    for B, g, field in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):
-        if B.shape[0]:
-            d = _slab_coeffs(g, slabs, quad, opts.q, field, B.shape[0], True)
-            out = np.maximum(out, np.abs(U.coeffs @ B.T - d).max(axis=(1, 2)))
-    return out
+    C = _constraint_data(system, _Slabs.of([mesh]), SolverOptions(opts.q))
+    return np.abs(U.coeffs @ np.vstack([system.B1, system.B2]).T - C).max(axis=(1, 2), initial=0.0)

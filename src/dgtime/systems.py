@@ -376,8 +376,7 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     u0 = sol.u(x_nodes, 0.0)
 
     system = ConstrainedSystem(
-        M=M, A=A, f=f, u0=u0, B2=B2, g2=g2,
-        normU=M + A, exact_u=exact_u, name="heat1d",
+        M=M, A=A, f=f, u0=u0, B2=B2, g2=g2, exact_u=exact_u, name="heat1d",
     )
 
     # Reject solutions the P2 space cannot represent exactly: for those the
@@ -451,9 +450,7 @@ def build_saddle_dae(preset: Optional[str] = None, *,
 
     system = ConstrainedSystem(
         M=M, A=A, f=f, u0=np.asarray(exact_u(0.0), dtype=float),
-        B1=B1 if r1 > 0 else None, g1=g1,
-        normU=M + A, normQ1=np.eye(r1),
-        exact_u=exact_u, exact_p=exact_p if r1 > 0 else None,
+        B1=B1 if r1 > 0 else None, g1=g1, exact_u=exact_u, exact_p=exact_p if r1 > 0 else None,
         name=name or "saddle-dae",
     )
     if r1 > 0:

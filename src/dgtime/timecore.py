@@ -297,18 +297,14 @@ class BrokenFunction:
         """Right limit U(0+)."""
         return self.slab(0).value_start()
 
-    def _pad_to(self, q: int) -> np.ndarray:
-        c = self.coeffs
-        if c.shape[1] == q:
-            return c
-        out = np.zeros((c.shape[0], q, c.shape[2]))
-        out[:, : c.shape[1], :] = c
-        return out
-
     def __sub__(self, other: "BrokenFunction") -> "BrokenFunction":
+        """F - G on their shared mesh, in the higher of the two degrees."""
         _check_same_domain(self, other)
-        q = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        return BrokenFunction(self.mesh, self._pad_to(q) - other._pad_to(q))
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((a.shape[0], max(a.shape[1], b.shape[1]), a.shape[2]))
+        out[:, : a.shape[1]] = a
+        out[:, : b.shape[1]] -= b
+        return BrokenFunction(self.mesh, out)
 
 
 def _check_same_domain(Y: BrokenFunction, X: BrokenFunction, quad: Quadrature | None = None):

@@ -56,6 +56,14 @@ def test_parse_table_csv_rejects_foreign_header():
         parse_table_csv("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize("row", ["8,0.125,1e-3", "8,0.125,1e-3,,,,,,extra"])
+def test_parse_table_csv_rejects_a_row_of_another_length(row):
+    # a row holds one cell per column: a short row is not padded, a long one not cut
+    text = ",".join(CSV_COLUMNS) + "\n4,0.25,1e-2,,,,,\n" + row + "\n"
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_table_csv(text)
+
+
 def test_markdown_has_title_and_selected_columns_only():
     table = run_study("stokes3", 2, [4, 8], norms=("nodal", "multiplier"))
     text = format_markdown(table)

@@ -16,6 +16,7 @@ from dgtime import (
     ConstrainedSystem,
     DataError,
     ManufacturedSolution1D,
+    ProjectionSpec,
     SlabSolveError,
     SolverOptions,
     TimeMesh,
@@ -31,6 +32,7 @@ from dgtime import (
     error_nodal_max,
     gauss_legendre,
     load_system,
+    project_broken,
     run_study,
     solve_constrained,
     solve_mixed,
@@ -483,6 +485,47 @@ def test_constraint_residual_order_k_q_without_projection():
     sol = solve_mixed(system, mesh, opts)
     res = constraint_residual(system, mesh, opts, sol.U)
     assert res.max() > 1e-5
+
+
+def _constraint_configurations():
+    """One system per constraint configuration: none, B1, B2, both, and the two presets."""
+    combined = _random_system(11, "combined", 5, 2)
+    return {"none": _random_system(11, "spd", 4, 1), "B1": _random_system(11, "saddle", 4, 2),
+            "B2": replace(combined, B1=None, g1=None, normQ1=None), "both": combined,
+            "stokes3": build_saddle_dae("stokes3"), "heat1d": build_heat_1d(6)}
+
+
+_RANDOM_MESH = TimeMesh(np.r_[0.0, np.cumsum([0.3, 0.7, 0.45, 0.2, 0.9])])
+
+
+@pytest.mark.parametrize("use_projection", [True, False])
+@pytest.mark.parametrize("name", ["none", "B1", "B2", "both", "stokes3", "heat1d"])
+def test_constraint_residual_is_the_gap_to_the_projected_data_block_by_block(name,
+                                                                            use_projection):
+    system, mesh = _constraint_configurations()[name], _RANDOM_MESH
+    opts = SolverOptions(q=3, use_projection=use_projection)
+    U = solve_constrained(system, mesh, opts).U
+    res = constraint_residual(system, mesh, opts, U)
+    spec = ProjectionSpec(opts.q, opts.quadrature())
+    expected = np.zeros(mesh.N)
+    for B, g in ((system.B1, system.g1), (system.B2, system.g2)):
+        if B.shape[0]:
+            d = project_broken(g, mesh, B.shape[0], spec).coeffs
+            expected = np.maximum(expected, np.abs(U.coeffs @ B.T - d).max(axis=(1, 2)))
+    if not system.r1 + system.r2:
+        assert np.array_equal(res, np.zeros(mesh.N))
+    np.testing.assert_allclose(res, expected, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("field", ["g1", "g2"])
+def test_dg_residual_flags_a_perturbation_of_either_constraint_block(field):
+    system, mesh, opts = _constraint_configurations()["both"], _RANDOM_MESH, SolverOptions(q=3)
+    sol = solve_constrained(system, mesh, opts)
+    assert dg_residual(system, mesh, opts, sol.U, sol.P).max() <= 1e-12
+    g = getattr(system, field)
+    # vanishes at t = 0, so u0 stays compatible with the perturbed data
+    bent = replace(system, **{field: lambda t: g(t) + 1e-3 * np.asarray(t)})
+    assert dg_residual(bent, mesh, opts, sol.U, sol.P).min() > 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -40,23 +40,24 @@ splits into one q x q block per mode l,
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l.
 
 The block depends only on k and sigma_l, so slabs of one exact width share
-one factorization per mode: a single batched LAPACK call solves every
-width's blocks with all of that width's slabs as right-hand sides.  Since
-V^T M V = I, the only sequential step is the scalar recurrence of the
-modal terminal value, w_end_n = alpha_n + r_n w_end_{n-1}, with
-r_n = 1^T K^{-1} e the DG stability function at k sigma; it runs in
-blocks of about sqrt(N) slabs, so about 2 sqrt(N) Python steps.  The
-first r1 columns of R lie in ker B2 and invert B1; the multiplier is the
-momentum residual tested with them, divided by Smat.  Since U - kappa is
-solved on ker B, the solution does not depend on which right inverse of
-B builds kappa.
+one factorization per mode.  One vectorized LU with partial pivoting
+factors every width's blocks at once, in O(q) numpy calls, and solves them
+with all of that width's slabs as right-hand sides.  Since V^T M V = I,
+the only sequential step is the scalar recurrence of the modal terminal
+value, w_end_n = alpha_n + r_n w_end_{n-1}, with r_n = 1^T K^{-1} e the DG
+stability function at k sigma; it runs in blocks of about sqrt(N) slabs,
+so about 2 sqrt(N) Python steps.  The first r1 columns of R lie in ker B2
+and invert B1; the multiplier is the momentum residual tested with them,
+divided by Smat.  Since U - kappa is solved on ker B, the solution does
+not depend on which right inverse of B builds kappa.
 
 A convergence study is one such march over all of its meshes: their slabs
-are stacked mesh after mesh, the data is sampled once per field for all
-of them, the block solve is one LAPACK call, and the recurrence restarts
-from u0 at each mesh's first slab.  Each mesh keeps its own sqrt(N)
-blocks, so its recurrence is the one a march on it alone runs.  The march
-returns stacked arrays; only solve_constrained builds a MixedSolution.
+are stacked mesh after mesh, the data is sampled once per field for all of
+them, one vectorized LU factors every level's blocks, and the recurrence
+restarts from u0 at each mesh's first slab.  Each mesh keeps its own
+sqrt(N) blocks, so its recurrence is the one a march on it alone runs.
+The march returns stacked arrays; only solve_constrained builds a
+MixedSolution.
 
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
@@ -205,6 +206,15 @@ def _slab_data(system, slabs: _Slabs, opts: SolverOptions) -> _SlabData:
                      _constraint_data(system, slabs, opts))
 
 
+def _singular(d: np.ndarray) -> np.ndarray:
+    """The singular-pivot rule for LU factors whose |diagonal| is d, (..., n).
+
+    A factorization is singular when its smallest pivot is not above n eps
+    times its largest; a NaN pivot, left by an earlier zero one, counts too.
+    """
+    return ~(d.min(axis=-1) > d.max(axis=-1) * d.shape[-1] * _EPS)
+
+
 def _factor(K: np.ndarray, slab: int):
     """LU factors of K and the LAPACK gecon estimate of its 1-norm condition."""
     with warnings.catch_warnings():
@@ -212,7 +222,7 @@ def _factor(K: np.ndarray, slab: int):
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(K, check_finite=False)
     d = np.abs(np.diag(lu))
-    if d.size == 0 or d.min() <= d.max() * K.shape[0] * _EPS:
+    if d.size == 0 or _singular(d):
         raise SlabSolveError(slab, _SINGULAR) from None  # no context when called in an except
     rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
@@ -292,6 +302,56 @@ def _modes(system):
     return sigma, Q @ W, R
 
 
+def _lu_blocks(K: np.ndarray):
+    """Factor the q x q blocks K, (q, q, *batch), C-contiguous, in place: (rows, singular).
+
+    Gaussian elimination with partial pivoting on all blocks at once: step
+    j swaps each block's largest remaining entry of column j into row j and
+    makes one rank-1 update, so a factorization is O(q) numpy calls.  K then
+    holds U on and above its diagonal and the multipliers of L below it;
+    rows, (q, *batch), is the row of the input each factored row came from,
+    and singular, (*batch), marks the blocks that fail _singular.
+    """
+    if not K.flags.c_contiguous:
+        raise ValueError("K must be C-contiguous to be factored in place")
+    q = K.shape[0]
+    Kb = K.reshape(q, q, -1)
+    rows = np.repeat(np.arange(q)[:, None], Kb.shape[2], axis=1)
+    for j in range(q - 1):
+        a = np.abs(Kb[j:, j])
+        b = np.flatnonzero(a[1:].max(axis=0) > a[0])  # the blocks whose pivot is below row j
+        if b.size:
+            p = j + a[:, b].argmax(axis=0)
+            Kb[j, :, b], Kb[p, :, b] = Kb[p, :, b], Kb[j, :, b]
+            rows[j, b], rows[p, b] = rows[p, b], rows[j, b]
+        low = Kb[j + 1:, j]
+        low /= Kb[j, j]
+        Kb[j + 1:, j + 1:] -= low[:, None] * Kb[j, j + 1:]
+    return rows.reshape((q,) + K.shape[2:]), _singular(np.abs(np.diagonal(K)))
+
+
+def _lu_solve_blocks(K: np.ndarray, rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X with K X = Y for every block, from _lu_blocks' (K, rows); Y is (q, *batch, c).
+
+    X reuses Y's memory, in either order of the batch and column axes.  The
+    factors broadcast over the c right-hand sides of a block.  The blocks
+    that pivoted gather their rows; the forward and back substitutions take
+    O(q) numpy calls.
+    """
+    q = K.shape[0]
+    X, rows = Y.reshape(q, -1, Y.shape[-1]), rows.reshape(q, -1)
+    b = np.flatnonzero((rows != np.arange(q)[:, None]).any(axis=0))
+    if b.size:
+        X[:, b] = X[rows[:, b], b]
+    LU = K.reshape(q, q, -1, 1)
+    for j in range(q - 1):
+        X[j + 1:] -= LU[j + 1:, j] * X[j]
+    for j in range(q - 1, -1, -1):
+        X[j] /= LU[j, j]
+        X[:j] -= LU[:j, j] * X[j]
+    return X.reshape(Y.shape)
+
+
 def _width_groups(k: np.ndarray):
     """(slot, first, size): where the grouped block solve puts each slab.
 
@@ -366,8 +426,9 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
     known part: the constraint data on R = pinv(B).  Every product with an
     m x m matrix is one 2-D GEMM over all slabs, and the known part is
     formed at rank r1 + r2.  Slabs of one exact width, in any mesh, share
-    their blocks: one LAPACK call factors each width's block per mode once
-    and solves it for all of that width's slabs (_width_groups).  Only the
+    their blocks: one vectorized LU (_lu_blocks) factors each width's block
+    per mode once, and its solve (_lu_solve_blocks) takes all of that
+    width's slabs as right-hand sides (_width_groups).  Only the
     modal terminal value w_end runs through the slabs, by
     w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks of each mesh
     (_terminal_values).  An error names the 1-based slab within its own
@@ -386,7 +447,7 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
     q, mw, firsts = opts.q, sigma.size, slabs.starts[:-1]
     S = data.S[:, :, None]
     slot, first, size = _width_groups(slabs.widths)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kappa, kM, kA = (_gemm(data.C, X.T) for X in (R, M @ R, A @ R))
         # tested with the modes V and, for the multiplier, with R1
         VR = np.hstack([V, R1])
@@ -394,25 +455,30 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
         # the known part of every slab's u_prev term: u0 on a mesh's first
         # slab, else kappa's terminal value on the slab before
         prev = np.empty((slabs.right.size, system.m))
-        prev[1:] = kM[:-1].sum(axis=1)
+        prev[1:] = kM[:-1, 0]
+        for j in range(1, q):  # q - 1 adds: a sum over the middle axis is several times slower
+            prev[1:] += kM[:-1, j]
         prev[firsts] = M @ system.u0
         prev = prev @ VR
-        K = Dmat + (data.S[first][:, None, :] * sigma[:, None])[..., None] * np.eye(q)
-        # column j of group g is row g (size + 1) + j; each group's last column is e
-        rows = first.size * (size + 1)
-        Y = np.zeros((first.size, size + 1, q, mw))
-        Y.reshape(rows, q, mw)[slot] = rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]
-        Y[:, -1] = e[:, None]
-        try:
-            X = np.linalg.solve(K, Y.transpose(0, 3, 2, 1)).transpose(0, 3, 2, 1)
-        except np.linalg.LinAlgError:
-            for g in np.argsort(first):  # _factor raises at the first singular block
-                for block in K[g]:
-                    _factor(block, int(slabs.number[first[g]]))
-            raise
-        a, v = X.reshape(rows, q, mw)[slot], X[slot // (size + 1), -1]
-        wprev = _terminal_values(a.sum(axis=1), v.sum(axis=1), slabs.starts)
-        w = a + v * wprev[:, None, :]
+        # K[:, :, g, l] is mode l's block at group g's width
+        K = np.ascontiguousarray(Dmat[..., None, None] + np.eye(q)[..., None, None]
+                                 * (data.S[first].T[:, :, None] * sigma))
+        rows, singular = _lu_blocks(K)
+        if singular.any():
+            n = first[singular.any(axis=1)].min()  # the first slab of the first failing group
+            raise SlabSolveError(int(slabs.number[n]), _SINGULAR)
+        # slab n is column c of group g; each group's last column is e
+        g, c = np.divmod(slot, size + 1)
+        # numpy loops slowly over a short inner axis, so the longer of the
+        # columns and the blocks runs innermost in memory
+        Y = (np.zeros((q, first.size, mw, size + 1)) if size + 1 >= first.size * mw
+             else np.zeros((q, size + 1, first.size, mw)).transpose(0, 2, 3, 1))
+        Y[:, g, :, c] = rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]
+        Y[..., -1] = e[:, None, None]
+        X = _lu_solve_blocks(K, rows, Y)
+        ends = X.sum(axis=0)  # every column's terminal value
+        wprev = _terminal_values(ends[g, :, c], ends[g, :, -1], slabs.starts)
+        w = X[:, g, :, c] + X[:, g, :, -1] * wprev[:, None, :]
         U = _gemm(w, V.T) + kappa
         P = None
         if system.r1:

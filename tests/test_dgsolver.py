@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import null_space
 
 from dgtime import dgsolver, systems
@@ -1110,21 +1110,31 @@ def test_kept_reduction_is_read_only(problem):
 
 
 # ---------------------------------------------------------------------------
-# the march: one grouped block solve and a blocked terminal-value recurrence
+# the march: one grouped block LU and a blocked terminal-value recurrence
 
 
-def _block_solves(system, mesh, q):
-    """(K, Y, X) of every np.linalg.solve call that one solve_constrained makes."""
-    calls, solve = [], np.linalg.solve
+def _block_kernel_calls(run):
+    """The K of every _lu_blocks call and the (Y, X) of every _lu_solve_blocks call of run().
 
-    def recording(K, Y):
-        X = solve(K, Y)
-        calls.append((K, Y, X))
+    K and Y are copied on entry, since the kernel overwrites both.
+    """
+    factored, solved = [], []
+    lu, lu_solve = dgsolver._lu_blocks, dgsolver._lu_solve_blocks
+
+    def recording_lu(K):
+        factored.append(K.copy())
+        return lu(K)
+
+    def recording_solve(K, rows, Y):
+        Y0 = Y.copy()
+        X = lu_solve(K, rows, Y)
+        solved.append((Y0, X.copy()))
         return X
 
-    with mock.patch.object(np.linalg, "solve", recording):
-        solve_constrained(system, mesh, SolverOptions(q=q))
-    return calls
+    with mock.patch.object(dgsolver, "_lu_blocks", recording_lu), \
+            mock.patch.object(dgsolver, "_lu_solve_blocks", recording_solve):
+        run()
+    return factored, solved
 
 
 _GROUPING_MESHES = {
@@ -1141,11 +1151,12 @@ _GROUPING_MESHES = {
 def test_grouped_block_solve_is_one_call_bitwise_equal_to_per_slab_blocks(mesh_name, problem,
                                                                          q):
     system, mesh = _BUILDERS[problem](), _GROUPING_MESHES[mesh_name]()
-    [(K, Y, X)] = _block_solves(system, mesh, q)
+    [K], [(Y, X)] = _block_kernel_calls(
+        lambda: solve_constrained(system, mesh, SolverOptions(q=q)))
     sigma = dgsolver._modes(system)[0]
     widths = np.unique(mesh.widths).size
-    groups, mw = K.shape[:2]
-    assert mw == sigma.size and K.shape[2:] == (q, q)
+    groups, mw = K.shape[2:]
+    assert mw == sigma.size and K.shape[:2] == (q, q) and Y.shape[:3] == (q, groups, mw)
     expected = {"uniform1024": groups == 1, "uniform1000": widths == 9 and groups <= 2 * widths,
                 "random": widths == mesh.N and groups == mesh.N}
     assert expected[mesh_name]
@@ -1155,12 +1166,61 @@ def test_grouped_block_solve_is_one_call_bitwise_equal_to_per_slab_blocks(mesh_n
     K_slab = Dmat + (S[:, None, :] * sigma[:, None])[..., None] * np.eye(q)
     slot, _, size = dgsolver._width_groups(mesh.widths)
     group, column = slot // (size + 1), slot % (size + 1)
-    np.testing.assert_array_equal(K[group], K_slab)
-    # the per-slab batched call: the slab's column and e
-    X_slab = np.linalg.solve(K_slab, np.stack([Y[group, :, :, column],
-                                               np.broadcast_to(e, K_slab.shape[:3])], axis=-1))
-    np.testing.assert_array_equal(X[group, :, :, column], X_slab[..., 0])
-    np.testing.assert_array_equal(X[group, :, :, -1], X_slab[..., 1])
+    np.testing.assert_array_equal(K[:, :, group].transpose(2, 3, 0, 1), K_slab)
+    # the same kernel on each slab's own blocks, with the slab's column and e
+    K_own = np.ascontiguousarray(K_slab.transpose(2, 3, 0, 1))
+    Y_own = np.stack([Y[:, group, :, column].transpose(1, 0, 2),
+                      np.broadcast_to(e[:, None, None], K_own.shape[1:])], axis=-1)
+    rows, singular = dgsolver._lu_blocks(K_own)
+    assert not singular.any()
+    X_own = dgsolver._lu_solve_blocks(K_own, rows, Y_own)
+    np.testing.assert_array_equal(X[:, group, :, column], X_own[..., 0].transpose(1, 0, 2))
+    np.testing.assert_array_equal(X[:, group, :, -1], X_own[..., 1].transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_the_march_makes_no_lapack_block_solve(problem):
+    system = _BUILDERS[problem]()
+    with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("np.linalg.solve")):
+        solve_constrained(system, TimeMesh(np.array([0.0, 0.2, 0.5, 0.6, 1.0])),
+                          SolverOptions(q=3))
+
+
+def _modal_block(q, z):
+    """Dmat + diag(z), the form of every modal block of the march."""
+    return assemble_temporal_matrices(q, 1.0)[0] + np.diag(z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.integers(1, 14), blocks=st.integers(1, 4))
+def test_block_lu_solve_matches_lapack_on_modal_blocks(data, q, blocks):
+    # z < 0 makes a diagonal entry small against the -1 below it, so rows swap
+    z = st.lists(st.one_of(st.floats(-50.0, 50.0), st.floats(-50.0, 1e8)), min_size=q, max_size=q)
+    zs = data.draw(st.lists(z, min_size=blocks, max_size=blocks))
+    K = np.stack([_modal_block(q, z) for z in zs], axis=-1)  # (q, q, blocks)
+    cond = np.array([np.linalg.cond(K[..., b]) for b in range(blocks)])
+    assume(np.all(cond < 1e12))
+    Y = np.random.default_rng(q).standard_normal((q, blocks, 5))
+    expected = np.linalg.solve(K.transpose(2, 0, 1), Y.transpose(1, 0, 2)).transpose(1, 0, 2)
+    rows, singular = dgsolver._lu_blocks(K)
+    assert not singular.any()
+    X = dgsolver._lu_solve_blocks(K, rows, Y.copy())
+    error = np.abs(X - expected).max(axis=(0, 2))
+    assert np.all(error <= 8 * q * np.finfo(float).eps * cond * np.abs(expected).max(axis=(0, 2)))
+
+
+def test_block_lu_swaps_rows_on_a_zero_leading_entry():
+    # M = 1, A = -2: at k = 0.5 the modal block's K[0, 0] = 1 - 2k is exactly 0
+    system = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1),
+                               f=lambda t: np.cos(np.asarray(t))[None], u0=np.ones(1))
+    mesh = TimeMesh(np.array([0.0, 0.3, 0.8, 1.0]))
+    assert mesh.widths[1] == 0.5
+    for q in (2, 3):
+        opts = SolverOptions(q=q)
+        factored, _ = _block_kernel_calls(lambda: solve_constrained(system, mesh, opts))
+        assert np.any(factored[0][0, 0] == 0.0)
+        seq, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
+        assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-10 * np.abs(mono.U.coeffs).max()
 
 
 def _sequential_terminal_values(alpha, r, dtype):
@@ -1310,6 +1370,5 @@ def test_a_study_builds_its_slabs_once(problem):
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
 def test_a_study_makes_one_block_solve_call(problem):
     system = _BUILDERS[problem]()
-    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
-        run_study(system, 2, (8, 16, 32, 64, 128))
-    assert solve.call_count == 1
+    factored, solved = _block_kernel_calls(lambda: run_study(system, 2, (8, 16, 32, 64, 128)))
+    assert len(factored) == len(solved) == 1

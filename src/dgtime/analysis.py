@@ -21,11 +21,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dgsolver import SolverOptions, _march
+from .dgsolver import SlabSolveError, SolverOptions, _march
 from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
-from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _is_count, _slab_inner, _Slabs,
-                       _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _end_values, _is_count, _slab_inner,
+                       _Slabs, _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
 
 __all__ = [
     "EOC_FLOOR",
@@ -53,7 +53,7 @@ def _l2_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, quad: Quadr
 
 def _nodal_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, slabs: _Slabs) -> list:
     """max_n ||U^n - exact(t_n)||_W on every mesh of slabs; coeffs (S, q, d), exact (S, d)."""
-    d = coeffs.sum(axis=1) - exact
+    d = _end_values(coeffs) - exact
     return [float(e.max()) for e in slabs.split(np.sqrt(((d @ W) * d).sum(axis=-1)))]
 
 
@@ -177,8 +177,27 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
     on its mesh.  A failure names the level's own N or 1-based slab; when
     several levels fail, the first failing stage (data, solve, norms)
     reports its first level.
+
+    This is the one-variant case of _run_studies.  ``dgtime study
+    --projection both`` runs both switches as one march that samples each
+    field once, and its rows equal those of two separate run_study calls.
     """
-    opts = SolverOptions(q=q, use_projection=use_projection)
+    return _run_studies(problem, q, Ns, [use_projection], norms)[0]
+
+
+def _run_studies(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
+                 projections: Sequence[bool], norms: Sequence[str]) -> list:
+    """run_study's table for each projection switch in projections, from one march.
+
+    The variants' slabs are stacked as extra meshes of one march, whose
+    data stage samples f, g1 and g2 once for all of them; exact_u and
+    exact_p are sampled once and compared with every variant's U and P.
+    Each variant's rows equal those of its own run_study.  A later variant
+    may fail at an earlier stage than the first failing one, so on an error
+    the variants run again one at a time, in order, and the first to fail
+    raises its own error.
+    """
+    variants = [SolverOptions(q=q, use_projection=p) for p in projections]
     if q + 3 > _MAX_POINTS:
         raise ValueError(f"q must be at most {_MAX_POINTS - 3} for a study, whose error "
                          f"quadrature has q + 3 points; got {q}")
@@ -195,28 +214,45 @@ def run_study(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[int],
         raise ValueError("convergence study needs a system with exact_u")
     if "multiplier" in norms and (system.r1 == 0 or system.exact_p is None):
         raise ValueError("multiplier norm requires r1 >= 1 and exact_p")
-    errquad = gauss_legendre(q + 3)
+    try:
+        return _tables(system, Ns, variants, norms)
+    except (ValueError, SlabSolveError):
+        if len(variants) > 1:
+            for variant in variants:
+                _tables(system, Ns, [variant], norms)
+        raise
 
+
+def _tables(system: ConstrainedSystem, Ns: list, variants: list, norms: tuple) -> list:
+    """The EOCTable of every variant, SolverOptions of one q, from one march over all levels."""
+    q = variants[0].q
+    errquad = gauss_legendre(q + 3)
     slabs = _Slabs.of([build_uniform_mesh(1.0, N) for N in Ns])
-    U, P = _march(system, slabs, opts)
+    U, P = _march(system, slabs, variants)
     nodes = _slab_nodes(slabs, errquad)
     u = _sample(system.exact_u, np.hstack([nodes, slabs.right[:, None]]), "exact_u", system.m,
                 slabs.number)
-    errors = {}
-    if "energy" in norms:
-        errors["energy"] = _l2_errors(U, u[:, :-1], system.normU, errquad, slabs)
-    if "nodal" in norms:
-        errors["nodal"] = _nodal_errors(U, u[:, -1], system.M, slabs)
-    if "multiplier" in norms:
-        p = _sample(system.exact_p, nodes, "exact_p", system.r1, slabs.number)
-        errors["p"] = _l2_errors(P, p, system.normQ1, errquad, slabs)
-    rows = []
-    for i, N in enumerate(Ns):
-        cells = {}
-        for name, errs in errors.items():
-            if not math.isfinite(errs[i]):
-                raise ValueError(f"err_{name} is not finite ({errs[i]}) at N = {N}")
-            cells[f"err_{name}"] = errs[i]
-            cells[f"eoc_{name}"] = eoc(errs[i - 1:i + 1], Ns[i - 1:i + 1])[0] if i else None
-        rows.append(StudyRow(N=N, k=1.0 / N, **cells))
-    return EOCTable(problem=system.name, q=q, use_projection=use_projection, rows=tuple(rows))
+    p = (_sample(system.exact_p, nodes, "exact_p", system.r1, slabs.number)
+         if "multiplier" in norms else None)
+    tables, S = [], slabs.right.size
+    for copy, variant in enumerate(variants):
+        own = slice(copy * S, (copy + 1) * S)  # the variant's copy of the slabs
+        errors = {}
+        if "energy" in norms:
+            errors["energy"] = _l2_errors(U[own], u[:, :-1], system.normU, errquad, slabs)
+        if "nodal" in norms:
+            errors["nodal"] = _nodal_errors(U[own], u[:, -1], system.M, slabs)
+        if p is not None:
+            errors["p"] = _l2_errors(P[own], p, system.normQ1, errquad, slabs)
+        rows = []
+        for i, N in enumerate(Ns):
+            cells = {}
+            for name, errs in errors.items():
+                if not math.isfinite(errs[i]):
+                    raise ValueError(f"err_{name} is not finite ({errs[i]}) at N = {N}")
+                cells[f"err_{name}"] = errs[i]
+                cells[f"eoc_{name}"] = eoc(errs[i - 1:i + 1], Ns[i - 1:i + 1])[0] if i else None
+            rows.append(StudyRow(N=N, k=1.0 / N, **cells))
+        tables.append(EOCTable(problem=system.name, q=q, use_projection=variant.use_projection,
+                               rows=tuple(rows)))
+    return tables

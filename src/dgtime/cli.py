@@ -27,7 +27,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .analysis import _PROBLEMS, EOCTable, StudyRow, _resolve_problem, run_study
+from .analysis import _PROBLEMS, EOCTable, StudyRow, _resolve_problem, _run_studies
 from .dgsolver import DataError, SlabSolveError, SolverOptions
 from .projection import ProjectionSpec, project_broken
 from .systems import PRESET_FUNCTIONS, ConstrainedSystem, load_system, validate_system
@@ -48,7 +48,7 @@ def _names(text: str) -> tuple:
 
 
 def _slab_counts(text: str) -> tuple:
-    """--Ns: comma-separated integers; run_study checks that they increase."""
+    """--Ns: comma-separated integers; the study checks that they increase."""
     try:
         return tuple(int(s) for s in _names(text))
     except ValueError:
@@ -155,10 +155,8 @@ def _cmd_study(args) -> int:
     if args.problem is None:
         raise ValueError("a problem must be given (--problem or config file)")
     system = _load_problem(args.problem)
-    variants = {"on": [True], "off": [False], "both": [True, False]}[args.projection]
-    tables = [run_study(system, args.q, args.Ns, use_projection=use_projection,
-                        norms=args.norms)
-              for use_projection in variants]
+    projections = {"on": [True], "off": [False], "both": [True, False]}[args.projection]
+    tables = _run_studies(system, args.q, args.Ns, projections, args.norms)
     render = format_csv if args.format == "csv" else format_markdown
     for table in tables:
         proj = "on" if table.use_projection else "off"

@@ -56,8 +56,13 @@ are stacked mesh after mesh, the data is sampled once per field for all of
 them, one vectorized LU factors every level's blocks, and the recurrence
 restarts from u0 at each mesh's first slab.  Each mesh keeps its own
 sqrt(N) blocks, so its recurrence is the one a march on it alone runs.
-The march returns stacked arrays; only solve_constrained builds a
-MixedSolution.
+A study with the projection both on and off (dgtime study --projection
+both) is still one march: the second variant's slabs are stacked as
+further meshes, g1 and g2 are sampled once at the nodes and right ends
+and reduced to both the projected and the L2 coefficients, and f is
+sampled once for both; only C differs between the variants, so each
+variant's rows equal those of its own study.  The march returns stacked
+arrays; only solve_constrained builds a MixedSolution.
 
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
@@ -80,11 +85,12 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
-from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
+from .projection import (DataError, _coeff_samples, _coeffs_from_samples, _moments, _sample,
+                         _slab_nodes)
 from .systems import (_asymmetry, _free_components, _full_row_rank, _kept,
                       _kernel_reduction)
-from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _gemm, _is_count,
-                       _Slabs, gauss_legendre)
+from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
+                       _is_count, _Slabs, gauss_legendre)
 
 __all__ = [
     "SolverOptions",
@@ -174,7 +180,7 @@ def assemble_temporal_matrices(q: int, width: float):
 
 @dataclass(frozen=True, eq=False)
 class _SlabData:
-    """The data side of the slab equations, for all N slabs at once.
+    """The data side of the slab equations, for all slabs at once.
 
     S holds the slab mass matrix diagonals, (N, q).  F are the load moments
     int phi_i f dt, (N, q, m); C the constraint data (_constraint_data),
@@ -186,24 +192,38 @@ class _SlabData:
     C: np.ndarray
 
 
-def _constraint_data(system, slabs: _Slabs, opts: SolverOptions) -> np.ndarray:
-    """Slab coefficients of [g1; g2], (N, q, r1 + r2), projected or L2-projected as opts say."""
-    q, r1 = opts.q, system.r1
-    C = np.zeros((slabs.widths.size, q, r1 + system.r2))
+def _constraint_data(system, slabs: _Slabs, variants) -> np.ndarray:
+    """Slab coefficients of [g1; g2], (V S, q, r1 + r2), projected or L2-projected.
+
+    variants are V SolverOptions of one q; the coefficients of each follow
+    its projection switch and are stacked like slabs.repeat(V).  g1 and g2
+    are each sampled in one call for all variants.
+    """
+    q, quad, r1, r = variants[0].q, variants[0].quadrature(), system.r1, system.r1 + system.r2
+    switches = [v.use_projection for v in variants]
+    C = np.zeros((len(variants), slabs.right.size, q, r))
     for g, field, block in ((system.g1, "g1", C[..., :r1]), (system.g2, "g2", C[..., r1:])):
         if block.shape[-1]:
-            block[...] = _slab_coeffs(g, slabs, opts.quadrature(), q, field, block.shape[-1],
-                                      opts.use_projection)
-    return C
+            vals = _coeff_samples(g, slabs, quad, q, field, block.shape[-1], switches)
+            for copy, interpolate_end in zip(block, switches):
+                copy[...] = _coeffs_from_samples(vals, slabs.widths, quad, q, interpolate_end)
+    return C.reshape(C.shape[0] * C.shape[1], q, r)
 
 
-def _slab_data(system, slabs: _Slabs, opts: SolverOptions) -> _SlabData:
-    """Sample f, g1 and g2 once over all slabs and reduce them to slab data."""
-    q, quad, k = opts.q, opts.quadrature(), slabs.widths
+def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
+    """Sample f, g1 and g2 once over slabs and reduce them to the slab data of every variant.
+
+    variants are SolverOptions of one q.  The data is stacked like
+    slabs.repeat(len(variants)): S and F repeat, C follows each variant's
+    projection switch.
+    """
+    q, quad, k = variants[0].q, variants[0].quadrature(), slabs.widths
     F = _moments(_sample(system.f, _slab_nodes(slabs, quad), "f", system.m, slabs.number),
                  k, quad, q)
-    return _SlabData(k[:, None] / (2.0 * np.arange(q) + 1.0), F,
-                     _constraint_data(system, slabs, opts))
+    S, copies = k[:, None] / (2.0 * np.arange(q) + 1.0), len(variants)
+    if copies > 1:
+        S, F = np.tile(S, (copies, 1)), np.tile(F, (copies, 1, 1))
+    return _SlabData(S, F, _constraint_data(system, slabs, variants))
 
 
 def _singular(d: np.ndarray) -> np.ndarray:
@@ -414,15 +434,16 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     return w
 
 
-def _march(system, slabs: _Slabs, opts: SolverOptions):
-    """(U, P): the coefficients of one sequential solve on every mesh of slabs, stacked.
+def _march(system, slabs: _Slabs, variants):
+    """(U, P): the coefficients of one sequential solve per variant on every mesh of slabs.
 
-    U is (S, q, m) and P (S, q, r1), None when r1 = 0, both stacked like
-    the slabs.  The meshes' slabs are solved as one: one data stage, one
-    grouped block solve and one recurrence, cut at each mesh's first slab,
-    which starts from u0.  The spatial eigenbasis is the system's own
-    (_modes), so only the first solve on a system pays its O(m^3)
-    reduction.  Every coefficient is u_j = V w_j + kappa_j, kappa the
+    variants are SolverOptions of one q.  U is (V S, q, m) and P
+    (V S, q, r1), None when r1 = 0, both stacked like slabs.repeat(V): one
+    copy of the slabs per variant, in the order of variants.  All of them
+    are solved as one: one data stage (_slab_data), one grouped block solve
+    and one recurrence, cut at each mesh's first slab, which starts from
+    u0.  The spatial eigenbasis is the system's own (_modes), so only the
+    first solve on a system pays its O(m^3) reduction.  Every coefficient is u_j = V w_j + kappa_j, kappa the
     known part: the constraint data on R = pinv(B).  Every product with an
     m x m matrix is one 2-D GEMM over all slabs, and the known part is
     formed at rank r1 + r2.  Slabs of one exact width, in any mesh, share
@@ -441,10 +462,11 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
     Sampled index-2 data causes it, not the march.
     """
     sigma, V, R = _modes(system)
-    data = _slab_data(system, slabs, opts)
+    data = _slab_data(system, slabs, variants)
+    slabs = slabs.repeat(len(variants))
     M, A, R1 = system.M, system.A, R[:, :system.r1]
-    Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
-    q, mw, firsts = opts.q, sigma.size, slabs.starts[:-1]
+    q, mw, firsts = variants[0].q, sigma.size, slabs.starts[:-1]
+    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
     S = data.S[:, :, None]
     slot, first, size = _width_groups(slabs.widths)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -455,9 +477,7 @@ def _march(system, slabs: _Slabs, opts: SolverOptions):
         # the known part of every slab's u_prev term: u0 on a mesh's first
         # slab, else kappa's terminal value on the slab before
         prev = np.empty((slabs.right.size, system.m))
-        prev[1:] = kM[:-1, 0]
-        for j in range(1, q):  # q - 1 adds: a sum over the middle axis is several times slower
-            prev[1:] += kM[:-1, j]
+        prev[1:] = _end_values(kM[:-1])
         prev[firsts] = M @ system.u0
         prev = prev @ VR
         # K[:, :, g, l] is mode l's block at group g's width
@@ -502,7 +522,7 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
     constraint blocks themselves, and the rest of the solution is marched
     on ker [B1; B2].  P carries the multiplier of B1, None when r1 = 0.
     """
-    U, P = _march(system, _Slabs.of([mesh]), opts)
+    U, P = _march(system, _Slabs.of([mesh]), [opts])
     return MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
                          partial(_conditions, system, opts.q, mesh.widths))
 
@@ -519,7 +539,7 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     of [B1; B2] on the LU factors of its width, the factors the condition
     estimates read.  P is the multiplier of B1; that of B2 is dropped.
     """
-    data = _slab_data(system, _Slabs.of([mesh]), opts)
+    data = _slab_data(system, _Slabs.of([mesh]), [opts])
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
     _, _, e = assemble_temporal_matrices(q, 1.0)
     # the constraint rows are Smat times the coefficients of [g1; g2]
@@ -565,11 +585,11 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
         raise ValueError("multiplier P of dimension r1 required")
     M, A, B1, B2 = system.M, system.A, system.B1, system.B2
     R2 = _right_inverse(system)[:, r1:]
-    data = _slab_data(system, _Slabs.of([mesh]), opts)
+    data = _slab_data(system, _Slabs.of([mesh]), [opts])
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     S = data.S[:, :, None]
     uc = U.coeffs
-    u_prev = np.vstack([system.u0, uc[:-1].sum(axis=1)])
+    u_prev = np.vstack([system.u0, _end_values(uc[:-1])])
     Rm = (Dmat @ _gemm(uc, M.T) + S * _gemm(uc, A.T) - data.F
           - e[:, None] * _gemm(u_prev, M.T)[:, None, :])
     if r1:
@@ -590,5 +610,5 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
     every slab of a system without constraints.
     """
     _check_solution(system, mesh, opts, U)
-    C = _constraint_data(system, _Slabs.of([mesh]), SolverOptions(opts.q))
+    C = _constraint_data(system, _Slabs.of([mesh]), [SolverOptions(opts.q)])
     return np.abs(U.coeffs @ np.vstack([system.B1, system.B2]).T - C).max(axis=(1, 2), initial=0.0)

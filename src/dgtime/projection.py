@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .timecore import BrokenFunction, Quadrature, SlabPoly, TimeMesh, _is_count, _Slabs
+from .timecore import (BrokenFunction, Quadrature, SlabPoly, TimeMesh, _end_values, _is_count,
+                       _Slabs)
 
 __all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
 
@@ -114,28 +115,45 @@ def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> 
     return widths[:, None, None] * (Phiw @ vals)
 
 
-def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
-                 interpolate_end: bool) -> np.ndarray:
-    """Modal coefficients (S, q, dim) of func projected slab-wise onto degree q - 1.
+def _coeff_samples(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
+                   interpolate_ends) -> np.ndarray:
+    """func sampled in one call for its slab coefficients under every choice; (S, k, dim).
 
-    interpolate_end selects the endpoint-interpolating projection; otherwise
-    the plain L2 projection, which matches q moments instead.  One call
-    samples func at the nodes and, to interpolate, the right ends.
+    interpolate_ends holds one projection choice per coefficient set
+    (_coeffs_from_samples).  The columns are the quadrature nodes, when a
+    choice matches moments, then the right end, when a choice interpolates.
     """
-    widths = slabs.widths
-    n_mom = q - 1 if interpolate_end else q
-    ts = _slab_nodes(slabs, quad) if n_mom else np.empty((widths.size, 0))
-    if interpolate_end:
+    moments = q > 1 or not all(interpolate_ends)
+    ts = _slab_nodes(slabs, quad) if moments else np.empty((slabs.right.size, 0))
+    if any(interpolate_ends):
         ts = np.hstack([ts, slabs.right[:, None]])
-    vals = _sample(func, ts, field, dim, slabs.number)
-    coeffs = np.zeros((widths.size, q, dim))
+    return _sample(func, ts, field, dim, slabs.number)
+
+
+def _coeffs_from_samples(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int,
+                         interpolate_end: bool) -> np.ndarray:
+    """Modal coefficients (S, q, dim) of the slab-wise projection onto degree q - 1.
+
+    vals are _coeff_samples' values.  interpolate_end selects the
+    endpoint-interpolating projection; otherwise the plain L2 projection,
+    which matches q moments instead.
+    """
+    n_mom = q - 1 if interpolate_end else q
+    coeffs = np.zeros((widths.size, q, vals.shape[-1]))
     if n_mom:
         scale = (2.0 * np.arange(n_mom) + 1.0) / widths[:, None]
         moments = _moments(vals[:, :quad.npoints], widths, quad, n_mom)
         coeffs[:, :n_mom] = scale[:, :, None] * moments
     if interpolate_end:
-        coeffs[:, q - 1] = vals[:, -1] - coeffs[:, : q - 1].sum(axis=1)
+        coeffs[:, q - 1] = vals[:, -1] - _end_values(coeffs[:, : q - 1])
     return coeffs
+
+
+def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
+                 interpolate_end: bool) -> np.ndarray:
+    """Modal coefficients (S, q, dim) of func projected slab-wise onto degree q - 1, one call."""
+    vals = _coeff_samples(func, slabs, quad, q, field, dim, [interpolate_end])
+    return _coeffs_from_samples(vals, slabs.widths, quad, q, interpolate_end)
 
 
 def project_slab(phi, interval, spec: ProjectionSpec) -> SlabPoly:

@@ -336,3 +336,40 @@ def test_a_failing_level_raises_what_its_own_solve_raises(case):
         run_study(system, q, Ns, norms=norms)
     assert type(study.value) is type(alone.value)
     assert str(study.value) == str(alone.value)
+    # a both-variant study raises what its projection-on study raises alone
+    with pytest.raises(error) as both:
+        analysis._run_studies(system, q, Ns, [True, False], norms)
+    assert type(both.value) is type(alone.value)
+    assert str(both.value) == str(alone.value)
+
+
+def _failing_variants():
+    stokes3 = build_saddle_dae("stokes3")
+    # at q = 1 only the L2 projection samples g1 at the nodes; this is the
+    # first node of slab 2 at N = 4, the times _slab_nodes computes
+    node = 0.25 + 0.25 * SolverOptions(q=1).quadrature().nodes[0]
+    nan_node = dataclasses.replace(stokes3, g1=_nan_at(stokes3.g1, node))
+    return {
+        # projection on passes, so the projection-off error is raised
+        "data error of projection off only": nan_node,
+        # projection on fails only at its norms, after the data stage at
+        # which projection off fails
+        "projection on fails at a later stage": dataclasses.replace(nan_node, normU=-np.eye(3)),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_failing_variants()))
+def test_a_both_variant_study_raises_what_its_first_failing_variant_raises(case):
+    system, norms = _failing_variants()[case], ("energy", "nodal")
+    alone = []
+    for use_projection in (True, False):
+        try:
+            run_study(system, 1, (2, 4), use_projection=use_projection, norms=norms)
+        except (ValueError, SlabSolveError) as exc:
+            alone.append(exc)
+    assert alone
+    with pytest.raises(type(alone[0])) as study:
+        analysis._run_studies(system, 1, (2, 4), [True, False], norms)
+    assert type(study.value) is type(alone[0])
+    assert str(study.value) == str(alone[0])

@@ -127,6 +127,21 @@ def test_study_both_variants_to_files(tmp_path, capsys):
     assert on.read_bytes() != off.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("problem", ["heat1d", "stokes3"])
+def test_study_both_variants_write_the_bytes_of_two_separate_studies(tmp_path, capsys, problem,
+                                                                    q, fmt):
+    norms = "energy,nodal,multiplier" if problem == "stokes3" else "energy,nodal"
+    args = ["study", "--problem", problem, "--q", str(q), "--Ns", "4,8,16", "--norms", norms,
+            "--format", fmt]
+    assert main(args + ["--projection", "both", "--output", str(tmp_path / f"run.{fmt}")]) == 0
+    for proj in ("on", "off"):
+        alone = tmp_path / f"alone_{proj}.{fmt}"
+        assert main(args + ["--projection", proj, "--output", str(alone)]) == 0
+        assert (tmp_path / f"run_projection_{proj}.{fmt}").read_bytes() == alone.read_bytes()
+
+
 @pytest.mark.parametrize("output, written", [
     ("res.v2/table", ("res.v2/table_projection_on", "res.v2/table_projection_off")),
     ("./table", ("table_projection_on", "table_projection_off")),

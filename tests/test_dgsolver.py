@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import null_space
 
-from dgtime import dgsolver, systems
+from dgtime import analysis, dgsolver, systems
 from dgtime import (
     BrokenFunction,
     ConstrainedSystem,
@@ -1346,29 +1346,40 @@ def test_study_equals_per_level_solves_and_public_norms(case, seed, q, use_proje
 
 
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
-@pytest.mark.parametrize("use_projection", [True, False])
-def test_data_and_exact_calls_per_study_do_not_grow_with_its_levels(problem, use_projection):
+@pytest.mark.parametrize("projections", [[True], [False], [True, False]],
+                         ids=["True", "False", "both"])
+def test_data_and_exact_calls_per_study_do_not_grow_with_its_levels(problem, projections):
     system = _BUILDERS[problem]()
     norms = ("energy", "nodal") + (("multiplier",) if system.r1 else ())
     counts = []
     for Ns in ((8,), (8, 16, 32, 64, 128)):
         counted, calls = _counting(system, ("f", "g1", "g2", "exact_u", "exact_p"))
-        run_study(counted, 2, Ns, use_projection=use_projection, norms=norms)
+        calls.clear()  # building the system checks u0 against g1 and g2 at t = 0
+        analysis._run_studies(counted, 2, Ns, projections, norms)
         counts.append(calls)
     assert counts[0] == counts[1]
-    # one array call and its scalar probe; exact_u at the error nodes and right ends together
-    assert counts[0]["f"] == counts[0]["exact_u"] == 2
+    # for every variant at once, each field gets one array call and its scalar
+    # probe; exact_u at the error nodes and right ends together
+    fields = [name for name in ("f", "g1", "g2", "exact_u", "exact_p") if getattr(system, name)]
+    assert counts[0] == {name: 2 for name in fields}
 
 
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
 def test_a_study_builds_its_slabs_once(problem):
-    with mock.patch.object(_Slabs, "of", wraps=_Slabs.of) as of:
-        run_study(_BUILDERS[problem](), 2, (8, 16, 32))
-    assert of.call_count == 1
+    for projections in ([True], [True, False]):
+        with mock.patch.object(_Slabs, "of", wraps=_Slabs.of) as of:
+            analysis._run_studies(_BUILDERS[problem](), 2, (8, 16, 32), projections,
+                                  ("energy", "nodal"))
+        assert of.call_count == 1
 
 
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
 def test_a_study_makes_one_block_solve_call(problem):
-    system = _BUILDERS[problem]()
-    factored, solved = _block_kernel_calls(lambda: run_study(system, 2, (8, 16, 32, 64, 128)))
-    assert len(factored) == len(solved) == 1
+    system, Ns = _BUILDERS[problem](), (8, 16, 32, 64, 128)
+    for projections in ([True], [True, False]):
+        factored, solved = _block_kernel_calls(
+            lambda: analysis._run_studies(system, 2, Ns, projections, ("energy", "nodal")))
+        assert len(factored) == len(solved) == 1
+        # every variant's slabs are right-hand-side columns of the one solve
+        (Y, _), = solved
+        assert Y.shape[1] * (Y.shape[3] - 1) >= len(projections) * sum(Ns)

@@ -44,10 +44,12 @@ def test_the_kernel_reduction_is_the_only_svd():
 
 def test_the_solver_projects_its_constraint_data_in_one_place():
     # the public projections are the other callers; the march, the oracle,
-    # dg_residual and constraint_residual all read _constraint_data
-    assert _calls({"_slab_coeffs"}) == [
+    # dg_residual and constraint_residual all read _constraint_data, which
+    # reduces one sample of each field for every projection switch
+    assert _calls({"_slab_coeffs", "_coeffs_from_samples"}) == [
         ("analysis.py", "l2_project_broken", "_slab_coeffs"),
-        ("dgsolver.py", "_constraint_data", "_slab_coeffs"),
+        ("dgsolver.py", "_constraint_data", "_coeffs_from_samples"),
+        ("projection.py", "_slab_coeffs", "_coeffs_from_samples"),
         ("projection.py", "project_slab", "_slab_coeffs"),
         ("projection.py", "project_broken", "_slab_coeffs"),
     ]

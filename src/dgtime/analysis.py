@@ -228,7 +228,7 @@ def _tables(system: ConstrainedSystem, Ns: list, variants: list, norms: tuple) -
     q = variants[0].q
     errquad = gauss_legendre(q + 3)
     slabs = _Slabs.of([build_uniform_mesh(1.0, N) for N in Ns])
-    U, P = _march(system, slabs, variants)
+    U, P, _ = _march(system, slabs, variants)
     nodes = _slab_nodes(slabs, errquad)
     u = _sample(system.exact_u, np.hstack([nodes, slabs.right[:, None]]), "exact_u", system.m,
                 slabs.number)

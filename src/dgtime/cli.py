@@ -109,7 +109,9 @@ def parse_table_csv(text: str, problem: str = "", q: int = 0,
                     use_projection: bool = True) -> EOCTable:
     """Inverse of format_csv (table metadata is not stored in the file)."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("the CSV has no header line")
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
     rows = []

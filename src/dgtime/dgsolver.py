@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -141,6 +142,13 @@ class MixedSolution:
     condition_estimates, (N,), is the LAPACK gecon estimate of the 1-norm
     condition of every slab's saddle matrix, from the per-width LU factors
     solve_monolithic solves with; the march factors them on first access.
+
+    The U of a solve_constrained result carries the data its march sampled,
+    for as long as U lives: dg_residual and constraint_residual of that U,
+    with the same system object and equal options, read it and sample no
+    data again (constraint_residual only after a solve with the projection
+    on).  A copy of U, a U built from its coefficients or unpickled, and
+    solve_monolithic's U carry none, so their checks sample afresh.
     """
 
     U: BrokenFunction
@@ -435,11 +443,12 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
 
 
 def _march(system, slabs: _Slabs, variants):
-    """(U, P): the coefficients of one sequential solve per variant on every mesh of slabs.
+    """(U, P, data): the coefficients of one sequential solve per variant on every mesh of slabs.
 
     variants are SolverOptions of one q.  U is (V S, q, m) and P
     (V S, q, r1), None when r1 = 0, both stacked like slabs.repeat(V): one
-    copy of the slabs per variant, in the order of variants.  All of them
+    copy of the slabs per variant, in the order of variants; data is the
+    _SlabData they were solved with, stacked the same way.  All of them
     are solved as one: one data stage (_slab_data), one grouped block solve
     and one recurrence, cut at each mesh's first slab, which starts from
     u0.  The spatial eigenbasis is the system's own (_modes), so only the
@@ -511,7 +520,20 @@ def _march(system, slabs: _Slabs, variants):
         bad |= ~np.isfinite(P).all(axis=(1, 2))
     if bad.any():
         raise SlabSolveError(int(slabs.number[np.argmax(bad)]), "non-finite solution coefficients")
-    return U, P
+    return U, P, data
+
+
+# every U solve_constrained returned, while it lives, to (weakref to its
+# system, its options, the _SlabData its march sampled)
+_SOLVED = weakref.WeakKeyDictionary()
+
+
+def _solved_data(system, opts: SolverOptions, U: BrokenFunction) -> Optional[_SlabData]:
+    """The data U's solve sampled, if U is a solve_constrained result of this system and opts."""
+    solved = _SOLVED.get(U)
+    if solved is not None and solved[0]() is system and solved[1] == opts:
+        return solved[2]
+    return None
 
 
 def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolution:
@@ -521,10 +543,13 @@ def solve_constrained(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSolut
     data is imposed exactly through R = pinv([B1; B2]), computed from the
     constraint blocks themselves, and the rest of the solution is marched
     on ker [B1; B2].  P carries the multiplier of B1, None when r1 = 0.
+    U carries the data the march sampled (MixedSolution).
     """
-    U, P = _march(system, _Slabs.of([mesh]), [opts])
-    return MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
-                         partial(_conditions, system, opts.q, mesh.widths))
+    U, P, data = _march(system, _Slabs.of([mesh]), [opts])
+    sol = MixedSolution(BrokenFunction(mesh, U), None if P is None else BrokenFunction(mesh, P),
+                        partial(_conditions, system, opts.q, mesh.widths))
+    _SOLVED[sol.U] = (weakref.ref(system), opts, data)
+    return sol
 
 
 # the same solver under its older name
@@ -577,21 +602,33 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     ker B2 when an explicit block is present) and the constraint equations
     in their modal coefficients, the B1 rows times Smat, using the same
     data treatment as the solvers.  I - R2 B2, R2 = pinv([B1; B2])[:, r1:],
-    projects onto ker B2.
+    projects onto ker B2.  P is required when r1 > 0 and refused when
+    r1 = 0.
+
+    A U that solve_constrained returned carries the data its solve sampled
+    (MixedSolution): checked with the same system object and equal opts,
+    no data is sampled again; any other U (a copy, a perturbed U,
+    solve_monolithic's) samples f, g1 and g2 afresh.  The upwind term reuses
+    U M^T, which the momentum equation needs anyway: u_prev M^T is u0 M^T on
+    the first slab and the terminal value of U M^T on the slab before.
     """
     _check_solution(system, mesh, opts, U, P)
     r1 = system.r1
     if r1 and (P is None or P.dim != r1):
         raise ValueError("multiplier P of dimension r1 required")
+    if not r1 and P is not None:
+        raise ValueError("multiplier P given, but the system has no B1 (r1 = 0)")
     M, A, B1, B2 = system.M, system.A, system.B1, system.B2
     R2 = _right_inverse(system)[:, r1:]
-    data = _slab_data(system, _Slabs.of([mesh]), [opts])
+    data = _solved_data(system, opts, U)
+    if data is None:
+        data = _slab_data(system, _Slabs.of([mesh]), [opts])
     Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
     S = data.S[:, :, None]
     uc = U.coeffs
-    u_prev = np.vstack([system.u0, _end_values(uc[:-1])])
-    Rm = (Dmat @ _gemm(uc, M.T) + S * _gemm(uc, A.T) - data.F
-          - e[:, None] * _gemm(u_prev, M.T)[:, None, :])
+    uM = _gemm(uc, M.T)
+    upwind = np.vstack([system.u0 @ M.T, _end_values(uM[:-1])])  # u_prev M^T
+    Rm = Dmat @ uM + S * _gemm(uc, A.T) - data.F - e[:, None] * upwind[:, None, :]
     if r1:
         Rm = Rm + S * _gemm(P.coeffs, B1)
     gap = uc @ np.vstack([B1, B2]).T - data.C
@@ -608,7 +645,15 @@ def constraint_residual(system, mesh: TimeMesh, opts: SolverOptions,
     the projection switch is on: the discrete constraint holds as a
     polynomial identity on every slab, not just in quadrature.  Zero on
     every slab of a system without constraints.
+
+    The comparison is always with the projected data, whatever
+    opts.use_projection says.  A U that solve_constrained returned with the
+    projection on carries that data (MixedSolution): checked with the same
+    system object and equal opts, g1 and g2 are not sampled again.  After a
+    solve with the projection off, and for any other U, they are.
     """
     _check_solution(system, mesh, opts, U)
-    C = _constraint_data(system, _Slabs.of([mesh]), [SolverOptions(opts.q)])
+    data = _solved_data(system, opts, U) if opts.use_projection else None
+    C = (data.C if data is not None
+         else _constraint_data(system, _Slabs.of([mesh]), [SolverOptions(opts.q)]))
     return np.abs(U.coeffs @ np.vstack([system.B1, system.B2]).T - C).max(axis=(1, 2), initial=0.0)

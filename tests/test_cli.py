@@ -64,6 +64,11 @@ def test_parse_table_csv_rejects_a_row_of_another_length(row):
         parse_table_csv(text)
 
 
+def test_parse_table_csv_rejects_an_empty_text():
+    with pytest.raises(ValueError, match="the CSV has no header line"):
+        parse_table_csv("")
+
+
 def test_markdown_has_title_and_selected_columns_only():
     table = run_study("stokes3", 2, [4, 8], norms=("nodal", "multiplier"))
     text = format_markdown(table)

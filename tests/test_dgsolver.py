@@ -1,6 +1,9 @@
+import gc
 import json
+import pickle
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -436,6 +439,10 @@ def test_dg_residual_shape_guard():
     on_other = solve_constrained(system, TimeMesh(np.array([0.0, 0.4, 1.0])), opts)
     with pytest.raises(ValueError, match="P lives on another mesh"):
         dg_residual(system, mesh, opts, sol.U, on_other.P)
+    # a multiplier for a system without B1 is refused, not ignored
+    heat = build_heat_1d(3)
+    with pytest.raises(ValueError, match=r"system has no B1 \(r1 = 0\)"):
+        dg_residual(heat, mesh, opts, solve_constrained(heat, mesh, opts).U, sol.P)
 
 
 @pytest.mark.parametrize("residual", [dg_residual, constraint_residual])
@@ -526,6 +533,84 @@ def test_dg_residual_flags_a_perturbation_of_either_constraint_block(field):
     # vanishes at t = 0, so u0 stays compatible with the perturbed data
     bent = replace(system, **{field: lambda t: g(t) + 1e-3 * np.asarray(t)})
     assert dg_residual(bent, mesh, opts, sol.U, sol.P).min() > 1e-5
+
+
+def _checked(system, calls, mesh, opts, U, P):
+    """[(dg_residual, calls), (constraint_residual, calls)] of U, with the data calls of each."""
+    out = []
+    for check, extra in ((dg_residual, (P,)), (constraint_residual, ())):
+        calls.clear()
+        out.append((check(system, mesh, opts, U, *extra), Counter(calls)))
+    return out
+
+
+def _sampling_calls(system, calls, mesh, opts):
+    """The data calls of each check's own data stage: its _slab_data, its projected C."""
+    slabs, out = _Slabs.of([mesh]), []
+    for sample in (lambda: dgsolver._slab_data(system, slabs, [opts]),
+                   lambda: dgsolver._constraint_data(system, slabs, [SolverOptions(opts.q)])):
+        calls.clear()
+        sample()
+        out.append(Counter(calls))
+    return out
+
+
+@pytest.mark.parametrize("use_projection", [True, False])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("name", ["none", "B1", "B2", "both", "stokes3", "heat1d"])
+def test_checks_of_a_solved_U_reuse_its_data_bit_for_bit(name, q, use_projection):
+    counted, calls = _counting(_constraint_configurations()[name])
+    mesh, opts = _RANDOM_MESH, SolverOptions(q=q, use_projection=use_projection)
+    sol = solve_constrained(counted, mesh, opts)
+    solved = _checked(counted, calls, mesh, opts, sol.U, sol.P)
+    # a copy of the coefficients has no solve behind it, so it samples afresh
+    fresh = _checked(counted, calls, mesh, opts, BrokenFunction(mesh, sol.U.coeffs), sol.P)
+    dg_calls, cr_calls = _sampling_calls(counted, calls, mesh, opts)
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(solved, fresh))
+    assert [c for _, c in fresh] == [dg_calls, cr_calls] and sum(dg_calls.values()) > 0
+    # constraint_residual compares with the projected data, which only a
+    # solve with the projection on has sampled
+    assert [c for _, c in solved] == [Counter(), Counter() if use_projection else cr_calls]
+
+
+@pytest.mark.parametrize("case", ["replaced system", "switch on to off", "switch off to on",
+                                  "perturbed U"])
+@pytest.mark.parametrize("name", ["both", "heat1d"])
+def test_checks_sample_afresh_unless_system_options_and_U_are_the_solves(name, case):
+    counted, calls = _counting(_constraint_configurations()[name])
+    mesh, opts = _RANDOM_MESH, SolverOptions(q=2, use_projection=case != "switch off to on")
+    sol = solve_constrained(counted, mesh, opts)
+    system, U = counted, sol.U
+    if case == "replaced system":
+        g = counted.g2
+        # vanishes at t = 0, so u0 stays compatible with the perturbed data
+        system = replace(counted, g2=lambda t: g(t) + 1e-3 * np.asarray(t))
+    elif case.startswith("switch"):
+        opts = replace(opts, use_projection=not opts.use_projection)
+    else:
+        bad = sol.U.coeffs.copy()
+        bad[2, 1, 0] += 1e-3
+        U = BrokenFunction(mesh, bad)
+    checked = _checked(system, calls, mesh, opts, U, sol.P)
+    fresh = _checked(system, calls, mesh, opts, BrokenFunction(mesh, U.coeffs), sol.P)
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(checked, fresh))
+    assert [c for _, c in checked] == _sampling_calls(system, calls, mesh, opts)
+    if case in ("replaced system", "perturbed U"):
+        assert checked[0][0].max() > 1e-5
+
+
+def test_a_solved_U_pickles_and_keeps_neither_itself_nor_its_system_alive():
+    system, mesh, opts = build_heat_1d(3), build_uniform_mesh(1.0, 4), SolverOptions(q=2)
+    U = solve_constrained(system, mesh, opts).U
+    back = pickle.loads(pickle.dumps(U))
+    assert np.array_equal(dg_residual(system, mesh, opts, back), dg_residual(system, mesh, opts, U))
+    solved, built = weakref.ref(U), weakref.ref(system)
+    del system
+    gc.collect()
+    assert built() is None
+    del U
+    gc.collect()
+    assert solved() is None
 
 
 # ---------------------------------------------------------------------------
@@ -1303,9 +1388,9 @@ def _recorded_study(system, q, Ns, use_projection, norms):
     marched = []
 
     def recording(system, slabs, opts):
-        U, P = dgsolver._march(system, slabs, opts)
+        U, P, data = dgsolver._march(system, slabs, opts)
         marched.append((slabs, U, P))
-        return U, P
+        return U, P, data
 
     with mock.patch("dgtime.analysis._march", recording):
         table = run_study(system, q, Ns, use_projection=use_projection, norms=norms)

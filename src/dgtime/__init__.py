@@ -26,7 +26,6 @@ from .dgsolver import (
     MixedSolution,
     SlabSolveError,
     SolverOptions,
-    assemble_temporal_matrices,
     constraint_residual,
     dg_residual,
     solve_constrained,
@@ -51,6 +50,7 @@ from .timecore import (
     Quadrature,
     SlabPoly,
     TimeMesh,
+    assemble_temporal_matrices,
     build_uniform_mesh,
     dh_form,
     dh_star_form,

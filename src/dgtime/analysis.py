@@ -57,27 +57,42 @@ def _nodal_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, slabs: _
     return [float(e.max()) for e in slabs.split(np.sqrt(((d @ W) * d).sum(axis=-1)))]
 
 
-def _l2_error(U: BrokenFunction, exact, W, quad: Quadrature, field: str) -> float:
+def _checked(compute, norm: str, weight: str) -> float:
+    """compute(), or ValueError naming the norm and its weight when it is NaN.
+
+    A weight that is indefinite on the error makes a square negative, and
+    its root NaN; the public norms raise rather than return it.
+    """
+    with np.errstate(invalid="ignore"):
+        value = compute()
+    if math.isnan(value):
+        raise ValueError(f"{norm} is NaN: its weight {weight} is not positive semidefinite "
+                         "on the error, or an input is not finite")
+    return value
+
+
+def _l2_error(U: BrokenFunction, exact, W, quad: Quadrature, field: str, norm: str,
+              weight: str) -> float:
     W, slabs = _weight_matrix(W, U.dim), _Slabs.of([U.mesh])
     values = _sample(exact, _slab_nodes(slabs, quad), field, U.dim, slabs.number)
-    return _l2_errors(U.coeffs, values, W, quad, slabs)[0]
+    return _checked(lambda: _l2_errors(U.coeffs, values, W, quad, slabs)[0], norm, weight)
 
 
 def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
-    """L2-in-time error (sum_n int_{I_n} ||U - exact||_normU^2 dt)^(1/2)."""
-    return _l2_error(U, exact, normU, quad, "exact_u")
+    """L2-in-time error (sum_n int_{I_n} ||U - exact||_normU^2 dt)^(1/2); see _checked."""
+    return _l2_error(U, exact, normU, quad, "exact_u", "error_l2_energy", "normU")
 
 
 def error_nodal_max(U: BrokenFunction, exact, M) -> float:
-    """max_n ||U^n - exact(t_n)||_M over the breakpoints t_1 .. t_N."""
+    """max_n ||U^n - exact(t_n)||_M over the breakpoints t_1 .. t_N; see _checked."""
     W, slabs = _weight_matrix(M, U.dim), _Slabs.of([U.mesh])
     values = _sample(exact, slabs.right[:, None], "exact_u", U.dim, slabs.number)[:, 0]
-    return _nodal_errors(U.coeffs, values, W, slabs)[0]
+    return _checked(lambda: _nodal_errors(U.coeffs, values, W, slabs)[0], "error_nodal_max", "M")
 
 
 def error_l2_multiplier(P: BrokenFunction, exact_p, normQ1, quad: Quadrature) -> float:
-    """L2-in-time error of the Lagrange multiplier."""
-    return _l2_error(P, exact_p, normQ1, quad, "exact_p")
+    """L2-in-time error of the Lagrange multiplier; see _checked."""
+    return _l2_error(P, exact_p, normQ1, quad, "exact_p", "error_l2_multiplier", "normQ1")
 
 
 def _check_slab_counts(Ns: Sequence[int]) -> None:

@@ -33,9 +33,11 @@ the data.  One generalized symmetric eigendecomposition of
 (Q^T A Q, Q^T M Q) gives sigma and V = Q W with V^T M V = I and
 V^T A V = diag(sigma).  The SVD and the eigenbasis depend only on M, A,
 B1 and B2, so they are computed once per system, on its first solve, and
-kept on it: the solves of a convergence study share them.  Tested with
-V, every slab, at any width k,
-splits into one q x q block per mode l,
+kept on it, together with every product the march forms from the system
+alone (M R, A R, M u0, R1^T M V, R1^T A V and [V, R1]; _modes): the
+solves of a convergence study share them, and no solve after the first
+multiplies by M or A.  Tested with V, every slab, at any width k, splits
+into one q x q block per mode l,
 
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l.
 
@@ -80,7 +82,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve
@@ -91,14 +93,13 @@ from .projection import (DataError, _coeff_samples, _coeffs_from_samples, _momen
 from .systems import (_asymmetry, _free_components, _full_row_rank, _kept,
                       _kernel_reduction)
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
-                       _is_count, _Slabs, gauss_legendre)
+                       _is_count, _Slabs, assemble_temporal_matrices, gauss_legendre)
 
 __all__ = [
     "SolverOptions",
     "MixedSolution",
     "SlabSolveError",
     "DataError",
-    "assemble_temporal_matrices",
     "solve_mixed",
     "solve_constrained",
     "solve_monolithic",
@@ -158,32 +159,6 @@ class MixedSolution:
     @cached_property
     def condition_estimates(self) -> np.ndarray:
         return self._conditions()
-
-
-def assemble_temporal_matrices(q: int, width: float):
-    """Per-slab temporal matrices in the shifted Legendre basis.
-
-    Returns (Dmat, Smat, e) with
-
-        Dmat_ij = int phi_j' phi_i dt + phi_j(a+) phi_i(a+),
-        Smat    = diag(width / (2j + 1)),
-        e_i     = phi_i(a+) = (-1)^i.
-
-    The derivative part is width-independent: int P_j' P_i dx over [-1, 1]
-    equals 2 for j > i with j - i odd and vanishes otherwise.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not width > 0.0:
-        raise ValueError("slab width must be positive")
-    j = np.arange(q)
-    e = (-1.0) ** j
-    Dmat = np.outer(e, e)
-    for i in range(q):
-        for jj in range(i + 1, q, 2):
-            Dmat[i, jj] += 2.0
-    Smat = np.diag(width / (2.0 * j + 1.0))
-    return Dmat, Smat, e
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,16 +280,37 @@ def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
     return np.array([cond for _, cond in _slab_factors(system, q, k)])
 
 
+class _Modes(NamedTuple):
+    """What the march forms from the system alone (_modes).
+
+    The eigenbasis sigma, (mw,), and V, (m, mw); R = pinv(B), (m, r1 + r2);
+    VR = [V, R1], R1 = R[:, :r1], of which V is a view; MR = M R, AR = A R,
+    Mu0 = M u0, RMV = R1^T M V and RAV = R1^T A V, (r1, mw).
+    """
+
+    sigma: np.ndarray
+    V: np.ndarray
+    R: np.ndarray
+    VR: np.ndarray
+    MR: np.ndarray
+    AR: np.ndarray
+    Mu0: np.ndarray
+    RMV: np.ndarray
+    RAV: np.ndarray
+
+
 @_kept
-def _modes(system):
-    """(sigma, V, R): the spatial eigenbasis of the slab equations and pinv(B).
+def _modes(system) -> _Modes:
+    """The spatial eigenbasis of the slab equations, pinv(B) and their fixed products (_Modes).
 
     The reduction validate_system checks, _kernel_reduction, gives Q, an
     orthonormal basis of ker B, B = [B1; B2], and R = pinv(B)
     (_right_inverse).  eigh(Q^T A Q, Q^T M Q) gives sigma,
     (mw,), and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I
-    and V^T A V = diag(sigma).  Computed once per system and kept on it
-    (_kept); a system that fails these rules raises on every call.
+    and V^T A V = diag(sigma).  The march's products with M and A depend
+    on the system alone, so they are formed here too.  Computed once per
+    system and kept on it (_kept), so a later solve forms no product with
+    M or A; a system that fails these rules raises on every call.
     """
     R = _right_inverse(system)
     Q, Mw, Aw = _kernel_reduction(system)[3:]
@@ -327,7 +323,10 @@ def _modes(system):
     except np.linalg.LinAlgError:
         raise SlabSolveError(1, "singular slab system: M is not positive definite "
                                 "on the constraint kernel") from None
-    return sigma, Q @ W, R
+    M, A, R1 = system.M, system.A, R[:, :system.r1]
+    VR = np.hstack([Q @ W, R1])
+    V = VR[:, :sigma.size]
+    return _Modes(sigma, V, R, VR, M @ R, A @ R, M @ system.u0, R1.T @ M @ V, R1.T @ A @ V)
 
 
 def _lu_blocks(K: np.ndarray):
@@ -451,11 +450,13 @@ def _march(system, slabs: _Slabs, variants):
     _SlabData they were solved with, stacked the same way.  All of them
     are solved as one: one data stage (_slab_data), one grouped block solve
     and one recurrence, cut at each mesh's first slab, which starts from
-    u0.  The spatial eigenbasis is the system's own (_modes), so only the
-    first solve on a system pays its O(m^3) reduction.  Every coefficient is u_j = V w_j + kappa_j, kappa the
-    known part: the constraint data on R = pinv(B).  Every product with an
-    m x m matrix is one 2-D GEMM over all slabs, and the known part is
-    formed at rank r1 + r2.  Slabs of one exact width, in any mesh, share
+    u0.  The spatial eigenbasis and its products with M and A are the
+    system's own (_modes), so only the first solve on a system pays its
+    O(m^3) reduction, and no later one multiplies by M or A.  Every
+    coefficient is u_j = V w_j + kappa_j, kappa the known part: the
+    constraint data on R = pinv(B).  Every product with an m-wide matrix
+    is one 2-D GEMM over all slabs, and the known part is formed at rank
+    r1 + r2.  Slabs of one exact width, in any mesh, share
     their blocks: one vectorized LU (_lu_blocks) factors each width's block
     per mode once, and its solve (_lu_solve_blocks) takes all of that
     width's slabs as right-hand sides (_width_groups).  Only the
@@ -470,24 +471,23 @@ def _march(system, slabs: _Slabs, variants):
     rounding floor, about (2q - 1) eps max|g1| / k, grows as k shrinks.
     Sampled index-2 data causes it, not the march.
     """
-    sigma, V, R = _modes(system)
+    modes = _modes(system)
+    sigma, V, VR = modes.sigma, modes.V, modes.VR
     data = _slab_data(system, slabs, variants)
     slabs = slabs.repeat(len(variants))
-    M, A, R1 = system.M, system.A, R[:, :system.r1]
     q, mw, firsts = variants[0].q, sigma.size, slabs.starts[:-1]
     Dmat, _, e = assemble_temporal_matrices(q, 1.0)
     S = data.S[:, :, None]
     slot, first, size = _width_groups(slabs.widths)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kappa, kM, kA = (_gemm(data.C, X.T) for X in (R, M @ R, A @ R))
+        kappa, kM, kA = (_gemm(data.C, X.T) for X in (modes.R, modes.MR, modes.AR))
         # tested with the modes V and, for the multiplier, with R1
-        VR = np.hstack([V, R1])
         rhs = _gemm(data.F - Dmat @ kM - S * kA, VR)
         # the known part of every slab's u_prev term: u0 on a mesh's first
         # slab, else kappa's terminal value on the slab before
         prev = np.empty((slabs.right.size, system.m))
         prev[1:] = _end_values(kM[:-1])
-        prev[firsts] = M @ system.u0
+        prev[firsts] = modes.Mu0
         prev = prev @ VR
         # K[:, :, g, l] is mode l's block at group g's width
         K = np.ascontiguousarray(Dmat[..., None, None] + np.eye(q)[..., None, None]
@@ -512,7 +512,7 @@ def _march(system, slabs: _Slabs, variants):
         P = None
         if system.r1:
             # the momentum residual tested with R1 is S_ii p_i
-            RMV, RAV = R1.T @ M @ V, R1.T @ A @ V
+            RMV, RAV = modes.RMV, modes.RAV
             P = (rhs[:, :, mw:] + e[:, None] * (prev[:, mw:] + wprev @ RMV.T)[:, None, :]
                  - Dmat @ _gemm(w, RMV.T) - S * _gemm(w, RAV.T)) / S
     bad = ~np.isfinite(U).all(axis=(1, 2))

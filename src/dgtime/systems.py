@@ -130,10 +130,14 @@ class ConstrainedSystem:
     The solvers keep the spatial reduction of (M, A, B1, B2) on the instance:
     computed on first use, read-only, and reused by every later solve and
     validate_system.  It holds the SVD factors of [B1; B2] (u, sv, vt),
-    the kernel pair Q^T M Q and Q^T A Q, (mw, mw), and the eigenbasis
-    (sigma, V, R), where V, like Q, is m x mw floats, mw = m - r1 - r2,
-    and vt is m x m.  Build a new system (dataclasses.replace) to change
-    the matrices.
+    the kernel pair Q^T M Q and Q^T A Q, (mw, mw), the eigenbasis sigma and
+    V, R = pinv([B1; B2]), and every product the march forms from the
+    system alone (dgsolver._modes): VR = [V, R1], of which V is a view,
+    M R, A R, M u0, R1^T M V and R1^T A V, R1 = R[:, :r1].  Q is m x mw
+    floats, mw = m - r1 - r2, VR m x (mw + r1) and vt m x m; the products
+    have rank r1 + r2 at most.  So only a system's first solve multiplies
+    by M or A.  Build a new system (dataclasses.replace) to change the
+    matrices.
     """
 
     M: np.ndarray
@@ -317,12 +321,16 @@ def _p2_shapes(xi):
 def _at_points(fn, x: np.ndarray, t) -> np.ndarray:
     """fn(x, t) as (len(x),) for a scalar t and as (len(x), n) for n times.
 
-    The sum with zeros broadcasts handles that ignore x or t to full shape.
+    A handle's result is returned as it is when it has that shape, so it may
+    be x itself; one that ignores x or t is broadcast to it, in a copy.
     """
     if np.ndim(t) == 0:
-        return np.zeros(x.size) + fn(x, t)
-    t = np.asarray(t, dtype=float)
-    return np.zeros((x.size, t.size)) + fn(x[:, None], t)
+        shape, v = (x.size,), fn(x, t)
+    else:
+        t = np.asarray(t, dtype=float)
+        shape, v = (x.size, t.size), fn(x[:, None], t)
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == shape else np.array(np.broadcast_to(v, shape))
 
 
 def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = None) -> ConstrainedSystem:
@@ -338,7 +346,7 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     sol = solution if solution is not None else DEFAULT_HEAT_SOLUTION
     h = 1.0 / n_elements
     m = 2 * n_elements + 1
-    x_nodes = np.linspace(0.0, 1.0, m)
+    x_nodes = _readonly(np.linspace(0.0, 1.0, m))  # _at_points may hand back a handle's x
 
     M = np.zeros((m, m))
     A = np.zeros((m, m))
@@ -365,7 +373,7 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     B2 = np.zeros((2, m))
     B2[0, 0] = 1.0
     B2[1, m - 1] = 1.0
-    x_boundary = x_nodes[[0, -1]]
+    x_boundary = _readonly(x_nodes[[0, -1]])
 
     def g2(t):
         return _at_points(sol.u, x_boundary, t)

@@ -28,6 +28,19 @@ terminal values, upwind jumps, and the weak time-derivative forms cheap.
 where [U]^n = U^n_+ - U^n is the jump at t_n and (.,.)_M the M-weighted
 inner product.  For all broken Y, X: D(Y, X) = -D*(Y, X), and
 D(Y, Y) >= 0.5 * ||Y^N||_M^2.
+
+Both are computed from the slab coefficients y_n, x_n, (q, d), with no
+quadrature.  With G_n = x_n M^T, Dmat and e from
+assemble_temporal_matrices, 1 the vector of ones and <.,.> the sum of
+entrywise products,
+
+    D (Y, X) = sum_n <y_n, Dmat^T G_n> - sum_{n>=2} <Y_{n-1}(t_{n-1}), G_n(t_{n-1}+)>,
+    D*(Y, X) = sum_n <y_n, (Dmat - e e^T - 1 1^T) G_n>
+               + sum_{n>=2} <Y_{n-1}(t_{n-1}), G_n(t_{n-1}+)>,
+
+where G_n(t_{n-1}+) = e^T G_n and Y_{n-1}(t_{n-1}) = 1^T y_{n-1}: Dmat's
+e e^T part is the (Y_+, X_+)_M share of the upwind jump at each slab start,
+and 1 1^T the (Y^n, X^n)_M share of D*'s jump at each slab end.
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ __all__ = [
     "BrokenFunction",
     "build_uniform_mesh",
     "gauss_legendre",
+    "assemble_temporal_matrices",
     "dh_form",
     "dh_star_form",
 ]
@@ -206,6 +220,32 @@ def gauss_legendre(n: int) -> Quadrature:
     return Quadrature((x + 1.0) / 2.0, w / 2.0, 2 * n - 1)
 
 
+def assemble_temporal_matrices(q: int, width: float):
+    """Per-slab temporal matrices in the shifted Legendre basis.
+
+    Returns (Dmat, Smat, e) with
+
+        Dmat_ij = int phi_j' phi_i dt + phi_j(a+) phi_i(a+),
+        Smat    = diag(width / (2j + 1)),
+        e_i     = phi_i(a+) = (-1)^i.
+
+    The derivative part is width-independent: int P_j' P_i dx over [-1, 1]
+    equals 2 for j > i with j - i odd and vanishes otherwise.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if not width > 0.0:
+        raise ValueError("slab width must be positive")
+    j = np.arange(q)
+    e = (-1.0) ** j
+    Dmat = np.outer(e, e)
+    for i in range(q):
+        for jj in range(i + 1, q, 2):
+            Dmat[i, jj] += 2.0
+    Smat = np.diag(width / (2.0 * j + 1.0))
+    return Dmat, Smat, e
+
+
 @dataclass(frozen=True, eq=False)
 class SlabPoly:
     """Polynomial on one slab (a, b] in the shifted Legendre basis.
@@ -309,11 +349,17 @@ class BrokenFunction:
     def __sub__(self, other: "BrokenFunction") -> "BrokenFunction":
         """F - G on their shared mesh, in the higher of the two degrees."""
         _check_same_domain(self, other)
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((a.shape[0], max(a.shape[1], b.shape[1]), a.shape[2]))
-        out[:, : a.shape[1]] = a
-        out[:, : b.shape[1]] -= b
-        return BrokenFunction(self.mesh, out)
+        q = max(self.coeffs.shape[1], other.coeffs.shape[1])
+        return BrokenFunction(self.mesh, _padded(self.coeffs, q) - _padded(other.coeffs, q))
+
+
+def _padded(coeffs: np.ndarray, q: int) -> np.ndarray:
+    """Coefficients (N, q0, d), q0 <= q, with zero coefficients appended up to q."""
+    if coeffs.shape[1] == q:
+        return coeffs
+    out = np.zeros((coeffs.shape[0], q, coeffs.shape[2]))
+    out[:, : coeffs.shape[1]] = coeffs
+    return out
 
 
 def _check_same_domain(Y: BrokenFunction, X: BrokenFunction, quad: Quadrature | None = None):
@@ -354,12 +400,6 @@ def _slab_values(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return npleg.legvander(2.0 * nodes - 1.0, coeffs.shape[1] - 1) @ coeffs
 
 
-def _slab_derivative_values(F: BrokenFunction, nodes: np.ndarray) -> np.ndarray:
-    """Values of F' at reference nodes of every slab; (N, npts, d)."""
-    dc = npleg.legder(F.coeffs, axis=1) * (2.0 / F.mesh.widths)[:, None, None]
-    return _slab_values(dc, nodes)
-
-
 def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:
     """x @ B for x (..., a) and B (a, b) as one 2-D product; a or b may be 0."""
     lead = x.shape[:-1]
@@ -371,42 +411,38 @@ def _slab_inner(Yv: np.ndarray, M: np.ndarray, Xv: np.ndarray, quad: Quadrature)
     return (_gemm(Yv, M) * Xv).sum(axis=-1) @ quad.weights
 
 
-def _slab_integral(Yv: np.ndarray, M: np.ndarray, Xv: np.ndarray, widths: np.ndarray,
-                   quad: Quadrature) -> float:
-    """sum_n int_{I_n} (Y, X)_M dt from node values (N, npts, d)."""
-    return float(_slab_inner(Yv, M, Xv, quad) @ widths)
+def _form_terms(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature):
+    """(Dmat, e, T, c): what dh_form and dh_star_form read of Y and X, padded to one q.
 
-
-def _starts(F: BrokenFunction) -> np.ndarray:
-    """Right limits F(t_{n-1}+) of every slab; (N, d)."""
-    return (-1.0) ** np.arange(F.coeffs.shape[1]) @ F.coeffs
+    With G = X M^T, one GEMM of N q rows, T_ij = sum_n <y_ni, G_nj> and
+    c = sum_{n>=2} <Y_{n-1}(t_{n-1}), G_n(t_{n-1}+)>; Dmat and e are
+    assemble_temporal_matrices(q, 1.0)'s.
+    """
+    _check_same_domain(Y, X, quad)
+    q = max(Y.coeffs.shape[1], X.coeffs.shape[1])
+    y, x = _padded(Y.coeffs, q), _padded(X.coeffs, q)
+    G = _gemm(x, _weight_matrix(M, Y.dim).T)
+    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+    T = np.tensordot(y, G, axes=([0, 2], [0, 2]))
+    c = float((_end_values(y[:-1]) * (e @ G[1:])).sum())
+    return Dmat, e, T, c
 
 
 def dh_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
     """DG time-derivative form D(Y, X) with M-weighted inner products.
 
-    Slab integrals use ``quad``, which must be exact for degree
-    deg(Y) + deg(X) - 1, so the polynomial identities hold exactly.
+    Computed from the slab coefficients (module docstring), so the value
+    does not depend on ``quad``; the rule must still be exact for degree
+    deg(Y) + deg(X) - 1, the degree its slab integrals have.
     """
-    _check_same_domain(Y, X, quad)
-    M = _weight_matrix(M, Y.dim)
-    total = _slab_integral(_slab_derivative_values(Y, quad.nodes), M,
-                           _slab_values(X.coeffs, quad.nodes), Y.mesh.widths, quad)
-    ys, xs = _starts(Y), _starts(X)
-    jumps = ys[1:] - _end_values(Y.coeffs[:-1])
-    total += ((jumps @ M) * xs[1:]).sum()
-    total += ys[0] @ M @ xs[0]
-    return float(total)
+    Dmat, _, T, c = _form_terms(Y, X, M, quad)
+    return float((Dmat.T * T).sum() - c)
 
 
 def dh_star_form(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature) -> float:
-    """Adjoint form D*(Y, X); satisfies dh_form(Y, X) = -dh_star_form(Y, X)."""
-    _check_same_domain(Y, X, quad)
-    M = _weight_matrix(M, Y.dim)
-    total = _slab_integral(_slab_values(Y.coeffs, quad.nodes), M,
-                           _slab_derivative_values(X, quad.nodes), Y.mesh.widths, quad)
-    ye, xe = _end_values(Y.coeffs), _end_values(X.coeffs)
-    jumps = _starts(X)[1:] - xe[:-1]
-    total += ((ye[:-1] @ M) * jumps).sum()
-    total -= ye[-1] @ M @ xe[-1]
-    return float(total)
+    """Adjoint form D*(Y, X); satisfies dh_form(Y, X) = -dh_star_form(Y, X).
+
+    Computed from the slab coefficients like dh_form, with the same rule check.
+    """
+    Dmat, e, T, c = _form_terms(Y, X, M, quad)
+    return float(((Dmat - np.outer(e, e) - 1.0) * T).sum() + c)

@@ -1186,12 +1186,43 @@ def test_failed_reduction_raises_the_same_error_on_every_call(case):
 def test_kept_reduction_is_read_only(problem):
     system = _BUILDERS[problem]()
     solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions())
-    arrays = systems._kernel_reduction(system) + dgsolver._modes(system)
-    assert len(arrays) == 9
+    modes = dgsolver._modes(system)
+    assert modes._fields == ("sigma", "V", "R", "VR", "MR", "AR", "Mu0", "RMV", "RAV")
+    arrays = systems._kernel_reduction(system) + modes
+    assert len(arrays) == 15
+    # V is the first mw columns of VR, not a second m x mw array
+    assert modes.V.base is modes.VR and np.shares_memory(modes.V, modes.VR)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
+
+
+class _NoArithmetic(np.ndarray):
+    """A view on which every numpy operation (@, +, np.dot, ...) raises."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        raise AssertionError(f"{ufunc.__name__} of a matrix the solve should not touch")
+
+    def __array_function__(self, func, types, args, kwargs):
+        raise AssertionError(f"{func.__name__} of a matrix the solve should not touch")
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS) + ["combined"])
+def test_a_second_solve_forms_no_product_with_M_or_A(problem):
+    system = (_random_system(5, "combined", 5, 2) if problem == "combined"
+              else _BUILDERS[problem]())
+    mesh, opts = TimeMesh(np.r_[0.0, np.cumsum([0.3, 0.1, 0.25, 0.1])]), SolverOptions(q=3)
+    first = solve_constrained(system, mesh, opts)
+    for name in ("M", "A"):
+        object.__setattr__(system, name, getattr(system, name).view(_NoArithmetic))
+    with pytest.raises(AssertionError, match="matmul"):
+        np.ones(system.m) @ system.A
+    second = solve_constrained(system, mesh, opts)
+    assert second.U.coeffs.tobytes() == first.U.coeffs.tobytes()
+    assert (second.P is None) == (first.P is None)
+    if first.P is not None:
+        assert second.P.coeffs.tobytes() == first.P.coeffs.tobytes()
 
 
 # ---------------------------------------------------------------------------

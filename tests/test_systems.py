@@ -132,6 +132,21 @@ def test_heat_stationary_solution():
     np.testing.assert_allclose(system.u0, np.linspace(0, 1, 5) ** 2, atol=1e-15)
 
 
+def test_heat_handles_that_ignore_x_or_t_give_full_data_and_never_expose_the_grid():
+    # u ignores t and hands back x itself; u_t ignores t, u_xx both x and t
+    sol = ManufacturedSolution1D(u=lambda x, t: x, u_t=lambda x, t: 0.0 * x,
+                                 u_xx=lambda x, t: 0.0)
+    system, x, ts = build_heat_1d(2, sol), np.linspace(0.0, 1.0, 5), np.array([0.1, 0.5, 0.9])
+    np.testing.assert_array_equal(system.exact_u(ts), np.repeat(x[:, None], 3, axis=1))
+    np.testing.assert_array_equal(system.g2(ts), np.array([[0.0] * 3, [1.0] * 3]))
+    np.testing.assert_array_equal(system.f(ts), np.zeros((5, 3)))
+    np.testing.assert_array_equal(system.f(0.3), np.zeros(5))
+    u = system.exact_u(0.3)
+    if u.flags.writeable:
+        u[0] = 7.0
+    np.testing.assert_array_equal(system.exact_u(0.3), x)
+
+
 # ---------------------------------------------------------------------------
 # saddle DAE builder / stokes3 preset
 

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import legendre as npleg
 
 from dgtime import timecore
 
@@ -364,6 +365,63 @@ def test_dh_forms_reject_a_rule_not_exact_to_deg_y_plus_deg_x_minus_1(form, qy, 
         form(Y, X, 1.0, gauss_legendre(n - 1))
     assert form(Y, X, 1.0, gauss_legendre(n)) == pytest.approx(form(Y, X, 1.0, gauss_legendre(8)),
                                                                rel=1e-12)
+
+
+def _quadrature_forms(Y, X, M):
+    """(D(Y, X), D*(Y, X)) by their definition, the quadrature reference of the forms.
+
+    The slab integrals of (Y', X)_M and (Y, X')_M use a Gauss rule exact to
+    degree 15, and the jump terms the one-sided values at the breakpoints.
+    """
+    quad = gauss_legendre(8)
+    M = M * np.eye(Y.dim) if np.ndim(M) == 0 else M
+    k = Y.mesh.widths
+
+    def values(F, derivative=False):
+        c = npleg.legder(F.coeffs, axis=1) * (2.0 / k)[:, None, None] if derivative else F.coeffs
+        return timecore._slab_values(c, quad.nodes)
+
+    def integral(Yv, Xv):
+        return np.einsum("npa,ab,npb,p,n->", Yv, M, Xv, quad.weights, k)
+
+    def starts(F):
+        return (-1.0) ** np.arange(F.coeffs.shape[1]) @ F.coeffs
+
+    ys, ye, xs, xe = starts(Y), Y.coeffs.sum(axis=1), starts(X), X.coeffs.sum(axis=1)
+    D = (integral(values(Y, True), values(X)) + np.einsum("na,ab,nb->", ys[1:] - ye[:-1], M, xs[1:])
+         + ys[0] @ M @ xs[0])
+    D_star = (integral(values(Y), values(X, True))
+              + np.einsum("na,ab,nb->", ye[:-1], M, xs[1:] - xe[:-1]) - ye[-1] @ M @ xe[-1])
+    return float(D), float(D_star)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    widths=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+    qy=st.integers(1, 5),
+    qx=st.integers(1, 5),
+    d=st.integers(1, 4),
+    weight=st.sampled_from(["scalar", "spd", "nonsymmetric"]),
+)
+def test_coefficient_forms_equal_the_quadrature_reference(seed, widths, qy, qx, d, weight):
+    rng = np.random.default_rng(seed)
+    mesh = TimeMesh(np.r_[0.0, np.cumsum(widths)])
+    Y, X = (BrokenFunction(mesh, rng.standard_normal((mesh.N, q, d))) for q in (qy, qx))
+    R = rng.standard_normal((d, d))
+    M = {"scalar": float(rng.uniform(0.1, 3.0)), "spd": R @ R.T + d * np.eye(d),
+         "nonsymmetric": R + d * np.eye(d)}[weight]
+    # the fewest Gauss points the rule check accepts; the value does not depend on the rule
+    quad = gauss_legendre(max(qy + qx - 3, 0) // 2 + 1)
+    D, D_star = dh_form(Y, X, M, quad), dh_star_form(Y, X, M, quad)
+    assert (D, D_star) == (dh_form(Y, X, M, gauss_legendre(16)),
+                           dh_star_form(Y, X, M, gauss_legendre(16)))
+    D_ref, D_star_ref = _quadrature_forms(Y, X, M)
+    # 26,000 random cases of this kind gave at most 6.9e-13; where they differ
+    # most, an mpmath evaluation puts the larger error in the reference
+    scale = 1.0 + abs(D_ref) + abs(D_star_ref)
+    assert abs(D - D_ref) <= 2e-12 * scale
+    assert abs(D_star - D_star_ref) <= 2e-12 * scale
 
 
 @settings(deadline=None, max_examples=60)

@@ -41,10 +41,11 @@ into one q x q block per mode l,
 
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l.
 
-The block depends only on k and sigma_l, so slabs of one exact width share
-one factorization per mode.  One vectorized LU with partial pivoting
-factors every width's blocks at once, in O(q) numpy calls, and solves them
-with all of that width's slabs as right-hand sides.  Since V^T M V = I,
+The block depends only on z = k sigma_l; one closed-form O(q) sweep
+(_sweep) solves the blocks of all slabs and modes at once, elementwise,
+so nothing is factored or grouped by width.  Its pivots are at least 2
+for z >= 0; modes with sigma < 0, which only an A indefinite on ker B has
+(validate_system rejects it), are solved by LAPACK.  Since V^T M V = I,
 the only sequential step is the scalar recurrence of the modal terminal
 value, w_end_n = alpha_n + r_n w_end_{n-1}, with r_n = 1^T K^{-1} e the DG
 stability function at k sigma; it runs in blocks of about sqrt(N) slabs,
@@ -55,7 +56,7 @@ not depend on which right inverse of B builds kappa.
 
 A convergence study is one such march over all of its meshes: their slabs
 are stacked mesh after mesh, the data is sampled once per field for all of
-them, one vectorized LU factors every level's blocks, and the recurrence
+them, one sweep solves every level's blocks, and the recurrence
 restarts from u0 at each mesh's first slab.  Each mesh keeps its own
 sqrt(N) blocks, so its recurrence is the one a march on it alone runs.
 A study with the projection both on and off (dgtime study --projection
@@ -209,15 +210,6 @@ def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
     return _SlabData(S, F, _constraint_data(system, slabs, variants))
 
 
-def _singular(d: np.ndarray) -> np.ndarray:
-    """The singular-pivot rule for LU factors whose |diagonal| is d, (..., n).
-
-    A factorization is singular when its smallest pivot is not above n eps
-    times its largest; a NaN pivot, left by an earlier zero one, counts too.
-    """
-    return ~(d.min(axis=-1) > d.max(axis=-1) * d.shape[-1] * _EPS)
-
-
 def _factor(K: np.ndarray, slab: int):
     """LU factors of K and the LAPACK gecon estimate of its 1-norm condition."""
     with warnings.catch_warnings():
@@ -225,7 +217,9 @@ def _factor(K: np.ndarray, slab: int):
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(K, check_finite=False)
     d = np.abs(np.diag(lu))
-    if d.size == 0 or _singular(d):
+    # singular: the smallest pivot not above n eps times the largest; a NaN
+    # pivot, left by an earlier zero one, counts too
+    if d.size == 0 or not d.min() > d.max() * d.size * _EPS:
         raise SlabSolveError(slab, _SINGULAR) from None  # no context when called in an except
     rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
@@ -329,78 +323,43 @@ def _modes(system) -> _Modes:
     return _Modes(sigma, V, R, VR, M @ R, A @ R, M @ system.u0, R1.T @ M @ V, R1.T @ A @ V)
 
 
-def _lu_blocks(K: np.ndarray):
-    """Factor the q x q blocks K, (q, q, *batch), C-contiguous, in place: (rows, singular).
+def _sweep(z: np.ndarray, b: np.ndarray):
+    """Backward pass of the O(q) solve of K(z) x = b, K(z) = Dmat + z diag(s), s_i = 1/(2i + 1).
 
-    Gaussian elimination with partial pivoting on all blocks at once: step
-    j swaps each block's largest remaining entry of column j into row j and
-    makes one rank-1 update, so a factorization is O(q) numpy calls.  K then
-    holds U on and above its diagonal and the multipliers of L below it;
-    rows, (q, *batch), is the row of the input each factored row came from,
-    and singular, (*batch), marks the blocks that fail _singular.
+    b is (q, *z.shape).  Row r-1 minus row r+1 (r < q-1), and row q-2 plus
+    row q-1, of K x = b are tridiagonal: z s_{r-1} x_{r-1} + 2 x_r
+    - z s_{r+1} x_{r+1} = b'_r, with + z s_{q-1} x_{q-1} in the last.  Row
+    0 is sum_j x_j + z x_0 = b_0.  Eliminating upward gives
+    x_r = alpha_r - beta_r x_{r-1}; the pivots, d_r = 2 + z s_{r+1}
+    beta_{r+1} and d_{q-1} = 2 + z s_{q-1}, are at least 2 for z >= 0.
+    Row 0 becomes (g + z) x_0 = b_0 - T, T = sum_r h_r alpha_r, and
+    sum_j x_j = T + g x_0.  The row operations map e to (1, 0, ..., 0), so
+    K^{-1} e starts with inv0 = 1 / (g + z), and the DG stability function
+    1^T K^{-1} e is r = g inv0, the (q-1, q) Padé approximant of exp(-z).
+
+    Returns (alpha, beta, T, inv0, r); alpha and beta are indexed 1..q-1.
     """
-    if not K.flags.c_contiguous:
-        raise ValueError("K must be C-contiguous to be factored in place")
-    q = K.shape[0]
-    Kb = K.reshape(q, q, -1)
-    rows = np.repeat(np.arange(q)[:, None], Kb.shape[2], axis=1)
-    for j in range(q - 1):
-        a = np.abs(Kb[j:, j])
-        b = np.flatnonzero(a[1:].max(axis=0) > a[0])  # the blocks whose pivot is below row j
-        if b.size:
-            p = j + a[:, b].argmax(axis=0)
-            Kb[j, :, b], Kb[p, :, b] = Kb[p, :, b], Kb[j, :, b]
-            rows[j, b], rows[p, b] = rows[p, b], rows[j, b]
-        low = Kb[j + 1:, j]
-        low /= Kb[j, j]
-        Kb[j + 1:, j + 1:] -= low[:, None] * Kb[j, j + 1:]
-    return rows.reshape((q,) + K.shape[2:]), _singular(np.abs(np.diagonal(K)))
-
-
-def _lu_solve_blocks(K: np.ndarray, rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X with K X = Y for every block, from _lu_blocks' (K, rows); Y is (q, *batch, c).
-
-    X reuses Y's memory, in either order of the batch and column axes.  The
-    factors broadcast over the c right-hand sides of a block.  The blocks
-    that pivoted gather their rows; the forward and back substitutions take
-    O(q) numpy calls.
-    """
-    q = K.shape[0]
-    X, rows = Y.reshape(q, -1, Y.shape[-1]), rows.reshape(q, -1)
-    b = np.flatnonzero((rows != np.arange(q)[:, None]).any(axis=0))
-    if b.size:
-        X[:, b] = X[rows[:, b], b]
-    LU = K.reshape(q, q, -1, 1)
-    for j in range(q - 1):
-        X[j + 1:] -= LU[j + 1:, j] * X[j]
-    for j in range(q - 1, -1, -1):
-        X[j] /= LU[j, j]
-        X[:j] -= LU[:j, j] * X[j]
-    return X.reshape(Y.shape)
-
-
-def _width_groups(k: np.ndarray):
-    """(slot, first, size): where the grouped block solve puts each slab.
-
-    Slabs of one exact width share their q x q blocks.  Each width's slabs,
-    in order, fill groups of at most size = ceil(N / #widths) slabs, so
-    there are at most 2 #widths groups and about 2N right-hand-side
-    columns.  Slab n is column slot[n] % (size + 1) of group
-    slot[n] // (size + 1), whose last column is left for e; first[g] is
-    group g's first slab.
-    """
-    N = k.size
-    _, cls, counts = np.unique(k, return_inverse=True, return_counts=True)
-    size = -(-N // counts.size)
-    per_class = -(-counts // size)
-    rank = np.empty(N, dtype=np.intp)  # the slab's place among the slabs of its width
-    rank[np.argsort(cls, kind="stable")] = np.arange(N) - np.repeat(np.cumsum(counts) - counts,
-                                                                   counts)
-    group, column = (np.cumsum(per_class) - per_class)[cls] + rank // size, rank % size
-    heads = np.flatnonzero(column == 0)
-    first = np.empty(heads.size, dtype=np.intp)
-    first[group[heads]] = heads
-    return group * (size + 1) + column, first, size
+    q = b.shape[0]
+    alpha, beta, T, h = [None] * q, [None] * q, 0.0, 1.0
+    for i in range(q - 1, 0, -1):
+        if i == q - 1:
+            d = z / (2.0 * i + 1.0)
+            a = b[i - 1] + b[i]
+        else:
+            zs = z / (2.0 * i + 3.0)  # z s_{i+1}
+            d = zs * beta[i + 1]
+            h = 1.0 - beta[i + 1] * h
+            a = b[i - 1] - b[i + 1]
+            zs *= alpha[i + 1]
+            a += zs
+        d += 2.0
+        a /= d
+        beta[i] = (z / (2.0 * i - 1.0) if i > 1 else z) / d
+        alpha[i] = a
+        T = a if i == q - 1 else T + h * a
+    g = 1.0 - beta[1] * h if q > 1 else 1.0
+    inv0 = 1.0 / (g + z)
+    return alpha, beta, T, inv0, g * inv0
 
 
 def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -441,6 +400,51 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     return w
 
 
+def _modal_solve(sigma: np.ndarray, b: np.ndarray, prev: np.ndarray, slabs: _Slabs):
+    """(w, wprev) with K(k_n sigma_l) w_nl = b_nl + e (prev_nl + wprev_nl), every slab n, mode l.
+
+    b is (S, q, mw) and prev (S, mw), stacked over the slabs of every mesh;
+    wprev is the modal terminal value of the slab before, 0 on each mesh's
+    first slab.  The backward pass (_sweep) gives each slab's known
+    terminal value T + r (b_0 + prev - T), the recurrence
+    (_terminal_values) gives wprev, and one forward pass from
+    x_0 = inv0 (b_0 + prev - T + wprev) gives w.  A mode with sigma < 0 (A
+    indefinite on ker B) has z < 0, where a sweep pivot can vanish at a
+    regular block (q = 2, z = -6): LAPACK solves such modes instead, after
+    naming the first slab with a singular block.
+    """
+    q = b.shape[1]
+    z = slabs.widths[:, None] * sigma
+    X = b.transpose(1, 0, 2).copy()  # (q, S, mw): every row slice contiguous
+    alpha, beta, T, inv0, r = _sweep(z, X)
+    u = X[0] + prev
+    u -= T
+    ends = r * u
+    ends += T
+    neg = np.flatnonzero(sigma < 0.0)
+    if neg.size:
+        Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+        K = Dmat + np.eye(q) * (z[:, neg, None, None] / (2.0 * np.arange(q) + 1.0))
+        # singular: a 2-norm condition not below 1 / (q eps), NaN included
+        singular = ~(np.linalg.cond(K) * (q * _EPS) < 1.0).all(axis=1)
+        if singular.any():
+            raise SlabSolveError(int(slabs.number[np.argmax(singular)]), _SINGULAR)
+        Y = np.stack(np.broadcast_arrays(b[:, :, neg] + e[:, None] * prev[:, None, neg],
+                                         e[:, None]), axis=-1)
+        Xn = np.linalg.solve(K, Y.transpose(0, 2, 1, 3))  # (S, neg, q, [known, e])
+        ends[:, neg], r[:, neg] = np.moveaxis(Xn.sum(axis=2), -1, 0)
+    wprev = _terminal_values(ends, r, slabs.starts)
+    u += wprev
+    np.multiply(inv0, u, out=X[0])
+    for i in range(1, q):
+        np.multiply(beta[i], X[i - 1], out=X[i])
+        np.subtract(alpha[i], X[i], out=X[i])
+    w = X.transpose(1, 0, 2).copy()
+    if neg.size:
+        w[:, :, neg] = (Xn[..., 0] + Xn[..., 1] * wprev[:, neg, None]).transpose(0, 2, 1)
+    return w, wprev
+
+
 def _march(system, slabs: _Slabs, variants):
     """(U, P, data): the coefficients of one sequential solve per variant on every mesh of slabs.
 
@@ -448,20 +452,19 @@ def _march(system, slabs: _Slabs, variants):
     (V S, q, r1), None when r1 = 0, both stacked like slabs.repeat(V): one
     copy of the slabs per variant, in the order of variants; data is the
     _SlabData they were solved with, stacked the same way.  All of them
-    are solved as one: one data stage (_slab_data), one grouped block solve
-    and one recurrence, cut at each mesh's first slab, which starts from
-    u0.  The spatial eigenbasis and its products with M and A are the
-    system's own (_modes), so only the first solve on a system pays its
-    O(m^3) reduction, and no later one multiplies by M or A.  Every
+    are solved as one: one data stage (_slab_data) and one modal solve
+    (_modal_solve), whose recurrence is cut at each mesh's first slab,
+    which starts from u0.  The spatial eigenbasis and its products with M
+    and A are the system's own (_modes), so only the first solve on a
+    system pays its O(m^3) reduction, and no later one multiplies by M or
+    A.  Every
     coefficient is u_j = V w_j + kappa_j, kappa the known part: the
     constraint data on R = pinv(B).  Every product with an m-wide matrix
     is one 2-D GEMM over all slabs, and the known part is formed at rank
-    r1 + r2.  Slabs of one exact width, in any mesh, share
-    their blocks: one vectorized LU (_lu_blocks) factors each width's block
-    per mode once, and its solve (_lu_solve_blocks) takes all of that
-    width's slabs as right-hand sides (_width_groups).  Only the
-    modal terminal value w_end runs through the slabs, by
-    w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks of each mesh
+    r1 + r2.  Every slab's modal blocks are solved by the closed-form
+    sweep (_sweep), elementwise over all slabs and modes, whatever their
+    widths.  Only the modal terminal value w_end runs through the slabs,
+    by w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks of each mesh
     (_terminal_values).  An error names the 1-based slab within its own
     mesh; it is raised at the first stage that fails on any mesh, for the
     first such mesh.
@@ -478,7 +481,6 @@ def _march(system, slabs: _Slabs, variants):
     q, mw, firsts = variants[0].q, sigma.size, slabs.starts[:-1]
     Dmat, _, e = assemble_temporal_matrices(q, 1.0)
     S = data.S[:, :, None]
-    slot, first, size = _width_groups(slabs.widths)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kappa, kM, kA = (_gemm(data.C, X.T) for X in (modes.R, modes.MR, modes.AR))
         # tested with the modes V and, for the multiplier, with R1
@@ -489,25 +491,7 @@ def _march(system, slabs: _Slabs, variants):
         prev[1:] = _end_values(kM[:-1])
         prev[firsts] = modes.Mu0
         prev = prev @ VR
-        # K[:, :, g, l] is mode l's block at group g's width
-        K = np.ascontiguousarray(Dmat[..., None, None] + np.eye(q)[..., None, None]
-                                 * (data.S[first].T[:, :, None] * sigma))
-        rows, singular = _lu_blocks(K)
-        if singular.any():
-            n = first[singular.any(axis=1)].min()  # the first slab of the first failing group
-            raise SlabSolveError(int(slabs.number[n]), _SINGULAR)
-        # slab n is column c of group g; each group's last column is e
-        g, c = np.divmod(slot, size + 1)
-        # numpy loops slowly over a short inner axis, so the longer of the
-        # columns and the blocks runs innermost in memory
-        Y = (np.zeros((q, first.size, mw, size + 1)) if size + 1 >= first.size * mw
-             else np.zeros((q, size + 1, first.size, mw)).transpose(0, 2, 3, 1))
-        Y[:, g, :, c] = rhs[:, :, :mw] + e[:, None] * prev[:, None, :mw]
-        Y[..., -1] = e[:, None, None]
-        X = _lu_solve_blocks(K, rows, Y)
-        ends = X.sum(axis=0)  # every column's terminal value
-        wprev = _terminal_values(ends[g, :, c], ends[g, :, -1], slabs.starts)
-        w = X[:, g, :, c] + X[:, g, :, -1] * wprev[:, None, :]
+        w, wprev = _modal_solve(sigma, rhs[:, :, :mw], prev[:, :mw], slabs)
         U = _gemm(w, V.T) + kappa
         P = None
         if system.r1:

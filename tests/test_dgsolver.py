@@ -6,6 +6,8 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from math import factorial
 from unittest import mock
 
 import numpy as np
@@ -1226,72 +1228,8 @@ def test_a_second_solve_forms_no_product_with_M_or_A(problem):
 
 
 # ---------------------------------------------------------------------------
-# the march: one grouped block LU and a blocked terminal-value recurrence
-
-
-def _block_kernel_calls(run):
-    """The K of every _lu_blocks call and the (Y, X) of every _lu_solve_blocks call of run().
-
-    K and Y are copied on entry, since the kernel overwrites both.
-    """
-    factored, solved = [], []
-    lu, lu_solve = dgsolver._lu_blocks, dgsolver._lu_solve_blocks
-
-    def recording_lu(K):
-        factored.append(K.copy())
-        return lu(K)
-
-    def recording_solve(K, rows, Y):
-        Y0 = Y.copy()
-        X = lu_solve(K, rows, Y)
-        solved.append((Y0, X.copy()))
-        return X
-
-    with mock.patch.object(dgsolver, "_lu_blocks", recording_lu), \
-            mock.patch.object(dgsolver, "_lu_solve_blocks", recording_solve):
-        run()
-    return factored, solved
-
-
-_GROUPING_MESHES = {
-    "uniform1024": lambda: build_uniform_mesh(1.0, 1024),  # one exact width
-    "uniform1000": lambda: build_uniform_mesh(1.0, 1000),  # nine exact widths
-    "random": lambda: TimeMesh(np.r_[0.0, np.cumsum(
-        np.random.default_rng(3).uniform(0.2, 1.0, 60))]),  # every width differs
-}
-
-
-@pytest.mark.parametrize("q", [1, 2, 3])
-@pytest.mark.parametrize("problem", sorted(_BUILDERS))
-@pytest.mark.parametrize("mesh_name", sorted(_GROUPING_MESHES))
-def test_grouped_block_solve_is_one_call_bitwise_equal_to_per_slab_blocks(mesh_name, problem,
-                                                                         q):
-    system, mesh = _BUILDERS[problem](), _GROUPING_MESHES[mesh_name]()
-    [K], [(Y, X)] = _block_kernel_calls(
-        lambda: solve_constrained(system, mesh, SolverOptions(q=q)))
-    sigma = dgsolver._modes(system)[0]
-    widths = np.unique(mesh.widths).size
-    groups, mw = K.shape[2:]
-    assert mw == sigma.size and K.shape[:2] == (q, q) and Y.shape[:3] == (q, groups, mw)
-    expected = {"uniform1024": groups == 1, "uniform1000": widths == 9 and groups <= 2 * widths,
-                "random": widths == mesh.N and groups == mesh.N}
-    assert expected[mesh_name]
-    # every slab's own blocks, built as the per-slab march built them
-    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
-    S = mesh.widths[:, None] / (2.0 * np.arange(q) + 1.0)
-    K_slab = Dmat + (S[:, None, :] * sigma[:, None])[..., None] * np.eye(q)
-    slot, _, size = dgsolver._width_groups(mesh.widths)
-    group, column = slot // (size + 1), slot % (size + 1)
-    np.testing.assert_array_equal(K[:, :, group].transpose(2, 3, 0, 1), K_slab)
-    # the same kernel on each slab's own blocks, with the slab's column and e
-    K_own = np.ascontiguousarray(K_slab.transpose(2, 3, 0, 1))
-    Y_own = np.stack([Y[:, group, :, column].transpose(1, 0, 2),
-                      np.broadcast_to(e[:, None, None], K_own.shape[1:])], axis=-1)
-    rows, singular = dgsolver._lu_blocks(K_own)
-    assert not singular.any()
-    X_own = dgsolver._lu_solve_blocks(K_own, rows, Y_own)
-    np.testing.assert_array_equal(X[:, group, :, column], X_own[..., 0].transpose(1, 0, 2))
-    np.testing.assert_array_equal(X[:, group, :, -1], X_own[..., 1].transpose(1, 0, 2))
+# the march: one closed-form sweep over the modal blocks and a blocked
+# terminal-value recurrence
 
 
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
@@ -1303,29 +1241,54 @@ def test_the_march_makes_no_lapack_block_solve(problem):
 
 
 def _modal_block(q, z):
-    """Dmat + diag(z), the form of every modal block of the march."""
-    return assemble_temporal_matrices(q, 1.0)[0] + np.diag(z)
+    """Dmat + z diag(1/(2i+1)), the modal block of the march at z = k sigma."""
+    return assemble_temporal_matrices(q, 1.0)[0] + z * np.diag(1.0 / (2.0 * np.arange(q) + 1.0))
+
+
+def _subdiagonal_pade(z, q):
+    """The (q-1, q) Padé approximant of exp(-z), exact in rationals at the float z."""
+    x, m, n = -Fraction(z), q - 1, q
+    num = sum(Fraction(factorial(m + n - j) * factorial(m),
+                       factorial(m + n) * factorial(j) * factorial(m - j)) * x**j
+              for j in range(m + 1))
+    den = sum(Fraction(factorial(m + n - j) * factorial(n),
+                       factorial(m + n) * factorial(j) * factorial(n - j)) * (-x)**j
+              for j in range(n + 1))
+    return num / den
+
+
+@pytest.mark.parametrize("q", range(1, 15))
+def test_sweep_stability_function_is_the_subdiagonal_pade_approximant(q):
+    # 1^T K(z)^{-1} e is the DG stability function, the (q-1, q) Padé
+    # approximant of exp(-z); the reference is exact at the float z
+    z = np.r_[0.0, np.logspace(-10.0, 10.0, 81)]
+    r = dgsolver._sweep(z, np.zeros((q,) + z.shape))[-1]
+    R = np.array([float(_subdiagonal_pade(float(zi), q)) for zi in z])
+    assert np.all(np.abs(r - R) <= 4 * np.finfo(float).eps)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), q=st.integers(1, 14), blocks=st.integers(1, 4))
-def test_block_lu_solve_matches_lapack_on_modal_blocks(data, q, blocks):
-    # z < 0 makes a diagonal entry small against the -1 below it, so rows swap
-    z = st.lists(st.one_of(st.floats(-50.0, 50.0), st.floats(-50.0, 1e8)), min_size=q, max_size=q)
-    zs = data.draw(st.lists(z, min_size=blocks, max_size=blocks))
-    K = np.stack([_modal_block(q, z) for z in zs], axis=-1)  # (q, q, blocks)
-    cond = np.array([np.linalg.cond(K[..., b]) for b in range(blocks)])
+def test_modal_solve_matches_lapack_on_modal_blocks(data, q, blocks):
+    # z < 0 takes the LAPACK path, z >= 0 the sweep; one unit slab per mesh
+    # makes sigma = z and every slab a first slab
+    z = data.draw(st.lists(st.one_of(st.floats(-50.0, 50.0), st.floats(-50.0, 1e8)),
+                           min_size=blocks, max_size=blocks))
+    K = np.stack([_modal_block(q, zl) for zl in z])  # (blocks, q, q)
+    cond = np.linalg.cond(K)
     assume(np.all(cond < 1e12))
-    Y = np.random.default_rng(q).standard_normal((q, blocks, 5))
-    expected = np.linalg.solve(K.transpose(2, 0, 1), Y.transpose(1, 0, 2)).transpose(1, 0, 2)
-    rows, singular = dgsolver._lu_blocks(K)
-    assert not singular.any()
-    X = dgsolver._lu_solve_blocks(K, rows, Y.copy())
-    error = np.abs(X - expected).max(axis=(0, 2))
-    assert np.all(error <= 8 * q * np.finfo(float).eps * cond * np.abs(expected).max(axis=(0, 2)))
+    rng = np.random.default_rng(q)
+    b, prev = rng.standard_normal((5, q, blocks)), rng.standard_normal((5, blocks))
+    slabs = _Slabs.of([TimeMesh(np.array([0.0, 1.0]))] * 5)
+    w, wprev = dgsolver._modal_solve(np.array(z), b, prev, slabs)
+    np.testing.assert_array_equal(wprev, 0.0)
+    e = assemble_temporal_matrices(q, 1.0)[2]
+    expected = np.linalg.solve(K, (b + e[:, None] * prev[:, None, :]).transpose(2, 1, 0))
+    error = np.abs(w.transpose(2, 1, 0) - expected).max(axis=(1, 2))
+    assert np.all(error <= 8 * q * np.finfo(float).eps * cond * np.abs(expected).max(axis=(1, 2)))
 
 
-def test_block_lu_swaps_rows_on_a_zero_leading_entry():
+def test_march_matches_the_oracle_at_a_zero_leading_block_entry():
     # M = 1, A = -2: at k = 0.5 the modal block's K[0, 0] = 1 - 2k is exactly 0
     system = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1),
                                f=lambda t: np.cos(np.asarray(t))[None], u0=np.ones(1))
@@ -1333,10 +1296,28 @@ def test_block_lu_swaps_rows_on_a_zero_leading_entry():
     assert mesh.widths[1] == 0.5
     for q in (2, 3):
         opts = SolverOptions(q=q)
-        factored, _ = _block_kernel_calls(lambda: solve_constrained(system, mesh, opts))
-        assert np.any(factored[0][0, 0] == 0.0)
+        assert _modal_block(q, -2.0 * mesh.widths[1])[0, 0] == 0.0
         seq, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
         assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-10 * np.abs(mono.U.coeffs).max()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_march_matches_the_oracle_with_negative_and_positive_modes(q):
+    # sigma = -16, 1, 3: the negative mode takes the LAPACK path, the others
+    # the sweep, in one march.  The widths 0.375, 0.625 and 0.875 put the
+    # negative mode at z = -6, -10 and -14, where the sweep's last pivot
+    # 2 + z / (2q - 1) vanishes for q = 2, 3 and 4 at a regular block
+    system = ConstrainedSystem(M=np.eye(3), A=np.diag([-16.0, 1.0, 3.0]),
+                               f=lambda t: np.array([np.cos(np.asarray(t)), np.sin(np.asarray(t)),
+                                                     1.0 + 0.0 * np.asarray(t)]),
+                               u0=np.array([1.0, -1.0, 0.5]))
+    widths = np.r_[0.375, 0.625, 0.875, np.random.default_rng(q).uniform(0.02, 0.1, 9)]
+    mesh = TimeMesh(np.r_[0.0, np.cumsum(widths)])
+    assert np.array_equal(mesh.widths[:3], widths[:3])
+    np.testing.assert_array_equal(dgsolver._modes(system).sigma, [-16.0, 1.0, 3.0])
+    opts = SolverOptions(q=q)
+    seq, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
+    assert np.abs(seq.U.coeffs - mono.U.coeffs).max() <= 1e-10 * np.abs(mono.U.coeffs).max()
 
 
 def _sequential_terminal_values(alpha, r, dtype):
@@ -1493,9 +1474,8 @@ def test_a_study_builds_its_slabs_once(problem):
 def test_a_study_makes_one_block_solve_call(problem):
     system, Ns = _BUILDERS[problem](), (8, 16, 32, 64, 128)
     for projections in ([True], [True, False]):
-        factored, solved = _block_kernel_calls(
-            lambda: analysis._run_studies(system, 2, Ns, projections, ("energy", "nodal")))
-        assert len(factored) == len(solved) == 1
-        # every variant's slabs are right-hand-side columns of the one solve
-        (Y, _), = solved
-        assert Y.shape[1] * (Y.shape[3] - 1) >= len(projections) * sum(Ns)
+        with mock.patch.object(dgsolver, "_modal_solve", wraps=dgsolver._modal_solve) as solve:
+            analysis._run_studies(system, 2, Ns, projections, ("energy", "nodal"))
+        assert solve.call_count == 1
+        # every variant's slabs are right-hand sides of the one solve
+        assert solve.call_args.args[1].shape[0] == len(projections) * sum(Ns)

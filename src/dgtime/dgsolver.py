@@ -45,7 +45,7 @@ The block depends only on z = k sigma_l; one closed-form O(q) sweep
 (_sweep) solves the blocks of all slabs and modes at once, elementwise,
 so nothing is factored or grouped by width.  Its pivots are at least 2
 for z >= 0; modes with sigma < 0, which only an A indefinite on ker B has
-(validate_system rejects it), are solved by LAPACK.  Since V^T M V = I,
+(validate_system rejects it), go to np.linalg.solve.  Since V^T M V = I,
 the only sequential step is the scalar recurrence of the modal terminal
 value, w_end_n = alpha_n + r_n w_end_{n-1}, with r_n = 1^T K^{-1} e the DG
 stability function at k sigma; it runs in blocks of about sqrt(N) slabs,
@@ -71,28 +71,27 @@ solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
 Slab n solves the kron form of the system above with B = [B1; B2] in place
 of B1 and Smat C on its constraint rows.  Slabs couple only through u_prev,
-so the all-slabs system is block lower-triangular.  It is solved slab by
-slab, on LU factors taken once per distinct width; the slab condition
-estimates read the same factors.
+so the all-slabs system is block lower-triangular.  Its right-hand side is
+rhs_n + E u_prev, affine in u_prev, so one solve per distinct width gives
+K^{-1} rhs_n for all its slabs and K^{-1} E, and each slab is then
+X_n = K^{-1} rhs_n + (K^{-1} E) u_prev.  The same solve takes the identity
+too, which makes the slab condition numbers exact.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 from .projection import (DataError, _coeff_samples, _coeffs_from_samples, _moments, _sample,
                          _slab_nodes)
 from .systems import (_asymmetry, _free_components, _full_row_rank, _kept,
-                      _kernel_reduction)
+                      _kernel_eigenbasis, _kernel_reduction)
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
                        _is_count, _Slabs, assemble_temporal_matrices, gauss_legendre)
 
@@ -141,9 +140,10 @@ class SolverOptions:
 class MixedSolution:
     """Broken state U, broken multiplier P (None when r1 = 0), diagnostics.
 
-    condition_estimates, (N,), is the LAPACK gecon estimate of the 1-norm
-    condition of every slab's saddle matrix, from the per-width LU factors
-    solve_monolithic solves with; the march factors them on first access.
+    condition_estimates, (N,), is the 1-norm condition ||K||_1 ||K^{-1}||_1
+    of every slab's saddle matrix K, exact, from the one solve per width
+    that solve_monolithic makes; the march makes those solves on first
+    access.
 
     The U of a solve_constrained result carries the data its march sampled,
     for as long as U lives: dg_residual and constraint_residual of that U,
@@ -210,21 +210,6 @@ def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
     return _SlabData(S, F, _constraint_data(system, slabs, variants))
 
 
-def _factor(K: np.ndarray, slab: int):
-    """LU factors of K and the LAPACK gecon estimate of its 1-norm condition."""
-    with warnings.catch_warnings():
-        # singularity is detected below and raised as SlabSolveError
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(K, check_finite=False)
-    d = np.abs(np.diag(lu))
-    # singular: the smallest pivot not above n eps times the largest; a NaN
-    # pivot, left by an earlier zero one, counts too
-    if d.size == 0 or not d.min() > d.max() * d.size * _EPS:
-        raise SlabSolveError(slab, _SINGULAR) from None  # no context when called in an except
-    rcond, _ = dgecon(lu, np.abs(K).sum(axis=0).max(), norm="1")
-    return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
-
-
 def _check_explicit_block(system):
     """Reject a B2 that fixes every state component."""
     if system.r2 and not _free_components(system)[1]:
@@ -254,24 +239,44 @@ def _slab_matrix(q: int, width: float, M, A, B) -> np.ndarray:
     ])
 
 
-def _slab_factors(system, q: int, k: np.ndarray):
-    """Yield _factor of every slab's full-space saddle matrix, in slab order.
+def _width_solves(system, q: int, k: np.ndarray, rhs=None, E=None):
+    """Yield (slabs, Y, Z, cond) for every distinct width of k, in the order of its first slab.
 
-    Each distinct width is factored once and its factors are held until its
-    last slab; a singular matrix raises SlabSolveError with its first slab.
+    slabs are the indices of its slabs and K their full-space saddle matrix
+    (_slab_matrix).  One solve on [rhs[slabs]^T | E | I] gives
+    Y = K^{-1} rhs[slabs]^T and Z = K^{-1} E, and its identity columns
+    K^{-1}, so cond = ||K||_1 ||K^{-1}||_1 is exact.  Without rhs and E only
+    the identity is solved.  A K with an exact zero pivot or a condition not
+    below 1 / (n eps), n its order, NaN included, is singular: it raises
+    SlabSolveError with its first slab.
     """
     _check_explicit_block(system)
     B = np.vstack([system.B1, system.B2])
-    last, held = {w: n for n, w in enumerate(k)}, {}
-    for n, w in enumerate(k):
-        if w not in held:
-            held[w] = _factor(_slab_matrix(q, w, system.M, system.A, B), n + 1)
-        yield held[w] if last[w] > n else held.pop(w)
+    widths, first, cls, counts = np.unique(k, return_index=True, return_inverse=True,
+                                           return_counts=True)
+    members = np.split(np.argsort(cls, kind="stable"), np.cumsum(counts)[:-1])
+    for c in np.argsort(first).tolist():
+        slabs = members[c]
+        K = _slab_matrix(q, widths[c], system.M, system.A, B)
+        n, cols = K.shape[0], [] if rhs is None else [rhs[slabs].T, E]
+        try:
+            X = np.linalg.solve(K, np.hstack(cols + [np.eye(n)]))
+            cond = np.abs(K).sum(axis=0).max() * np.abs(X[:, -n:]).sum(axis=0).max()
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            cond = np.inf
+        if not cond * n * _EPS < 1.0:
+            raise SlabSolveError(int(first[c]) + 1, _SINGULAR) from None
+        y = 0 if rhs is None else slabs.size
+        # copies, so that a held Y or Z does not keep the identity's solution alive
+        yield slabs, X[:, :y].T.copy(), X[:, y:-n].copy(), cond
 
 
 def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
-    """gecon estimates at the slab widths k, one factorization per distinct width."""
-    return np.array([cond for _, cond in _slab_factors(system, q, k)])
+    """The 1-norm conditions at the slab widths k, one solve per distinct width."""
+    conds = np.empty(k.size)
+    for slabs, _, _, cond in _width_solves(system, q, k):
+        conds[slabs] = cond
+    return conds
 
 
 class _Modes(NamedTuple):
@@ -299,9 +304,10 @@ def _modes(system) -> _Modes:
 
     The reduction validate_system checks, _kernel_reduction, gives Q, an
     orthonormal basis of ker B, B = [B1; B2], and R = pinv(B)
-    (_right_inverse).  eigh(Q^T A Q, Q^T M Q) gives sigma,
-    (mw,), and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I
-    and V^T A V = diag(sigma).  The march's products with M and A depend
+    (_right_inverse).  The kept eigenbasis of (Q^T A Q, Q^T M Q),
+    _kernel_eigenbasis, which validate_system reads too, gives sigma, (mw,),
+    and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I and
+    V^T A V = diag(sigma).  The march's products with M and A depend
     on the system alone, so they are formed here too.  Computed once per
     system and kept on it (_kept), so a later solve forms no product with
     M or A; a system that fails these rules raises on every call.
@@ -313,7 +319,7 @@ def _modes(system) -> _Modes:
         if not ok:
             raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.2e})")
     try:
-        sigma, W = eigh(Aw, Mw)
+        sigma, W = _kernel_eigenbasis(system)
     except np.linalg.LinAlgError:
         raise SlabSolveError(1, "singular slab system: M is not positive definite "
                                 "on the constraint kernel") from None
@@ -410,8 +416,8 @@ def _modal_solve(sigma: np.ndarray, b: np.ndarray, prev: np.ndarray, slabs: _Sla
     (_terminal_values) gives wprev, and one forward pass from
     x_0 = inv0 (b_0 + prev - T + wprev) gives w.  A mode with sigma < 0 (A
     indefinite on ker B) has z < 0, where a sweep pivot can vanish at a
-    regular block (q = 2, z = -6): LAPACK solves such modes instead, after
-    naming the first slab with a singular block.
+    regular block (q = 2, z = -6): np.linalg.solve solves such modes
+    instead, after naming the first slab with a singular block.
     """
     q = b.shape[1]
     z = slabs.widths[:, None] * sigma
@@ -545,8 +551,9 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
 
     The cross-check of the sequential solver, in the implicit treatment of
     both blocks: slab n solves rhs_n + E u_prev for U and the multipliers
-    of [B1; B2] on the LU factors of its width, the factors the condition
-    estimates read.  P is the multiplier of B1; that of B2 is dropped.
+    of [B1; B2] as X_n = Y_n + Z u_prev, from the one solve of its width
+    (_width_solves) that also gives the condition numbers.  P is the
+    multiplier of B1; that of B2 is dropped.
     """
     data = _slab_data(system, _Slabs.of([mesh]), [opts])
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
@@ -557,11 +564,16 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     # E u_prev is the upwind term e (x) M u_prev of the previous terminal value
     E = np.zeros((rhs.shape[1], m))
     E[: q * m] = np.kron(e[:, None], system.M)
-    X, conds = np.empty_like(rhs), np.empty(N)
+    X, conds, held = np.empty_like(rhs), np.empty(N), {}
+    widths = _width_solves(system, q, mesh.widths, rhs, E)
     u_prev = system.u0
-    for n, (lu, cond) in enumerate(_slab_factors(system, q, mesh.widths)):
-        X[n] = lu_solve(lu, rhs[n] + E @ u_prev, check_finite=False)
-        conds[n] = cond
+    for n in range(N):
+        while n not in held:  # the next width's first slab is n
+            slabs, Y, Z, cond = next(widths)
+            held.update(zip(slabs.tolist(), ((y, Z) for y in Y)))
+            conds[slabs] = cond
+        y, Z = held.pop(n)
+        X[n] = y + Z @ u_prev
         u_prev = X[n, : q * m].reshape(q, m).sum(axis=0)
     U = BrokenFunction(mesh, X[:, : q * m].reshape(N, q, m))
     P = BrokenFunction(mesh, X[:, q * m:].reshape(N, q, -1)[..., :r1]) if r1 else None

@@ -33,7 +33,6 @@ from functools import wraps
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, svd, svdvals
 
 from .timecore import _readonly
 
@@ -101,9 +100,31 @@ def _kernel_reduction(system) -> tuple:
     only SVD of a system: the marching solver and dg_residual run on it,
     validate_system checks it with their rules.  Kept on the system (_kept).
     """
-    u, sv, vt = svd(np.vstack([system.B1, system.B2]))
+    u, sv, vt = np.linalg.svd(np.vstack([system.B1, system.B2]))
     Q = vt[system.r1 + system.r2:].T
     return u, sv, vt, Q, Q.T @ system.M @ Q, Q.T @ system.A @ Q
+
+
+@_kept
+def _kernel_eigenbasis(system) -> tuple:
+    """(sigma, W): the generalized eigenpairs of (Q^T A Q, Q^T M Q), W^T Q^T M Q W = I.
+
+    With the Cholesky factor L of Q^T M Q = L L^T, sigma and Y are the
+    eigenpairs of C = L^-1 Q^T A Q L^-T and W = L^-T Y.  L^-1 is applied by
+    solves, never formed: two give C, a third W.  C is symmetrized before
+    its eigendecomposition, which averages the rounding of its two
+    triangles (eigh reads one).  Only the lower triangle of Q^T M Q is
+    read, so an asymmetry goes unnoticed here; the solvers and
+    validate_system check it.  Raises np.linalg.LinAlgError when Q^T M Q is
+    not positive definite.  The one eigendecomposition of a system: the
+    marching solver (dgsolver._modes) and validate_system read it.  Kept on
+    the system (_kept).
+    """
+    Mw, Aw = _kernel_reduction(system)[4:]
+    L = np.linalg.cholesky(Mw)
+    C = np.linalg.solve(L, np.linalg.solve(L, Aw).T)
+    sigma, Y = np.linalg.eigh(0.5 * (C + C.T))
+    return sigma, np.linalg.solve(L.T, Y)
 
 
 def _u0_mismatch(system) -> list:
@@ -130,14 +151,14 @@ class ConstrainedSystem:
     The solvers keep the spatial reduction of (M, A, B1, B2) on the instance:
     computed on first use, read-only, and reused by every later solve and
     validate_system.  It holds the SVD factors of [B1; B2] (u, sv, vt),
-    the kernel pair Q^T M Q and Q^T A Q, (mw, mw), the eigenbasis sigma and
-    V, R = pinv([B1; B2]), and every product the march forms from the
-    system alone (dgsolver._modes): VR = [V, R1], of which V is a view,
-    M R, A R, M u0, R1^T M V and R1^T A V, R1 = R[:, :r1].  Q is m x mw
-    floats, mw = m - r1 - r2, VR m x (mw + r1) and vt m x m; the products
-    have rank r1 + r2 at most.  So only a system's first solve multiplies
-    by M or A.  Build a new system (dataclasses.replace) to change the
-    matrices.
+    the kernel pair Q^T M Q and Q^T A Q, (mw, mw), their eigenbasis sigma
+    and W, (mw, mw), with V = Q W, R = pinv([B1; B2]), and every product
+    the march forms from the system alone (dgsolver._modes): VR = [V, R1],
+    of which V is a view, M R, A R, M u0, R1^T M V and R1^T A V,
+    R1 = R[:, :r1].  Q is m x mw floats, mw = m - r1 - r2, VR m x (mw + r1)
+    and vt m x m; the products have rank r1 + r2 at most.  So only a
+    system's first solve multiplies by M or A.  Build a new system
+    (dataclasses.replace) to change the matrices.
     """
 
     M: np.ndarray
@@ -229,19 +250,21 @@ class ValidationReport:
 def validate_system(system: ConstrainedSystem) -> ValidationReport:
     """Check the structural assumptions the solvers rely on.
 
-    Applies the solvers' rules to their reduction (_kernel_reduction): full
-    row rank of B = [B1; B2], M and A symmetric and M positive definite on
-    ker B and a free state component.  A is elliptic on ker B when the
+    Applies the solvers' rules to their reduction (_kernel_reduction) and
+    eigenbasis (_kernel_eigenbasis): full row rank of B = [B1; B2], M and A
+    symmetric and M positive definite on ker B (its Cholesky factorization
+    succeeds) and a free state component.  A is elliptic on ker B when the
     smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12 times the
     largest in size.  B1 is checked for inf-sup rank on ker(B2): its
     singular values there are the reciprocals of those of R[:, :r1],
     R = pinv(B) = vt[:r]^T diag(1/sv) u^T, which are those of u[:r1] / sv.
-    Initial-data compatibility is reported as a warning, never a failure.
+    A broken rule is a failed check, never an exception.  Initial-data
+    compatibility is reported as a warning, never a failure.
     """
     u, sv, _, _, Mw, Aw = _kernel_reduction(system)
     rank_ok = _full_row_rank(sv, system.r1 + system.r2)
-    try:  # the Cholesky factorization of Q^T M Q is eigh's first step
-        sigma = eigh(Aw, Mw, eigvals_only=True)
+    try:  # the Cholesky factorization of Q^T M Q is the eigenbasis' first step
+        sigma = _kernel_eigenbasis(system)[0]
     except np.linalg.LinAlgError:
         sigma = None
     sym_m, ok = _asymmetry(Mw)
@@ -267,7 +290,8 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
                             f"{free} of {system.m} components not fixed by B2"))
     if system.r1 > 0:
         # no R without full row rank of B, which fails the rank check above too
-        s1 = (1.0 / svdvals(u[:system.r1] / sv))[::-1] if rank_ok else np.zeros(0)
+        s1 = ((1.0 / np.linalg.svd(u[:system.r1] / sv, compute_uv=False))[::-1] if rank_ok
+              else np.zeros(0))
         smin = float(s1[-1]) if s1.size else 0.0
         checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(s1, system.r1), smin,
                             f"smallest singular value {smin:.3e}"))

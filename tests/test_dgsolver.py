@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import eigh as scipy_eigh, null_space
 
 from dgtime import analysis, dgsolver, systems
 from dgtime import (
@@ -891,7 +891,7 @@ def test_nonfinite_forcing_raises_data_error():
 
 
 # ---------------------------------------------------------------------------
-# condition estimates (LAPACK gecon on the slab LU factors)
+# condition estimates (exact 1-norm conditions, from one solve per slab width)
 
 
 def _exact_slab_conditions(system, mesh, q):
@@ -1036,12 +1036,12 @@ def test_preset_data_is_sampled_in_one_call(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# marching in the spatial eigenbasis: one eigh per solve, no slab factorization
+# marching in the spatial eigenbasis: one eigh per solve, no slab matrix solve
 
 
 def _eigh_and_factor_calls(system, mesh, q):
-    with mock.patch.object(dgsolver, "eigh", wraps=dgsolver.eigh) as eigh, \
-            mock.patch.object(dgsolver, "_factor", wraps=dgsolver._factor) as factor:
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(dgsolver, "_width_solves", wraps=dgsolver._width_solves) as factor:
         solve_constrained(system, mesh, SolverOptions(q=q))
     return eigh.call_count, factor.call_count
 
@@ -1109,37 +1109,45 @@ def test_repeated_solve_is_bitwise_equal_to_a_fresh_system(problem, q):
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
 def test_study_on_one_system_calls_eigh_once(problem):
     system = _BUILDERS[problem]()
-    with mock.patch.object(dgsolver, "eigh", wraps=dgsolver.eigh) as eigh:
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         for use_projection in (True, False):
             run_study(system, 2, [4, 8, 16, 32, 64], use_projection=use_projection)
+        # the validator reads the same kept eigenbasis
+        assert validate_system(system).passed
     assert eigh.call_count == 1
+
+
+def _svd_calls(svd):
+    """(full SVDs, singular-value-only SVDs) among the calls a wrapped np.linalg.svd saw."""
+    values_only = sum(call.kwargs.get("compute_uv") is False for call in svd.call_args_list)
+    return svd.call_count - values_only, values_only
 
 
 def test_validator_and_solves_share_one_svd():
     system, mesh = build_heat_1d(4), build_uniform_mesh(1.0, 4)
-    with mock.patch.object(systems, "svd", wraps=systems.svd) as svd:
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         assert validate_system(system).passed
         for q in (1, 2):
             solve_constrained(system, mesh, SolverOptions(q=q))
-    assert svd.call_count == 1
+    assert _svd_calls(svd) == (1, 0)
 
 
 def test_saddle_builder_validator_and_solves_share_one_svd():
     mesh = build_uniform_mesh(1.0, 4)
-    with mock.patch.object(systems, "svd", wraps=systems.svd) as svd, \
-            mock.patch.object(systems, "svdvals", wraps=systems.svdvals) as svdvals:
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         system = build_saddle_dae("stokes3")
         assert validate_system(system).passed
         for q in (1, 2):
             solve_constrained(system, mesh, SolverOptions(q=q))
-    # the one svdvals is the validator's inf-sup value, read from that SVD
-    assert (svd.call_count, svdvals.call_count) == (1, 1)
+    # the one singular-value-only SVD is the validator's inf-sup value, read
+    # from the full one
+    assert _svd_calls(svd) == (1, 1)
 
 
 def test_oracle_needs_no_svd_and_the_rest_share_one():
     system, mesh = _random_system(5, "combined", 4, 1), build_uniform_mesh(1.0, 4)
     assert system.r1 and system.r2
-    with mock.patch.object(systems, "svd", wraps=systems.svd) as svd:
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         mono = solve_monolithic(system, mesh, SolverOptions(q=2))
         mono.condition_estimates
         assert svd.call_count == 0
@@ -1148,7 +1156,7 @@ def test_oracle_needs_no_svd_and_the_rest_share_one():
         for q in (1, 2):
             sol = solve_constrained(system, mesh, SolverOptions(q=q))
         dg_residual(system, mesh, SolverOptions(q=2), sol.U, sol.P)
-    assert svd.call_count == 1
+    assert _svd_calls(svd)[0] == 1
 
 
 def test_replaced_system_reduces_afresh():
@@ -1190,14 +1198,29 @@ def test_kept_reduction_is_read_only(problem):
     solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions())
     modes = dgsolver._modes(system)
     assert modes._fields == ("sigma", "V", "R", "VR", "MR", "AR", "Mu0", "RMV", "RAV")
-    arrays = systems._kernel_reduction(system) + modes
-    assert len(arrays) == 15
+    arrays = systems._kernel_reduction(system) + systems._kernel_eigenbasis(system) + modes
+    assert len(arrays) == 17
     # V is the first mw columns of VR, not a second m x mw array
     assert modes.V.base is modes.VR and np.shares_memory(modes.V, modes.VR)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
+
+
+@pytest.mark.parametrize("problem", ["stokes3", "heat1d", "spd", "saddle", "combined"])
+def test_kept_eigenbasis_matches_scipys_generalized_eigh(problem):
+    # scipy's eigh(Aw, Mw) is the reference; the library itself needs numpy only
+    system = {"stokes3": lambda: build_saddle_dae("stokes3"),
+              "heat1d": lambda: build_heat_1d(64)}.get(
+        problem, lambda: _random_system(3, problem, 8, 2))()
+    Mw, Aw = systems._kernel_reduction(system)[4:]
+    sigma, W = systems._kernel_eigenbasis(system)
+    reference = scipy_eigh(Aw, Mw, eigvals_only=True)
+    scale = np.abs(reference).max()
+    assert np.abs(sigma - reference).max() <= 1e-13 * scale
+    np.testing.assert_allclose(W.T @ Mw @ W, np.eye(sigma.size), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(W.T @ Aw @ W, np.diag(sigma), rtol=0.0, atol=1e-13 * scale)
 
 
 class _NoArithmetic(np.ndarray):
@@ -1235,6 +1258,7 @@ def test_a_second_solve_forms_no_product_with_M_or_A(problem):
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
 def test_the_march_makes_no_lapack_block_solve(problem):
     system = _BUILDERS[problem]()
+    dgsolver._modes(system)  # the reduction's triangular solves are not block solves
     with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("np.linalg.solve")):
         solve_constrained(system, TimeMesh(np.array([0.0, 0.2, 0.5, 0.6, 1.0])),
                           SolverOptions(q=3))

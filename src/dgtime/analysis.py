@@ -259,14 +259,17 @@ def _tables(system: ConstrainedSystem, Ns: list, variants: list, norms: tuple) -
             errors["nodal"] = _nodal_errors(U[own], u[:, -1], system.M, slabs)
         if p is not None:
             errors["p"] = _l2_errors(P[own], p, system.normQ1, errquad, slabs)
+        for i, N in enumerate(Ns):
+            for name, errs in errors.items():
+                if not math.isfinite(errs[i]):
+                    raise ValueError(f"err_{name} is not finite ({errs[i]}) at N = {N}")
+        orders = {name: [None] + (eoc(errs, Ns) if len(Ns) > 1 else [])
+                  for name, errs in errors.items()}
         rows = []
         for i, N in enumerate(Ns):
             cells = {}
             for name, errs in errors.items():
-                if not math.isfinite(errs[i]):
-                    raise ValueError(f"err_{name} is not finite ({errs[i]}) at N = {N}")
-                cells[f"err_{name}"] = errs[i]
-                cells[f"eoc_{name}"] = eoc(errs[i - 1:i + 1], Ns[i - 1:i + 1])[0] if i else None
+                cells[f"err_{name}"], cells[f"eoc_{name}"] = errs[i], orders[name][i]
             rows.append(StudyRow(N=N, k=1.0 / N, **cells))
         tables.append(EOCTable(problem=system.name, q=q, use_projection=variant.use_projection,
                                rows=tuple(rows)))

@@ -240,14 +240,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves the parser unchanged
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "config", None):
             # argv[0] is the subcommand; the flags after it override the file
-            args = parser.parse_args([argv[0], *_config_argv(args.config), *argv[1:]])
+            args = _PARSER.parse_args([argv[0], *_config_argv(args.config), *argv[1:]])
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)

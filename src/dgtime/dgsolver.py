@@ -72,10 +72,10 @@ of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
 Slab n solves the kron form of the system above with B = [B1; B2] in place
 of B1 and Smat C on its constraint rows.  Slabs couple only through u_prev,
 so the all-slabs system is block lower-triangular.  Its right-hand side is
-rhs_n + E u_prev, affine in u_prev, so one solve per distinct width gives
-K^{-1} rhs_n for all its slabs and K^{-1} E, and each slab is then
-X_n = K^{-1} rhs_n + (K^{-1} E) u_prev.  The same solve takes the identity
-too, which makes the slab condition numbers exact.
+rhs_n + E u_prev, affine in u_prev, so one inverse K^{-1} per distinct
+width gives, by two products, K^{-1} rhs_n for all its slabs and K^{-1} E,
+and each slab is then X_n = K^{-1} rhs_n + (K^{-1} E) u_prev.  The same
+inverse makes the slab condition numbers exact.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class MixedSolution:
     """Broken state U, broken multiplier P (None when r1 = 0), diagnostics.
 
     condition_estimates, (N,), is the 1-norm condition ||K||_1 ||K^{-1}||_1
-    of every slab's saddle matrix K, exact, from the one solve per width
-    that solve_monolithic makes; the march makes those solves on first
+    of every slab's saddle matrix K, exact, from the one inverse per width
+    that solve_monolithic forms; the march forms those inverses on first
     access.
 
     The U of a solve_constrained result carries the data its march sampled,
@@ -239,16 +239,21 @@ def _slab_matrix(q: int, width: float, M, A, B) -> np.ndarray:
     ])
 
 
-def _width_solves(system, q: int, k: np.ndarray, rhs=None, E=None):
-    """Yield (slabs, Y, Z, cond) for every distinct width of k, in the order of its first slab.
+def _singular(cond, n: int):
+    """Whether order n and condition cond make a matrix singular: cond * n eps not below 1, or NaN.
+
+    The one rule for every slab matrix and every sigma < 0 modal block.
+    """
+    return ~(cond * (n * _EPS) < 1.0)
+
+
+def _width_inverses(system, q: int, k: np.ndarray):
+    """Yield (slabs, K^{-1}, cond) for every distinct width of k, in the order of its first slab.
 
     slabs are the indices of its slabs and K their full-space saddle matrix
-    (_slab_matrix).  One solve on [rhs[slabs]^T | E | I] gives
-    Y = K^{-1} rhs[slabs]^T and Z = K^{-1} E, and its identity columns
-    K^{-1}, so cond = ||K||_1 ||K^{-1}||_1 is exact.  Without rhs and E only
-    the identity is solved.  A K with an exact zero pivot or a condition not
-    below 1 / (n eps), n its order, NaN included, is singular: it raises
-    SlabSolveError with its first slab.
+    (_slab_matrix), so cond = ||K||_1 ||K^{-1}||_1 is exact.  A K with an
+    exact zero pivot, or _singular, raises SlabSolveError with its first
+    slab.
     """
     _check_explicit_block(system)
     B = np.vstack([system.B1, system.B2])
@@ -256,25 +261,21 @@ def _width_solves(system, q: int, k: np.ndarray, rhs=None, E=None):
                                            return_counts=True)
     members = np.split(np.argsort(cls, kind="stable"), np.cumsum(counts)[:-1])
     for c in np.argsort(first).tolist():
-        slabs = members[c]
         K = _slab_matrix(q, widths[c], system.M, system.A, B)
-        n, cols = K.shape[0], [] if rhs is None else [rhs[slabs].T, E]
         try:
-            X = np.linalg.solve(K, np.hstack(cols + [np.eye(n)]))
-            cond = np.abs(K).sum(axis=0).max() * np.abs(X[:, -n:]).sum(axis=0).max()
+            Kinv = np.linalg.inv(K)
+            cond = np.abs(K).sum(axis=0).max() * np.abs(Kinv).sum(axis=0).max()
         except np.linalg.LinAlgError:  # an exact zero pivot
             cond = np.inf
-        if not cond * n * _EPS < 1.0:
+        if _singular(cond, K.shape[0]):
             raise SlabSolveError(int(first[c]) + 1, _SINGULAR) from None
-        y = 0 if rhs is None else slabs.size
-        # copies, so that a held Y or Z does not keep the identity's solution alive
-        yield slabs, X[:, :y].T.copy(), X[:, y:-n].copy(), cond
+        yield members[c], Kinv, cond
 
 
 def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
-    """The 1-norm conditions at the slab widths k, one solve per distinct width."""
+    """The 1-norm conditions at the slab widths k, one inverse per distinct width."""
     conds = np.empty(k.size)
-    for slabs, _, _, cond in _width_solves(system, q, k):
+    for slabs, _, cond in _width_inverses(system, q, k):
         conds[slabs] = cond
     return conds
 
@@ -431,8 +432,8 @@ def _modal_solve(sigma: np.ndarray, b: np.ndarray, prev: np.ndarray, slabs: _Sla
     if neg.size:
         Dmat, _, e = assemble_temporal_matrices(q, 1.0)
         K = Dmat + np.eye(q) * (z[:, neg, None, None] / (2.0 * np.arange(q) + 1.0))
-        # singular: a 2-norm condition not below 1 / (q eps), NaN included
-        singular = ~(np.linalg.cond(K) * (q * _EPS) < 1.0).all(axis=1)
+        # cond returns inf, and does not raise, for an exactly singular block
+        singular = _singular(np.linalg.cond(K, 1), q).any(axis=1)
         if singular.any():
             raise SlabSolveError(int(slabs.number[np.argmax(singular)]), _SINGULAR)
         Y = np.stack(np.broadcast_arrays(b[:, :, neg] + e[:, None] * prev[:, None, neg],
@@ -551,9 +552,10 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
 
     The cross-check of the sequential solver, in the implicit treatment of
     both blocks: slab n solves rhs_n + E u_prev for U and the multipliers
-    of [B1; B2] as X_n = Y_n + Z u_prev, from the one solve of its width
-    (_width_solves) that also gives the condition numbers.  P is the
-    multiplier of B1; that of B2 is dropped.
+    of [B1; B2] as X_n = Y_n + Z u_prev, Y_n = K^{-1} rhs_n and
+    Z = K^{-1} E, from the one inverse of its width (_width_inverses) that
+    also gives the condition numbers.  P is the multiplier of B1; that of
+    B2 is dropped.
     """
     data = _slab_data(system, _Slabs.of([mesh]), [opts])
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
@@ -565,12 +567,13 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     E = np.zeros((rhs.shape[1], m))
     E[: q * m] = np.kron(e[:, None], system.M)
     X, conds, held = np.empty_like(rhs), np.empty(N), {}
-    widths = _width_solves(system, q, mesh.widths, rhs, E)
+    widths = _width_inverses(system, q, mesh.widths)
     u_prev = system.u0
     for n in range(N):
         while n not in held:  # the next width's first slab is n
-            slabs, Y, Z, cond = next(widths)
-            held.update(zip(slabs.tolist(), ((y, Z) for y in Y)))
+            slabs, Kinv, cond = next(widths)
+            Z = Kinv @ E
+            held.update(zip(slabs.tolist(), ((y, Z) for y in rhs[slabs] @ Kinv.T)))
             conds[slabs] = cond
         y, Z = held.pop(n)
         X[n] = y + Z @ u_prev

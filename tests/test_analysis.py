@@ -209,6 +209,24 @@ def test_run_study_multiplier_column():
     assert table.rows[1].eoc_p is not None
 
 
+def test_a_both_variant_study_takes_each_norms_orders_from_one_eoc_call(monkeypatch):
+    calls, Ns = [], (4, 8, 16)
+
+    def counting_eoc(errors, levels):
+        calls.append(tuple(levels))
+        return eoc(errors, levels)
+
+    monkeypatch.setattr(analysis, "eoc", counting_eoc)
+    tables = analysis._run_studies("stokes3", 2, Ns, [True, False],
+                                   ("energy", "nodal", "multiplier"))
+    assert calls == [Ns] * 6  # three norms, two variants
+    for table in tables:
+        for name in ("energy", "nodal", "p"):
+            errs = table.column(f"err_{name}")
+            assert table.column(f"eoc_{name}") == [None] + [eoc(errs[i:i + 2], Ns[i:i + 2])[0]
+                                                            for i in range(len(Ns) - 1)]
+
+
 def test_run_study_argument_validation():
     with pytest.raises(ValueError):
         run_study("heat1d", 2, [])

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -424,6 +426,23 @@ def test_project_data_failure_exits_3(capsys):
 
 # ---------------------------------------------------------------------------
 # top-level entry
+
+
+def test_main_builds_its_parsers_once_per_process(tmp_path, capsys):
+    # the parser and its subparsers are built at import; no call of main,
+    # nor the re-parse of a --config file, builds another
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"problem": "stokes3", "Ns": [4, 8], "format": "csv"}))
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting_init):
+        assert main(["validate", "stokes3"]) == 0
+        assert main(["study", "--config", str(cfg), "--Ns", "8,16"]) == 0
+    assert built == []
 
 
 def test_main_requires_subcommand(capsys):

@@ -923,6 +923,18 @@ def test_condition_estimates_bound_exact_condition(problem, q):
     np.testing.assert_allclose(mono, est, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("problem", ["stokes3", "heat1d"])
+def test_the_oracle_inverts_once_per_distinct_width_and_solves_nothing(problem):
+    system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
+    mesh = TimeMesh(np.cumsum([0.0, 0.25, 0.5, 0.25, 0.125, 0.5, 0.125]))
+    assert np.unique(mesh.widths).size == 3
+    with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv, \
+            mock.patch.object(np.linalg, "solve", side_effect=AssertionError("np.linalg.solve")):
+        sol = solve_monolithic(system, mesh, SolverOptions(q=2))
+        sol.condition_estimates
+    assert inv.call_count == 3
+
+
 # ---------------------------------------------------------------------------
 # data sampling: one call per field, typed errors naming field and slab
 
@@ -1041,7 +1053,8 @@ def test_preset_data_is_sampled_in_one_call(tmp_path):
 
 def _eigh_and_factor_calls(system, mesh, q):
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
-            mock.patch.object(dgsolver, "_width_solves", wraps=dgsolver._width_solves) as factor:
+            mock.patch.object(dgsolver, "_width_inverses",
+                              wraps=dgsolver._width_inverses) as factor:
         solve_constrained(system, mesh, SolverOptions(q=q))
     return eigh.call_count, factor.call_count
 

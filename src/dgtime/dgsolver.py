@@ -32,11 +32,12 @@ kappa_j = C_j R^T, C_j the j-th coefficients of [g1; g2], is known from
 the data.  One generalized symmetric eigendecomposition of
 (Q^T A Q, Q^T M Q) gives sigma and V = Q W with V^T M V = I and
 V^T A V = diag(sigma).  The SVD and the eigenbasis depend only on M, A,
-B1 and B2, so they are computed once per system, on its first solve, and
-kept on it, together with every product the march forms from the system
-alone (M R, A R, M u0, R1^T M V, R1^T A V and [V, R1]; _modes): the
-solves of a convergence study share them, and no solve after the first
-multiplies by M or A.  Tested with V, every slab, at any width k, splits
+B1 and B2, so they are computed once per system, on its first use, and
+kept on it (ConstrainedSystem._reduction), together with every product
+the march forms from the system alone (M R, A R, M u0, R1^T M V,
+R1^T A V and [V, R1]): the solves of a convergence study, dg_residual
+and validate_system share them, and no solve after the first multiplies
+by M or A.  Tested with V, every slab, at any width k, splits
 into one q x q block per mode l,
 
     (Dmat + k sigma_l diag(1/(2i+1))) w_l = rhs_l + e (V^T M u_prev)_l.
@@ -84,14 +85,12 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .projection import (DataError, _coeff_samples, _coeffs_from_samples, _moments, _sample,
                          _slab_nodes)
-from .systems import (_asymmetry, _free_components, _full_row_rank, _kept,
-                      _kernel_eigenbasis, _kernel_reduction)
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
                        _is_count, _Slabs, assemble_temporal_matrices, gauss_legendre)
 
@@ -130,6 +129,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (_is_count(self.q) and 1 <= self.q <= _MAX_POINTS - 2):
             raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q}")
+        if not isinstance(self.use_projection, (bool, np.bool_)):
+            raise ValueError(f"use_projection must be a bool, got {self.use_projection!r}")
 
     def quadrature(self) -> Quadrature:
         """The slab rule, max(q + 2, 4) Gauss points: exact beyond degree 2q - 1."""
@@ -212,21 +213,8 @@ def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
 
 def _check_explicit_block(system):
     """Reject a B2 that fixes every state component."""
-    if system.r2 and not _free_components(system)[1]:
+    if system.r2 and system.m <= system.r2:
         raise ValueError("B2 leaves no free state components")
-
-
-def _right_inverse(system) -> np.ndarray:
-    """R = pinv(B), (m, r1 + r2), B = [B1; B2], from the kept SVD, for a B the march accepts.
-
-    R's first r1 columns lie in ker B2 and invert B1; B2 R[:, r1:] = I.
-    """
-    _check_explicit_block(system)
-    u, sv, vt = _kernel_reduction(system)[:3]
-    r = system.r1 + system.r2
-    if not _full_row_rank(sv, r):
-        raise SlabSolveError(1, _SINGULAR)
-    return (vt[:r].T / sv) @ u.T
 
 
 def _slab_matrix(q: int, width: float, M, A, B) -> np.ndarray:
@@ -280,54 +268,29 @@ def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
     return conds
 
 
-class _Modes(NamedTuple):
-    """What the march forms from the system alone (_modes).
+def _modes(system, march: bool = True):
+    """The system's kept reduction (ConstrainedSystem._reduction), after the march's rules.
 
-    The eigenbasis sigma, (mw,), and V, (m, mw); R = pinv(B), (m, r1 + r2);
-    VR = [V, R1], R1 = R[:, :r1], of which V is a view; MR = M R, AR = A R,
-    Mu0 = M u0, RMV = R1^T M V and RAV = R1^T A V, (r1, mw).
+    B2 must leave a state component free (ValueError) and [B1; B2] have
+    full row rank (SlabSolveError on slab 1), so that R = pinv([B1; B2])
+    exists; dg_residual, with march False, needs no more.  The march also
+    needs M and A symmetric on the constraint kernel (ValueError) and M
+    positive definite there (SlabSolveError on slab 1), so that the
+    eigenbasis V and the products it forms from the system alone exist.
+    Nothing is kept here: a system that fails a rule raises on every call.
     """
-
-    sigma: np.ndarray
-    V: np.ndarray
-    R: np.ndarray
-    VR: np.ndarray
-    MR: np.ndarray
-    AR: np.ndarray
-    Mu0: np.ndarray
-    RMV: np.ndarray
-    RAV: np.ndarray
-
-
-@_kept
-def _modes(system) -> _Modes:
-    """The spatial eigenbasis of the slab equations, pinv(B) and their fixed products (_Modes).
-
-    The reduction validate_system checks, _kernel_reduction, gives Q, an
-    orthonormal basis of ker B, B = [B1; B2], and R = pinv(B)
-    (_right_inverse).  The kept eigenbasis of (Q^T A Q, Q^T M Q),
-    _kernel_eigenbasis, which validate_system reads too, gives sigma, (mw,),
-    and W with W^T Q^T M Q W = I; V = Q W, (m, mw), so V^T M V = I and
-    V^T A V = diag(sigma).  The march's products with M and A depend
-    on the system alone, so they are formed here too.  Computed once per
-    system and kept on it (_kept), so a later solve forms no product with
-    M or A; a system that fails these rules raises on every call.
-    """
-    R = _right_inverse(system)
-    Q, Mw, Aw = _kernel_reduction(system)[3:]
-    for name, X in (("M", Mw), ("A", Aw)):
-        asym, ok = _asymmetry(X)
-        if not ok:
-            raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.2e})")
-    try:
-        sigma, W = _kernel_eigenbasis(system)
-    except np.linalg.LinAlgError:
-        raise SlabSolveError(1, "singular slab system: M is not positive definite "
-                                "on the constraint kernel") from None
-    M, A, R1 = system.M, system.A, R[:, :system.r1]
-    VR = np.hstack([Q @ W, R1])
-    V = VR[:, :sigma.size]
-    return _Modes(sigma, V, R, VR, M @ R, A @ R, M @ system.u0, R1.T @ M @ V, R1.T @ A @ V)
+    _check_explicit_block(system)
+    red = system._reduction
+    if red.R is None:
+        raise SlabSolveError(1, _SINGULAR)
+    if march:
+        for name, (asym, ok) in zip("MA", red.asymmetry):
+            if not ok:
+                raise ValueError(f"{name} is not symmetric (max asymmetry {asym:.2e})")
+        if red.sigma is None:
+            raise SlabSolveError(1, "singular slab system: M is not positive definite "
+                                    "on the constraint kernel")
+    return red
 
 
 def _sweep(z: np.ndarray, b: np.ndarray):
@@ -462,9 +425,9 @@ def _march(system, slabs: _Slabs, variants):
     are solved as one: one data stage (_slab_data) and one modal solve
     (_modal_solve), whose recurrence is cut at each mesh's first slab,
     which starts from u0.  The spatial eigenbasis and its products with M
-    and A are the system's own (_modes), so only the first solve on a
-    system pays its O(m^3) reduction, and no later one multiplies by M or
-    A.  Every
+    and A are the system's kept reduction, checked by _modes, so only the
+    first use of a system pays its O(m^3) reduction, and no later solve
+    multiplies by M or A.  Every
     coefficient is u_j = V w_j + kappa_j, kappa the known part: the
     constraint data on R = pinv(B).  Every product with an m-wide matrix
     is one 2-D GEMM over all slabs, and the known part is formed at rank
@@ -618,7 +581,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     if not r1 and P is not None:
         raise ValueError("multiplier P given, but the system has no B1 (r1 = 0)")
     M, A, B1, B2 = system.M, system.A, system.B1, system.B2
-    R2 = _right_inverse(system)[:, r1:]
+    R2 = _modes(system, march=False).R[:, r1:]
     data = _solved_data(system, opts, U)
     if data is None:
         data = _slab_data(system, _Slabs.of([mesh]), [opts])

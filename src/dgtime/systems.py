@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import wraps
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,67 +64,25 @@ def _full_row_rank(sv: np.ndarray, rows: int) -> bool:
     return bool(sv.size == rows and (rows == 0 or sv[-1] > _STRUCTURE_TOL * sv[0]))
 
 
-def _free_components(system) -> tuple:
-    """(m - r2, whether B2 leaves a state component free)."""
-    return system.m - system.r2, system.m > system.r2
+class _Reduction(NamedTuple):
+    """A system's kept spatial reduction (ConstrainedSystem._reduction)."""
 
+    sv: np.ndarray
+    asymmetry: tuple
+    infsup: np.ndarray
+    sigma: Optional[np.ndarray]
+    R: Optional[np.ndarray]
+    VR: Optional[np.ndarray]
+    MR: Optional[np.ndarray]
+    AR: Optional[np.ndarray]
+    Mu0: Optional[np.ndarray]
+    RMV: Optional[np.ndarray]
+    RAV: Optional[np.ndarray]
 
-def _kept(reduce):
-    """Keep reduce(system) on the system, as functools.cached_property keeps a value.
-
-    The first call stores the value in the instance __dict__, with every
-    array in it made read-only, and later calls return it.  A call that
-    raises stores nothing, so the next call raises again.  The value lives
-    and dies with the system; dataclasses.replace builds a new system, which
-    reduces afresh.
-    """
-    key = f"_kept_{reduce.__name__}"
-
-    @wraps(reduce)
-    def kept(system):
-        if key not in system.__dict__:
-            value = reduce(system)
-            for a in value:
-                a.setflags(write=False)
-            system.__dict__[key] = value
-        return system.__dict__[key]
-
-    return kept
-
-
-@_kept
-def _kernel_reduction(system) -> tuple:
-    """(u, sv, vt, Q, Q^T M Q, Q^T A Q) from one SVD u diag(sv) vt of B = [B1; B2].
-
-    Q = vt[r:].T, r = r1 + r2, spans ker B when B has full row rank.  The
-    only SVD of a system: the marching solver and dg_residual run on it,
-    validate_system checks it with their rules.  Kept on the system (_kept).
-    """
-    u, sv, vt = np.linalg.svd(np.vstack([system.B1, system.B2]))
-    Q = vt[system.r1 + system.r2:].T
-    return u, sv, vt, Q, Q.T @ system.M @ Q, Q.T @ system.A @ Q
-
-
-@_kept
-def _kernel_eigenbasis(system) -> tuple:
-    """(sigma, W): the generalized eigenpairs of (Q^T A Q, Q^T M Q), W^T Q^T M Q W = I.
-
-    With the Cholesky factor L of Q^T M Q = L L^T, sigma and Y are the
-    eigenpairs of C = L^-1 Q^T A Q L^-T and W = L^-T Y.  L^-1 is applied by
-    solves, never formed: two give C, a third W.  C is symmetrized before
-    its eigendecomposition, which averages the rounding of its two
-    triangles (eigh reads one).  Only the lower triangle of Q^T M Q is
-    read, so an asymmetry goes unnoticed here; the solvers and
-    validate_system check it.  Raises np.linalg.LinAlgError when Q^T M Q is
-    not positive definite.  The one eigendecomposition of a system: the
-    marching solver (dgsolver._modes) and validate_system read it.  Kept on
-    the system (_kept).
-    """
-    Mw, Aw = _kernel_reduction(system)[4:]
-    L = np.linalg.cholesky(Mw)
-    C = np.linalg.solve(L, np.linalg.solve(L, Aw).T)
-    sigma, Y = np.linalg.eigh(0.5 * (C + C.T))
-    return sigma, np.linalg.solve(L.T, Y)
+    @property
+    def V(self) -> np.ndarray:
+        """The eigenbasis, (m, mw): the first mw columns of VR, a view."""
+        return self.VR[:, :self.sigma.size]
 
 
 def _u0_mismatch(system) -> list:
@@ -148,16 +106,10 @@ class ConstrainedSystem:
     map an array of times (n,) to (d, n), which lets the solvers sample it
     once for all slabs; they probe for this and otherwise call it per time.
 
-    The solvers keep the spatial reduction of (M, A, B1, B2) on the instance:
-    computed on first use, read-only, and reused by every later solve and
-    validate_system.  It holds the SVD factors of [B1; B2] (u, sv, vt),
-    the kernel pair Q^T M Q and Q^T A Q, (mw, mw), their eigenbasis sigma
-    and W, (mw, mw), with V = Q W, R = pinv([B1; B2]), and every product
-    the march forms from the system alone (dgsolver._modes): VR = [V, R1],
-    of which V is a view, M R, A R, M u0, R1^T M V and R1^T A V,
-    R1 = R[:, :r1].  Q is m x mw floats, mw = m - r1 - r2, VR m x (mw + r1)
-    and vt m x m; the products have rank r1 + r2 at most.  So only a
-    system's first solve multiplies by M or A.  Build a new system
+    The solvers keep the spatial reduction of (M, A, B1, B2) on the
+    instance (_reduction): computed on first use, read-only, and reused by
+    every later solve, dg_residual and validate_system, so no solve after
+    the first use multiplies by M or A.  Build a new system
     (dataclasses.replace) to change the matrices.
     """
 
@@ -225,6 +177,62 @@ class ConstrainedSystem:
     def r2(self) -> int:
         return self.B2.shape[0]
 
+    @cached_property
+    def _reduction(self) -> _Reduction:
+        """The one SVD of B = [B1; B2], the eigenbasis on its kernel and the march's products.
+
+        The SVD u diag(sv) vt, r = r1 + r2 rows, gives Q = vt[r:]^T, which
+        spans ker B when B has full row rank, and the kernel pair
+        Mw = Q^T M Q, Aw = Q^T A Q; asymmetry holds the _asymmetry of each.
+        With the Cholesky factor L of Mw = L L^T, sigma and Y are the
+        eigenpairs of C = L^-1 Aw L^-T, and W = L^-T Y, so W^T Mw W = I.
+        L^-1 is applied by solves, never formed: two give C, a third W.  C
+        is symmetrized before its eigendecomposition, which averages the
+        rounding of its two triangles (eigh reads one).  sigma is None when
+        Mw has no Cholesky factor.
+
+        With full row rank (_full_row_rank), R = pinv(B) =
+        vt[:r]^T diag(1/sv) u^T, (m, r): its first r1 columns R1 lie in
+        ker B2 and invert B1, and B2 R[:, r1:] = I; otherwise R is None.
+        The singular values of B1 on ker B2 are the reciprocals of those of
+        R1, which are those of u[:r1] / sv: infsup holds them, largest
+        first, when r1 > 0 and R exists, and is empty otherwise.  When R and
+        sigma both exist, it also holds what the march forms from the system
+        alone: VR = [Q W, R1], of which V = Q W is a view, with V^T M V = I
+        and V^T A V = diag(sigma), M R, A R, M u0, R1^T M V and R1^T A V;
+        otherwise they are None.  vt, Q, the kernel pair and W are not
+        kept: VR is m x (mw + r1), mw = m - r, and no other array has more
+        than m max(r, 1) entries.  Every array is read-only.  A broken rule
+        raises nothing here: dgsolver._modes and validate_system apply them.
+        """
+        B = np.vstack([self.B1, self.B2])
+        r1, r = self.r1, B.shape[0]
+        u, sv, vt = np.linalg.svd(B)
+        Q = vt[r:].T
+        Mw, Aw = Q.T @ self.M @ Q, Q.T @ self.A @ Q
+        try:
+            L = np.linalg.cholesky(Mw)
+            C = np.linalg.solve(L, np.linalg.solve(L, Aw).T)
+            sigma, Y = np.linalg.eigh(0.5 * (C + C.T))
+            W = np.linalg.solve(L.T, Y)
+        except np.linalg.LinAlgError:
+            sigma = None
+        R, infsup, march = None, np.zeros(0), (None,) * 6
+        if _full_row_rank(sv, r):
+            R = (vt[:r].T / sv) @ u.T
+            if r1:
+                infsup = (1.0 / np.linalg.svd(u[:r1] / sv, compute_uv=False))[::-1]
+            if sigma is not None:
+                M, A, R1 = self.M, self.A, R[:, :r1]
+                VR = np.hstack([Q @ W, R1])
+                V = VR[:, :sigma.size]
+                march = (VR, M @ R, A @ R, M @ self.u0, R1.T @ M @ V, R1.T @ A @ V)
+        value = _Reduction(sv, (_asymmetry(Mw), _asymmetry(Aw)), infsup, sigma, R, *march)
+        for a in value:
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return value
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -250,32 +258,25 @@ class ValidationReport:
 def validate_system(system: ConstrainedSystem) -> ValidationReport:
     """Check the structural assumptions the solvers rely on.
 
-    Applies the solvers' rules to their reduction (_kernel_reduction) and
-    eigenbasis (_kernel_eigenbasis): full row rank of B = [B1; B2], M and A
-    symmetric and M positive definite on ker B (its Cholesky factorization
-    succeeds) and a free state component.  A is elliptic on ker B when the
-    smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12 times the
-    largest in size.  B1 is checked for inf-sup rank on ker(B2): its
-    singular values there are the reciprocals of those of R[:, :r1],
-    R = pinv(B) = vt[:r]^T diag(1/sv) u^T, which are those of u[:r1] / sv.
-    A broken rule is a failed check, never an exception.  Initial-data
-    compatibility is reported as a warning, never a failure.
+    Reads the system's kept reduction (ConstrainedSystem._reduction) and
+    applies the solvers' rules to it: full row rank of B = [B1; B2], M and
+    A symmetric and M positive definite on ker B (its Cholesky
+    factorization succeeds) and a free state component.  A is elliptic on
+    ker B when the smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12
+    times the largest in size.  B1 is checked for inf-sup rank on ker(B2)
+    by the rank rule on its singular values there, which the reduction
+    keeps.  A broken rule is a failed check, never an exception.
+    Initial-data compatibility is reported as a warning, never a failure.
     """
-    u, sv, _, _, Mw, Aw = _kernel_reduction(system)
-    rank_ok = _full_row_rank(sv, system.r1 + system.r2)
-    try:  # the Cholesky factorization of Q^T M Q is the eigenbasis' first step
-        sigma = _kernel_eigenbasis(system)[0]
-    except np.linalg.LinAlgError:
-        sigma = None
-    sym_m, ok = _asymmetry(Mw)
-    checks = [Check("kernel mass SPD", ok and sigma is not None, sym_m,
-                    f"max asymmetry {sym_m:.2e}, Cholesky {'failed' if sigma is None else 'ok'}")]
-    sym_a, ok = _asymmetry(Aw)
-    checks.append(Check("kernel stiffness symmetric", ok, sym_a, f"max asymmetry {sym_a:.2e}"))
+    red = system._reduction
+    sv, sigma, (sym_m, ok_m), (sym_a, ok_a) = red.sv, red.sigma, *red.asymmetry
+    checks = [Check("kernel mass SPD", ok_m and sigma is not None, sym_m,
+                    f"max asymmetry {sym_m:.2e}, Cholesky {'failed' if sigma is None else 'ok'}"),
+              Check("kernel stiffness symmetric", ok_a, sym_a, f"max asymmetry {sym_a:.2e}")]
     if sv.size == 0:
         checks.append(Check("constraint row rank", True, None, "no constraints"))
     else:
-        checks.append(Check("constraint row rank", rank_ok,
+        checks.append(Check("constraint row rank", red.R is not None,
                             float(sv[-1]), f"smallest singular value {sv[-1]:.3e}"))
     if sigma is None:
         checks.append(Check("kernel ellipticity", False, None, "M not positive definite"))
@@ -285,15 +286,13 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
         checks.append(Check("kernel ellipticity", bool(sigma[0] > _STRUCTURE_TOL * abs(sigma[-1])),
                             float(sigma[0]), f"smallest kernel eigenvalue {sigma[0]:.3e}"))
     if system.r2 > 0:
-        free, ok = _free_components(system)
-        checks.append(Check("free state components", ok, float(free),
+        free = system.m - system.r2
+        checks.append(Check("free state components", free > 0, float(free),
                             f"{free} of {system.m} components not fixed by B2"))
     if system.r1 > 0:
-        # no R without full row rank of B, which fails the rank check above too
-        s1 = ((1.0 / np.linalg.svd(u[:system.r1] / sv, compute_uv=False))[::-1] if rank_ok
-              else np.zeros(0))
-        smin = float(s1[-1]) if s1.size else 0.0
-        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(s1, system.r1), smin,
+        # empty without R, that is without full row rank of B, which fails the rank check too
+        smin = float(red.infsup[-1]) if red.infsup.size else 0.0
+        checks.append(Check("inf-sup (B1 on ker B2)", _full_row_rank(red.infsup, system.r1), smin,
                             f"smallest singular value {smin:.3e}"))
 
     warns = tuple(f"initial state incompatible with {label}(0) (residual {res:.3e})"
@@ -415,8 +414,9 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     # interior rows of M u_t + A u - f do not vanish.
     rng = np.random.default_rng(20240817)
     for t in rng.uniform(0.0, 1.0, size=4):
-        res = M @ sol.u_t(x_nodes, t) + A @ sol.u(x_nodes, t) - f(t)
-        scale = 1.0 + float(np.abs(f(t)).max(initial=0.0))
+        ft = f(t)
+        res = M @ sol.u_t(x_nodes, t) + A @ sol.u(x_nodes, t) - ft
+        scale = 1.0 + float(np.abs(ft).max(initial=0.0))
         if np.abs(res[1:-1]).max(initial=0.0) > 1e-10 * scale:
             raise ValueError(
                 "manufactured solution is not quadratic in space: interior "
@@ -487,7 +487,7 @@ def build_saddle_dae(preset: Optional[str] = None, *,
     )
     if r1 > 0:
         # the system's own reduction, which its solves and validation then reuse
-        if not _full_row_rank(_kernel_reduction(system)[1], r1):
+        if system._reduction.R is None:
             raise ValueError("B1 must have full row rank")
         if exact_p is None:
             raise ValueError("exact_p handle required when B1 is present")

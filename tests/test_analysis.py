@@ -252,6 +252,16 @@ def test_run_study_rejects_empty_norms_before_solving(monkeypatch):
             run_study("stokes3", 2, [4, 8], norms=norms)
 
 
+def test_run_study_rejects_a_projection_switch_that_is_not_a_bool(monkeypatch):
+    # "off" is truthy: accepted, it would run and title a table with the projection on
+    def no_solve(*args):
+        raise AssertionError("solved before rejecting the switch")
+
+    monkeypatch.setattr(analysis, "_march", no_solve)
+    with pytest.raises(ValueError, match="use_projection must be a bool, got 'off'"):
+        run_study("stokes3", 2, [8, 16], use_projection="off")
+
+
 @pytest.mark.parametrize("Ns", [(8, 8), (16, 8)])
 def test_study_and_eoc_reject_slab_counts_that_do_not_increase(Ns, monkeypatch):
     def no_solve(*args):

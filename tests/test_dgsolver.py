@@ -5,7 +5,7 @@ import re
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import factorial
 from unittest import mock
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh as scipy_eigh, null_space
 
-from dgtime import analysis, dgsolver, systems
+from dgtime import analysis, dgsolver
 from dgtime import (
     BrokenFunction,
     ConstrainedSystem,
@@ -118,6 +118,16 @@ def test_solver_options_validation():
     assert SolverOptions(q=np.int64(3)).quadrature().npoints == 5
     assert SolverOptions(q=2).quadrature().npoints == 4
     assert SolverOptions(q=5).quadrature().npoints == 7
+
+
+@pytest.mark.parametrize("switch", ["off", "on", 0, 1, None, np.array([True])])
+def test_solver_options_reject_a_projection_switch_that_is_not_a_bool(switch):
+    # a non-empty string is truthy, so "off" would otherwise run with the projection on
+    message = f"use_projection must be a bool, got {re.escape(repr(switch))}"
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(use_projection=switch)
+    for ok in (True, False, np.True_, np.False_):
+        assert SolverOptions(use_projection=ok).use_projection == ok
 
 
 def test_solver_options_reject_q_beyond_the_largest_gauss_rule():
@@ -1048,14 +1058,15 @@ def test_preset_data_is_sampled_in_one_call(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# marching in the spatial eigenbasis: one eigh per solve, no slab matrix solve
+# marching in the spatial eigenbasis: one eigh per system, no slab matrix solve
 
 
-def _eigh_and_factor_calls(system, mesh, q):
+def _eigh_and_factor_calls(build, mesh, q):
+    # build_saddle_dae reduces the system it builds, so the count starts before it
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
             mock.patch.object(dgsolver, "_width_inverses",
                               wraps=dgsolver._width_inverses) as factor:
-        solve_constrained(system, mesh, SolverOptions(q=q))
+        solve_constrained(build(), mesh, SolverOptions(q=q))
     return eigh.call_count, factor.call_count
 
 
@@ -1066,7 +1077,7 @@ def _eigh_and_factor_calls(system, mesh, q):
 @example(T=1.0, N=3000, q=1)
 @example(T=1.0, N=100000, q=1)
 def test_uniform_mesh_solve_calls_eigh_once_and_never_factors(T, N, q):
-    calls = _eigh_and_factor_calls(build_saddle_dae("stokes3"), build_uniform_mesh(T, N), q)
+    calls = _eigh_and_factor_calls(lambda: build_saddle_dae("stokes3"), build_uniform_mesh(T, N), q)
     assert calls == (1, 0)
 
 
@@ -1074,9 +1085,9 @@ def test_uniform_mesh_solve_calls_eigh_once_and_never_factors(T, N, q):
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 30),
        problem=st.sampled_from(["stokes3", "heat1d"]))
 def test_random_mesh_solve_calls_eigh_once_and_never_factors(seed, N, problem):
-    system = build_saddle_dae("stokes3") if problem == "stokes3" else build_heat_1d(3)
+    build = {"stokes3": lambda: build_saddle_dae("stokes3"), "heat1d": lambda: build_heat_1d(3)}
     widths = np.random.default_rng(seed).uniform(0.2, 1.0, N)
-    assert _eigh_and_factor_calls(system, TimeMesh(np.r_[0.0, np.cumsum(widths)]), 2) == (1, 0)
+    assert _eigh_and_factor_calls(build[problem], TimeMesh(np.r_[0.0, np.cumsum(widths)]), 2) == (1, 0)
 
 
 def test_uniform_mesh_with_unequal_float_widths_keeps_the_constraint_exact():
@@ -1121,8 +1132,8 @@ def test_repeated_solve_is_bitwise_equal_to_a_fresh_system(problem, q):
 
 @pytest.mark.parametrize("problem", sorted(_BUILDERS))
 def test_study_on_one_system_calls_eigh_once(problem):
-    system = _BUILDERS[problem]()
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        system = _BUILDERS[problem]()
         for use_projection in (True, False):
             run_study(system, 2, [4, 8, 16, 32, 64], use_projection=use_projection)
         # the validator reads the same kept eigenbasis
@@ -1164,7 +1175,7 @@ def test_oracle_needs_no_svd_and_the_rest_share_one():
         mono = solve_monolithic(system, mesh, SolverOptions(q=2))
         mono.condition_estimates
         assert svd.call_count == 0
-        assert "_kept__kernel_reduction" not in system.__dict__
+        assert "_reduction" not in system.__dict__
         assert validate_system(system).passed
         for q in (1, 2):
             sol = solve_constrained(system, mesh, SolverOptions(q=q))
@@ -1177,7 +1188,7 @@ def test_replaced_system_reduces_afresh():
     U = solve_constrained(system, mesh, opts).U.coeffs
     A = _STOKES3_A + np.diag([1.0, 2.0, 3.0])
     replaced = replace(system, A=A)
-    sigma, sigma_new = dgsolver._modes(system)[0], dgsolver._modes(replaced)[0]
+    sigma, sigma_new = dgsolver._modes(system).sigma, dgsolver._modes(replaced).sigma
     assert not np.array_equal(sigma_new, sigma)
     U_new = solve_constrained(replaced, mesh, opts).U.coeffs
     built = replace(build_saddle_dae("stokes3"), A=A)  # never solved before
@@ -1210,9 +1221,9 @@ def test_kept_reduction_is_read_only(problem):
     system = _BUILDERS[problem]()
     solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions())
     modes = dgsolver._modes(system)
-    assert modes._fields == ("sigma", "V", "R", "VR", "MR", "AR", "Mu0", "RMV", "RAV")
-    arrays = systems._kernel_reduction(system) + systems._kernel_eigenbasis(system) + modes
-    assert len(arrays) == 17
+    assert modes is system._reduction
+    arrays = [a for a in modes if isinstance(a, np.ndarray)] + [modes.V]
+    assert len(arrays) == 11
     # V is the first mw columns of VR, not a second m x mw array
     assert modes.V.base is modes.VR and np.shares_memory(modes.V, modes.VR)
     for a in arrays:
@@ -1221,19 +1232,46 @@ def test_kept_reduction_is_read_only(problem):
             a[...] = 0.0
 
 
+def _arrays(value):
+    """Every ndarray in value, looking into tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for v in value for a in _arrays(v)] if isinstance(value, tuple) else []
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS) + ["spd", "combined"])
+def test_a_solved_and_validated_system_keeps_one_small_value(problem):
+    # the reduction keeps no SVD factor vt, no kernel basis Q, no kernel
+    # pair and no eigenvectors W: each is m x m or m x mw
+    system = _BUILDERS[problem]() if problem in _BUILDERS else _random_system(4, problem, 6, 2)
+    mesh, opts = build_uniform_mesh(1.0, 3), SolverOptions()
+    sol = solve_constrained(system, mesh, opts)
+    dg_residual(system, mesh, opts, sol.U, sol.P)
+    assert validate_system(system).passed
+    kept = {k: v for k, v in vars(system).items() if k not in {f.name for f in fields(system)}}
+    assert list(kept) == ["_reduction"]
+    limit = system.m * max(system.r1 + system.r2, 1)
+    for a in _arrays(kept["_reduction"]):
+        assert not a.flags.writeable
+        assert a is kept["_reduction"].VR or a.size <= limit, a.shape
+
+
 @pytest.mark.parametrize("problem", ["stokes3", "heat1d", "spd", "saddle", "combined"])
 def test_kept_eigenbasis_matches_scipys_generalized_eigh(problem):
-    # scipy's eigh(Aw, Mw) is the reference; the library itself needs numpy only
+    # scipy's eigh on its own kernel basis is the reference, so the check
+    # holds whatever basis of ker [B1; B2] the library uses; the library
+    # itself needs numpy only
     system = {"stokes3": lambda: build_saddle_dae("stokes3"),
               "heat1d": lambda: build_heat_1d(64)}.get(
         problem, lambda: _random_system(3, problem, 8, 2))()
-    Mw, Aw = systems._kernel_reduction(system)[4:]
-    sigma, W = systems._kernel_eigenbasis(system)
-    reference = scipy_eigh(Aw, Mw, eigvals_only=True)
+    B = np.vstack([system.B1, system.B2])
+    Z, sigma, V = null_space(B), system._reduction.sigma, system._reduction.V
+    reference = scipy_eigh(Z.T @ system.A @ Z, Z.T @ system.M @ Z, eigvals_only=True)
     scale = np.abs(reference).max()
     assert np.abs(sigma - reference).max() <= 1e-13 * scale
-    np.testing.assert_allclose(W.T @ Mw @ W, np.eye(sigma.size), rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(W.T @ Aw @ W, np.diag(sigma), rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_allclose(V.T @ system.M @ V, np.eye(sigma.size), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(V.T @ system.A @ V, np.diag(sigma), rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_allclose(B @ V, 0.0, rtol=0.0, atol=1e-13)
 
 
 class _NoArithmetic(np.ndarray):

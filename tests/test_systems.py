@@ -19,7 +19,6 @@ from dgtime import (
     solve_mixed,
     validate_system,
 )
-from dgtime import dgsolver
 from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _p2_shapes
 
 
@@ -70,7 +69,7 @@ def test_heat_shapes_and_defaults():
     assert system.r1 == 0 and system.r2 == 2
     assert system.B2.shape == (2, 9)
     # the solvers' right inverse pinv([B1; B2]) of the boundary-row selection is B2^T
-    np.testing.assert_array_equal(dgsolver._right_inverse(system), system.B2.T)
+    np.testing.assert_array_equal(system._reduction.R, system.B2.T)
     np.testing.assert_allclose(system.normU, system.M + system.A)
     # default solution has u(x, 0) = x, which is compatible with g2(0)
     np.testing.assert_allclose(system.u0, np.linspace(0, 1, 9), atol=1e-15)
@@ -92,6 +91,20 @@ def test_heat_interior_residual_vanishes():
         res = system.M @ ms.u_t(x, t) + system.A @ ms.u(x, t) - system.f(t)
         scale = 1.0 + np.abs(system.f(t)).max()
         assert np.abs(res[1:-1]).max() <= 1e-10 * scale
+
+
+def test_heat_builder_samples_the_load_once_per_probe_time():
+    # the quadratic-in-space check probes 4 times; each probe calls u_t once
+    # itself and once through f(t)
+    from dgtime.systems import DEFAULT_HEAT_SOLUTION as ms
+    calls = []
+
+    def u_t(x, t):
+        calls.append(t)
+        return ms.u_t(x, t)
+
+    build_heat_1d(4, ManufacturedSolution1D(u=ms.u, u_t=u_t, u_xx=ms.u_xx))
+    assert len(calls) == 8 and len(set(calls)) == 4
 
 
 def test_heat_rejects_unrepresentable_solutions():

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dgsolver import SlabSolveError, SolverOptions, _march
+from .dgsolver import SlabSolveError, SolverOptions, _check_switch, _march
 from .projection import _sample, _slab_coeffs, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _end_values, _is_count, _slab_inner,
@@ -158,6 +158,9 @@ class EOCTable:
     q: int
     use_projection: bool
     rows: tuple
+
+    def __post_init__(self):
+        _check_switch(self.use_projection)
 
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.rows]

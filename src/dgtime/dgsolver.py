@@ -119,6 +119,12 @@ class SlabSolveError(RuntimeError):
         self.slab = slab
 
 
+def _check_switch(use_projection) -> None:
+    """The projection switch is a Python or numpy bool; "off", 0 or None is rejected."""
+    if not isinstance(use_projection, (bool, np.bool_)):
+        raise ValueError(f"use_projection must be a bool, got {use_projection!r}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """q temporal dofs per slab (degree q-1) and the projection switch."""
@@ -129,8 +135,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (_is_count(self.q) and 1 <= self.q <= _MAX_POINTS - 2):
             raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q}")
-        if not isinstance(self.use_projection, (bool, np.bool_)):
-            raise ValueError(f"use_projection must be a bool, got {self.use_projection!r}")
+        _check_switch(self.use_projection)
 
     def quadrature(self) -> Quadrature:
         """The slab rule, max(q + 2, 4) Gauss points: exact beyond degree 2q - 1."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,16 @@ def test_run_study_rejects_a_projection_switch_that_is_not_a_bool(monkeypatch):
     monkeypatch.setattr(analysis, "_march", no_solve)
     with pytest.raises(ValueError, match="use_projection must be a bool, got 'off'"):
         run_study("stokes3", 2, [8, 16], use_projection="off")
+
+
+@pytest.mark.parametrize("switch", ["off", "on", 0, 1, None])
+def test_eoc_table_rejects_a_projection_switch_that_is_not_a_bool(switch):
+    # SolverOptions' rule and message: a table titled "projection on" must have run with it on
+    message = f"use_projection must be a bool, got {re.escape(repr(switch))}"
+    with pytest.raises(ValueError, match=message):
+        analysis.EOCTable(problem="stokes3", q=2, use_projection=switch, rows=())
+    for ok in (True, False, np.True_, np.False_):
+        assert analysis.EOCTable("stokes3", 2, ok, ()).use_projection == ok
 
 
 @pytest.mark.parametrize("Ns", [(8, 8), (16, 8)])

@@ -66,6 +66,15 @@ def test_parse_table_csv_rejects_a_row_of_another_length(row):
         parse_table_csv(text)
 
 
+def test_parse_table_csv_rejects_a_projection_switch_that_is_not_a_bool():
+    # "off" is truthy: a table holding it would be titled "projection on"
+    text = format_csv(_small_table())
+    with pytest.raises(ValueError, match="use_projection must be a bool, got 'off'"):
+        parse_table_csv(text, problem="stokes3", q=2, use_projection="off")
+    back = parse_table_csv(text, problem="stokes3", q=2, use_projection=False)
+    assert format_markdown(back).startswith("### stokes3, q = 2, projection off")
+
+
 def test_parse_table_csv_rejects_an_empty_text():
     with pytest.raises(ValueError, match="the CSV has no header line"):
         parse_table_csv("")

@@ -1256,13 +1256,15 @@ def test_a_solved_and_validated_system_keeps_one_small_value(problem):
         assert a is kept["_reduction"].VR or a.size <= limit, a.shape
 
 
-@pytest.mark.parametrize("problem", ["stokes3", "heat1d", "spd", "saddle", "combined"])
+@pytest.mark.parametrize("problem", ["stokes3", "heat1d", "heat1d-257", "spd", "saddle", "combined"])
 def test_kept_eigenbasis_matches_scipys_generalized_eigh(problem):
     # scipy's eigh on its own kernel basis is the reference, so the check
     # holds whatever basis of ker [B1; B2] the library uses; the library
-    # itself needs numpy only
+    # itself needs numpy only.  heat1d's kernels of 127 and 255 unknowns
+    # span two and four blocks of the reduction's triangular solves.
     system = {"stokes3": lambda: build_saddle_dae("stokes3"),
-              "heat1d": lambda: build_heat_1d(64)}.get(
+              "heat1d": lambda: build_heat_1d(64),
+              "heat1d-257": lambda: build_heat_1d(128)}.get(
         problem, lambda: _random_system(3, problem, 8, 2))()
     B = np.vstack([system.B1, system.B2])
     Z, sigma, V = null_space(B), system._reduction.sigma, system._reduction.V

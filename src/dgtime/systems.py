@@ -67,12 +67,9 @@ def _lower_solve(L: np.ndarray, B: np.ndarray, transpose: bool = False) -> np.nd
 
     Blocked substitution: each _BLOCK rows of the result take one GEMM with
     the rows already solved and one np.linalg.solve on their diagonal block
-    of L, forward for L^-1 and backward for L^-T.  An L of one block is
-    solved whole, as np.linalg.solve(L, B) or np.linalg.solve(L.T, B).
+    of L, forward for L^-1 and backward for L^-T.
     """
     n = L.shape[0]
-    if n <= _BLOCK:
-        return np.linalg.solve(L.T if transpose else L, B)
     X = np.empty_like(B)
     starts = range(0, n, _BLOCK)
     for s in (reversed(starts) if transpose else starts):

@@ -54,7 +54,8 @@ def _l2_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, quad: Quadr
 def _nodal_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, slabs: _Slabs) -> list:
     """max_n ||U^n - exact(t_n)||_W on every mesh of slabs; coeffs (S, q, d), exact (S, d)."""
     d = _end_values(coeffs) - exact
-    return [float(e.max()) for e in slabs.split(np.sqrt(((d @ W) * d).sum(axis=-1)))]
+    # a GEMV with ones adds the short trailing axis several times faster than .sum(axis=-1)
+    return [float(e.max()) for e in slabs.split(np.sqrt(((d @ W) * d) @ np.ones(d.shape[1])))]
 
 
 def _checked(compute, norm: str, weight: str) -> float:

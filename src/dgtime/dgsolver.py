@@ -59,7 +59,9 @@ A convergence study is one such march over all of its meshes: their slabs
 are stacked mesh after mesh, the data is sampled once per field for all of
 them, one sweep solves every level's blocks, and the recurrence
 restarts from u0 at each mesh's first slab.  Each mesh keeps its own
-sqrt(N) blocks, so its recurrence is the one a march on it alone runs.
+sqrt(N) blocks, so its recurrence is the one a march on it alone runs;
+the meshes share its Python steps, bmax + max nb in all, bmax the longest
+block of any mesh and max nb the most blocks of one.
 A study with the projection both on and off (dgtime study --projection
 both) is still one march: the second variant's slabs are stacked as
 further meshes, g1 and g2 are sampled once at the nodes and right ends
@@ -92,7 +94,7 @@ import numpy as np
 from .projection import (DataError, _coeff_samples, _coeffs_from_samples, _moments, _sample,
                          _slab_nodes)
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
-                       _is_count, _Slabs, assemble_temporal_matrices, gauss_legendre)
+                       _is_count, _slab_apply, _Slabs, assemble_temporal_matrices, gauss_legendre)
 
 __all__ = [
     "SolverOptions",
@@ -345,29 +347,42 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     loop down every block of every mesh at once from a zero start gives loc
     and the running product P of r, then one loop carries each block's end
     into the next block of its mesh, and a slab's value is loc + P carry.
-    About sqrt(max N) + sum sqrt(N) Python steps; a doubling scan would take
-    log N, but its error grows several times faster in N.  A block shorter
-    than the longest is padded with alpha = 0, r = 1, which carries its end
-    unchanged, so every mesh gets the arithmetic it would get on its own.
+    The carry reads only the blocks' ends, which it orders by block index
+    and, within one, by the meshes' block counts, most first: so block j
+    of every mesh that has one is a contiguous slice, and the carry takes
+    one step per block index.  That makes bmax + max nb Python steps,
+    bmax = max b and nb a mesh's block count, about 2 sqrt(max N).  A
+    doubling scan would take log N, but its error grows several times
+    faster in N.  A block shorter than the longest is padded with
+    alpha = 0, r = 1, which carries its end unchanged, so every mesh gets
+    the arithmetic it would get on its own.
     """
     counts = np.diff(starts)
     b = np.array([math.isqrt(N - 1) + 1 for N in counts], dtype=np.intp)
     nb = -(-counts // b)
     local = np.arange(alpha.shape[0]) - np.repeat(starts[:-1], counts)
     # slab i of mesh l is row i % b_l of block column col0_l + i // b_l
-    bs, col0 = np.repeat(b, counts), np.repeat(np.cumsum(nb) - nb, counts)
-    row, col = local % bs, col0 + local // bs
+    bs, col0 = np.repeat(b, counts), np.cumsum(nb) - nb
+    row, col = local % bs, np.repeat(col0, counts) + local // bs
     shape = (int(b.max()), int(nb.sum()), alpha.shape[1])
     loc, P = np.zeros(shape), np.ones(shape)
     loc[row, col], P[row, col] = alpha, r
     for j in range(1, shape[0]):
         loc[j] += P[j] * loc[j - 1]
         P[j] *= P[j - 1]
-    carry = np.zeros(shape[1:])
-    cont = np.ones(shape[1], dtype=bool)
-    cont[np.cumsum(nb) - nb] = False  # each mesh's first block starts from zero
-    for i in np.flatnonzero(cont).tolist():
-        carry[i] = loc[-1, i - 1] + P[-1, i - 1] * carry[i - 1]
+    # have[j] meshes have a block j, the first have[j] of order; their block
+    # j ends are the slice first[j]:first[j] + have[j] of the ends by block
+    order = np.argsort(-nb, kind="stable")
+    have = np.bincount(nb - 1)[::-1].cumsum()[::-1]
+    first = np.cumsum(have) - have
+    ranked = np.arange(shape[1]) - np.repeat(first, have)
+    by_block = col0[order[ranked]] + np.repeat(np.arange(have.size), have)
+    end_loc, end_P = loc[-1, by_block], P[-1, by_block]
+    carried = np.zeros_like(end_loc)  # each mesh's first block starts from zero
+    for a, c, n in zip(first.tolist(), first[1:].tolist(), have[1:].tolist()):
+        carried[c:c + n] = end_loc[a:a + n] + end_P[a:a + n] * carried[a:a + n]
+    carry = np.empty(shape[1:])
+    carry[by_block] = carried
     ends = (loc + P * carry)[row, col]
     w = np.zeros_like(alpha)
     w[1:] = ends[:-1]
@@ -459,7 +474,7 @@ def _march(system, slabs: _Slabs, variants):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kappa, kM, kA = (_gemm(data.C, X.T) for X in (modes.R, modes.MR, modes.AR))
         # tested with the modes V and, for the multiplier, with R1
-        rhs = _gemm(data.F - Dmat @ kM - S * kA, VR)
+        rhs = _gemm(data.F - _slab_apply(Dmat, kM) - S * kA, VR)
         # the known part of every slab's u_prev term: u0 on a mesh's first
         # slab, else kappa's terminal value on the slab before
         prev = np.empty((slabs.right.size, system.m))
@@ -473,11 +488,12 @@ def _march(system, slabs: _Slabs, variants):
             # the momentum residual tested with R1 is S_ii p_i
             RMV, RAV = modes.RMV, modes.RAV
             P = (rhs[:, :, mw:] + e[:, None] * (prev[:, mw:] + wprev @ RMV.T)[:, None, :]
-                 - Dmat @ _gemm(w, RMV.T) - S * _gemm(w, RAV.T)) / S
-    bad = ~np.isfinite(U).all(axis=(1, 2))
-    if P is not None:
-        bad |= ~np.isfinite(P).all(axis=(1, 2))
-    if bad.any():
+                 - _slab_apply(Dmat, _gemm(w, RMV.T)) - S * _gemm(w, RAV.T)) / S
+    if not (np.isfinite(U).all() and (P is None or np.isfinite(P).all())):
+        # the per-slab mask only to name the first bad slab
+        bad = ~np.isfinite(U).all(axis=(1, 2))
+        if P is not None:
+            bad |= ~np.isfinite(P).all(axis=(1, 2))
         raise SlabSolveError(int(slabs.number[np.argmax(bad)]), "non-finite solution coefficients")
     return U, P, data
 
@@ -595,7 +611,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     uc = U.coeffs
     uM = _gemm(uc, M.T)
     upwind = np.vstack([system.u0 @ M.T, _end_values(uM[:-1])])  # u_prev M^T
-    Rm = Dmat @ uM + S * _gemm(uc, A.T) - data.F - e[:, None] * upwind[:, None, :]
+    Rm = _slab_apply(Dmat, uM) + S * _gemm(uc, A.T) - data.F - e[:, None] * upwind[:, None, :]
     if r1:
         Rm = Rm + S * _gemm(P.coeffs, B1)
     gap = uc @ np.vstack([B1, B2]).T - data.C

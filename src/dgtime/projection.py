@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .timecore import (BrokenFunction, Quadrature, SlabPoly, TimeMesh, _end_values, _is_count,
-                       _Slabs)
+                       _slab_apply, _Slabs)
 
 __all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
 
@@ -98,8 +98,8 @@ def _sample(func, ts: np.ndarray, field: str, dim: int, number: np.ndarray) -> n
                 raise DataError(f"{field} returned shape {v.shape} on slab {number[i // k]}, "
                                 f"expected ({dim},)")
             vals[i] = v
-    bad = ~np.isfinite(vals).all(axis=1)
-    if bad.any():
+    if not np.isfinite(vals).all():  # the per-time mask only to name the slab
+        bad = ~np.isfinite(vals).all(axis=1)
         raise DataError(f"non-finite {field} data on slab {number[int(np.argmax(bad)) // k]}")
     return vals.reshape(S, k, dim)
 
@@ -112,7 +112,7 @@ def _slab_nodes(slabs: _Slabs, quad: Quadrature) -> np.ndarray:
 def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> np.ndarray:
     """int_{I_n} phi_i v dt, i < q, from node values vals (N, npts, d); shape (N, q, d)."""
     Phiw = npleg.legvander(2.0 * quad.nodes - 1.0, q - 1).T * quad.weights  # (q, npts)
-    return widths[:, None, None] * (Phiw @ vals)
+    return widths[:, None, None] * _slab_apply(Phiw, vals)
 
 
 def _coeff_samples(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,

@@ -395,9 +395,32 @@ def _end_values(coeffs: np.ndarray) -> np.ndarray:
     return ends
 
 
+# _slab_apply runs one 2-D GEMM for a trailing axis d shorter than this, and
+# numpy's batched A @ X (one small GEMM per slab) otherwise.  Measured on
+# one CPU, best of 5, over (a, k) = (5, 2), (2, 4), (2, 2), (6, 3), (4, 6):
+# at N = 1984 slabs (the stokes3 study) the one GEMM takes 0.06-0.10 of the
+# batched time at d = 1, 0.29-0.96 at d = 2..4, 0.46-1.13 at d = 8 and
+# 0.65-1.84 at d = 16; at N = 25 it takes 1.2-1.7 of it (about 1 us more)
+# at every d >= 2.  heat1d's m = 129 and 257 keep the batched product.
+_SLAB_GEMM_D = 8
+
+
+def _slab_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A X_n for every slab n: A (a, k), X (N, k, d); shape (N, a, d).
+
+    For d below _SLAB_GEMM_D, one GEMM on the (k, N d) layout of X, which
+    saves the per-slab call overhead of the batched product; otherwise A @ X.
+    """
+    N, k, d = X.shape
+    if d >= _SLAB_GEMM_D:
+        return A @ X
+    Y = A @ X.transpose(1, 0, 2).reshape(k, N * d)
+    return Y.reshape(A.shape[0], N, d).transpose(1, 0, 2)
+
+
 def _slab_values(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Values of broken coefficients (N, q, d) at reference nodes in [0, 1]; (N, npts, d)."""
-    return npleg.legvander(2.0 * nodes - 1.0, coeffs.shape[1] - 1) @ coeffs
+    return _slab_apply(npleg.legvander(2.0 * nodes - 1.0, coeffs.shape[1] - 1), coeffs)
 
 
 def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -407,8 +430,16 @@ def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _slab_inner(Yv: np.ndarray, M: np.ndarray, Xv: np.ndarray, quad: Quadrature) -> np.ndarray:
-    """int_{I_n} (Y, X)_M dt / k_n for every slab from node values (N, npts, d); shape (N,)."""
-    return (_gemm(Yv, M) * Xv).sum(axis=-1) @ quad.weights
+    """int_{I_n} (Y, X)_M dt / k_n for every slab from node values (N, npts, d); shape (N,).
+
+    One GEMV over the (N, npts d) products with every weight repeated d
+    times: a sum over a short trailing axis d costs numpy several times more.
+    The products overwrite Y M in place, which saves a fresh array.
+    """
+    N, npts, d = Xv.shape
+    YM = _gemm(Yv, M)
+    YM *= Xv
+    return YM.reshape(N, npts * d) @ np.repeat(quad.weights, d)
 
 
 def _form_terms(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature):

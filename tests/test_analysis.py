@@ -381,6 +381,16 @@ def _failing_levels():
                                exact_u=lambda t: np.exp(2.0 * np.asarray(t)))
     # an indefinite norm weight makes every energy error sqrt(negative) = nan
     indefinite = dataclasses.replace(stokes3, normU=-np.eye(3))
+    # finite data whose multiplier leaves the float range on slab 7 of the
+    # N = 8 level only: with q = 1, u2 is g1 at each slab's right end, and
+    # g1 is 1.7e308 at t = 0.875 and -1.7e308 elsewhere, so p, which jumps
+    # with u2, overflows on the slab ending at 0.875
+    zero = lambda t: 0.0 * np.asarray(t, dtype=float)
+    g1 = lambda t: np.where(np.asarray(t) == 0.875, 1.7e308, -1.7e308)[None]
+    overflow = ConstrainedSystem(M=np.eye(2), A=np.zeros((2, 2)), B1=np.array([[0.0, 1.0]]),
+                                 f=lambda t: np.array([zero(t), zero(t)]), g1=g1,
+                                 u0=np.array([0.0, -1.7e308]),
+                                 exact_u=lambda t: np.array([zero(t), g1(t)[0]]))
     return {
         "data error on a finer level": (nan_g1, 2, (2, 4, 8), DataError,
                                         "non-finite g1 data on slab 3"),
@@ -388,6 +398,8 @@ def _failing_levels():
                                         "slab 1: singular slab system"),
         "non-finite error": (indefinite, 2, (4, 8), ValueError,
                              r"err_energy is not finite \(nan\) at N = 4"),
+        "overflow on a finer level": (overflow, 1, (2, 4, 8), SlabSolveError,
+                                      "slab 7: non-finite solution coefficients"),
     }
 
 

@@ -893,6 +893,39 @@ def test_overflowing_solution_raises_with_slab_index():
     assert "non-finite" in str(err.value)
 
 
+def _overflowing_saddle(f1: float, t0: float) -> ConstrainedSystem:
+    """u1' = f1 from u1(0) = 1e308 beside the constraint u2 = g1 with finite data.
+
+    g1 is 1.7e308 at exactly t0 and -1.7e308 elsewhere, so with q = 1 the
+    multiplier jumps out of the float range on the slab ending at t0 and on
+    the slab after it, while u2 = g1 stays finite.  With f1 = 1e308 the
+    state u1 = 1e308 (1 + t_n) leaves the float range once t_n > 0.8.
+    """
+    zero = lambda t: 0.0 * np.asarray(t, dtype=float)
+    return ConstrainedSystem(
+        M=np.eye(2), A=np.zeros((2, 2)), B1=np.array([[0.0, 1.0]]),
+        f=lambda t: np.array([f1 + zero(t), zero(t)]),
+        g1=lambda t: np.where(np.asarray(t) == t0, 1.7e308, -1.7e308)[None],
+        u0=np.array([1e308, -1.7e308]), exact_u=lambda t: np.array([zero(t), zero(t)]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("f1, t0, slab", [
+    (0.0, 0.375, 3),   # only P leaves the float range, from slab 3 on
+    (1e308, 0.375, 3),  # P from slab 3, U from slab 7
+    (1e308, 2.0, 7),   # U, and P with it, from slab 7 (t_7 = 0.875)
+], ids=["multiplier", "multiplier-first", "state"])
+def test_an_overflow_beside_a_multiplier_names_its_first_slab(f1, t0, slab):
+    system = _overflowing_saddle(f1, t0)
+    with pytest.raises(SlabSolveError, match=f"slab {slab}: non-finite solution") as err:
+        solve_constrained(system, build_uniform_mesh(1.0, 8), SolverOptions(q=1))
+    assert err.value.slab == slab
+    # on the first slabs, before the overflow, U and P are finite
+    sol = solve_constrained(system, build_uniform_mesh(1.0 * (slab - 1) / 8, slab - 1),
+                            SolverOptions(q=1))
+    assert np.isfinite(sol.U.coeffs).all() and np.isfinite(sol.P.coeffs).all()
+
+
 def test_nonfinite_forcing_raises_data_error():
     system = ConstrainedSystem(M=np.eye(1), A=np.eye(1),
                                f=lambda t: np.array([np.nan]), u0=np.zeros(1))
@@ -1430,9 +1463,13 @@ def test_blocked_recurrence_on_short_and_empty_sequences(N, mw):
 
 
 @settings(max_examples=12, deadline=None)
-@given(starts=st.lists(st.integers(1, 60), min_size=1, max_size=5).map(
+@given(starts=st.lists(st.integers(1, 60) | st.integers(61, 5000), min_size=1, max_size=5).map(
            lambda counts: np.cumsum([0] + counts)),
        mw=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+# block counts 1, 64, 2, 32 and 8: the carry steps through meshes of widely
+# different block counts at once
+@example(starts=np.cumsum([0, 1, 4096, 3, 1024, 64]), mw=2, seed=0)
+@example(starts=np.cumsum([0, 4096, 1, 2, 4096, 5]), mw=1, seed=1)
 def test_blocked_recurrence_restarts_at_each_mesh_with_its_own_blocks(starts, mw, seed):
     rng = np.random.default_rng(seed)
     alpha, r = rng.standard_normal((starts[-1], mw)), rng.uniform(-1.0, 1.0, (starts[-1], mw))

@@ -24,6 +24,27 @@ from dgtime import (
 
 
 # ---------------------------------------------------------------------------
+# per-slab products
+
+
+_GEMM_D = timecore._SLAB_GEMM_D
+
+
+@pytest.mark.parametrize("N, k, d", [
+    (9, 3, 1), (9, 3, _GEMM_D - 1), (9, 3, _GEMM_D), (9, 3, 2 * _GEMM_D + 1), (300, 6, 3),
+    (0, 3, 2), (0, 3, _GEMM_D), (9, 3, 0), (9, 0, 2), (9, 0, _GEMM_D), (0, 0, 0)])
+@pytest.mark.parametrize("a", [0, 1, 5])
+def test_slab_apply_is_matmul_to_rounding_on_both_sides_of_the_crossover(N, k, d, a):
+    rng = np.random.default_rng([N, k, d, a])
+    A, X = rng.standard_normal((a, k)), rng.standard_normal((N, k, d))
+    got = timecore._slab_apply(A, X)
+    assert got.shape == (N, a, d)
+    # either product of k terms is within k eps sum |A_ij X_nj| of the exact one
+    bound = 2 * k * np.finfo(float).eps * (np.abs(A) @ np.abs(X))
+    assert np.all(np.abs(got - A @ X) <= bound)
+
+
+# ---------------------------------------------------------------------------
 # meshes
 
 

@@ -34,8 +34,10 @@ the data.  One generalized symmetric eigendecomposition of
 V^T A V = diag(sigma).  The SVD and the eigenbasis depend only on M, A,
 B1 and B2, so they are computed once per system, on its first use, and
 kept on it (ConstrainedSystem._reduction), together with every product
-the march forms from the system alone (M R, A R, M u0, R1^T M V,
-R1^T A V and [V, R1]): the solves of a convergence study, dg_residual
+the march forms from the system alone: VR = [V, R1] and, at rank
+r = r1 + r2, the known part's products with M and A tested with it,
+(M R)^T VR, (A R)^T VR and (M u0)^T VR, whose first r1 rows give
+R1^T M V and R1^T A V.  The solves of a convergence study, dg_residual
 and validate_system share them, and no solve after the first multiplies
 by M or A.  Tested with V, every slab, at any width k, splits
 into one q x q block per mode l,
@@ -50,9 +52,9 @@ for z >= 0; modes with sigma < 0, which only an A indefinite on ker B has
 the only sequential step is the scalar recurrence of the modal terminal
 value, w_end_n = alpha_n + r_n w_end_{n-1}, with r_n = 1^T K^{-1} e the DG
 stability function at k sigma; it runs in blocks of about sqrt(N) slabs,
-so about 2 sqrt(N) Python steps.  The first r1 columns of R lie in ker B2
-and invert B1; the multiplier is the momentum residual tested with them,
-divided by Smat.  Since U - kappa is solved on ker B, the solution does
+sliced from the slabs, so about 2 sqrt(N) Python steps.  The first r1
+columns of R lie in ker B2 and invert B1; the multiplier is the momentum
+residual tested with them, divided by Smat.  Since U - kappa is solved on ker B, the solution does
 not depend on which right inverse of B builds kappa.
 
 A convergence study is one such march over all of its meshes: their slabs
@@ -87,6 +89,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -347,47 +350,59 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     loop down every block of every mesh at once from a zero start gives loc
     and the running product P of r, then one loop carries each block's end
     into the next block of its mesh, and a slab's value is loc + P carry.
-    The carry reads only the blocks' ends, which it orders by block index
-    and, within one, by the meshes' block counts, most first: so block j
-    of every mesh that has one is a contiguous slice, and the carry takes
-    one step per block index.  That makes bmax + max nb Python steps,
-    bmax = max b and nb a mesh's block count, about 2 sqrt(max N).  A
-    doubling scan would take log N, but its error grows several times
-    faster in N.  A block shorter than the longest is padded with
-    alpha = 0, r = 1, which carries its end unchanged, so every mesh gets
-    the arithmetic it would get on its own.
+    loc and P are (bmax, sum nb, mw), block j of a mesh its column
+    col0 + j: a mesh's full blocks are a reshape of its slabs, copied in
+    by one slice, and its partial last block a second slice; the values
+    are read back the same way, shifted by one slab.  The carry reads only
+    the blocks' ends, which it orders by block index and, within one, by
+    the meshes' block counts, most first: so block j of every mesh that has
+    one is a contiguous slice, and the carry takes one step per block
+    index.  That makes bmax + max nb Python steps, bmax = max b and nb a
+    mesh's block count, about 2 sqrt(max N).  A doubling scan would take
+    log N, but its error grows several times faster in N.  A block shorter
+    than the longest is padded with alpha = 0, r = 1, which carries its end
+    unchanged, so every mesh gets the arithmetic it would get on its own.
     """
-    counts = np.diff(starts)
-    b = np.array([math.isqrt(N - 1) + 1 for N in counts], dtype=np.intp)
-    nb = -(-counts // b)
-    local = np.arange(alpha.shape[0]) - np.repeat(starts[:-1], counts)
-    # slab i of mesh l is row i % b_l of block column col0_l + i // b_l
-    bs, col0 = np.repeat(b, counts), np.cumsum(nb) - nb
-    row, col = local % bs, np.repeat(col0, counts) + local // bs
-    shape = (int(b.max()), int(nb.sum()), alpha.shape[1])
+    mw, bounds = alpha.shape[1], starts.tolist()
+    counts = [e - s for s, e in zip(bounds, bounds[1:])]
+    bs = [math.isqrt(N - 1) + 1 for N in counts]
+    nb = [-(-N // b) for N, b in zip(counts, bs)]
+    # (first slab, slab count, block length, full blocks, first block column)
+    meshes = list(zip(bounds, counts, bs, [N // b for N, b in zip(counts, bs)],
+                      accumulate(nb, initial=0)))
+    shape = (max(bs), sum(nb), mw)
     loc, P = np.zeros(shape), np.ones(shape)
-    loc[row, col], P[row, col] = alpha, r
+    for s, N, b, full, c in meshes:
+        for x, blocks in ((alpha, loc), (r, P)):
+            blocks[:b, c:c + full] = x[s:s + full * b].reshape(full, b, mw).transpose(1, 0, 2)
+            if N > full * b:
+                blocks[:N - full * b, c + full] = x[s + full * b:s + N]
     for j in range(1, shape[0]):
         loc[j] += P[j] * loc[j - 1]
         P[j] *= P[j - 1]
     # have[j] meshes have a block j, the first have[j] of order; their block
     # j ends are the slice first[j]:first[j] + have[j] of the ends by block
-    order = np.argsort(-nb, kind="stable")
-    have = np.bincount(nb - 1)[::-1].cumsum()[::-1]
-    first = np.cumsum(have) - have
-    ranked = np.arange(shape[1]) - np.repeat(first, have)
-    by_block = col0[order[ranked]] + np.repeat(np.arange(have.size), have)
+    order = sorted(range(len(nb)), key=lambda i: -nb[i])
+    have = [sum(n > j for n in nb) for j in range(max(nb))]
+    first = list(accumulate(have, initial=0))
+    by_block = [meshes[i][4] + j for j, n in enumerate(have) for i in order[:n]]
     end_loc, end_P = loc[-1, by_block], P[-1, by_block]
     carried = np.zeros_like(end_loc)  # each mesh's first block starts from zero
-    for a, c, n in zip(first.tolist(), first[1:].tolist(), have[1:].tolist()):
+    for a, c, n in zip(first, first[1:], have[1:]):
         carried[c:c + n] = end_loc[a:a + n] + end_P[a:a + n] * carried[a:a + n]
     carry = np.empty(shape[1:])
     carry[by_block] = carried
-    ends = (loc + P * carry)[row, col]
-    w = np.zeros_like(alpha)
-    w[1:] = ends[:-1]
-    w[starts[:-1]] = 0.0
-    return w
+    P *= carry
+    loc += P
+    # slab i's value is w of slab i + 1; the row past the last slab, and
+    # every mesh's first row, are overwritten or dropped
+    w = np.empty((alpha.shape[0] + 1, mw))
+    for s, N, b, full, c in meshes:
+        w[s + 1:s + 1 + full * b].reshape(full, b, mw)[...] = loc[:b, c:c + full].transpose(1, 0, 2)
+        if N > full * b:
+            w[s + 1 + full * b:s + 1 + N] = loc[:N - full * b, c + full]
+    w[bounds[:-1]] = 0.0
+    return w[:-1]
 
 
 def _modal_solve(sigma: np.ndarray, b: np.ndarray, prev: np.ndarray, slabs: _Slabs):
@@ -447,17 +462,20 @@ def _march(system, slabs: _Slabs, variants):
     which starts from u0.  The spatial eigenbasis and its products with M
     and A are the system's kept reduction, checked by _modes, so only the
     first use of a system pays its O(m^3) reduction, and no later solve
-    multiplies by M or A.  Every
-    coefficient is u_j = V w_j + kappa_j, kappa the known part: the
-    constraint data on R = pinv(B).  Every product with an m-wide matrix
-    is one 2-D GEMM over all slabs, and the known part is formed at rank
-    r1 + r2.  Every slab's modal blocks are solved by the closed-form
-    sweep (_sweep), elementwise over all slabs and modes, whatever their
-    widths.  Only the modal terminal value w_end runs through the slabs,
-    by w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N) blocks of each mesh
-    (_terminal_values).  An error names the 1-based slab within its own
-    mesh; it is raised at the first stage that fails on any mesh, for the
-    first such mesh.
+    multiplies by M or A.  Every coefficient is u_j = V w_j + kappa_j,
+    kappa = C R^T the known part: the constraint data on R = pinv(B).  Its
+    products with M and A enter only as tested with VR = [V, R1], which the
+    reduction keeps at rank r = r1 + r2: the right-hand side is
+    F VR - Dmat (C RMVR) - S (C RAVR), and the upwind term's known part is
+    u0MVR on a mesh's first slab and the end value of C RMVR on the slab
+    before.  So the only m-wide products, F VR, w V^T and kappa, are one
+    2-D GEMM each over all slabs.  Every slab's modal blocks are solved by
+    the closed-form sweep (_sweep), elementwise over all slabs and modes,
+    whatever their widths.  Only the modal terminal value w_end runs
+    through the slabs, by w_end_n = alpha_n + r_n w_end_{n-1}, in sqrt(N)
+    blocks of each mesh (_terminal_values).  An error names the 1-based
+    slab within its own mesh; it is raised at the first stage that fails
+    on any mesh, for the first such mesh.
 
     P, the momentum residual tested with R1 divided by Smat, carries the
     data's rounding times about (2q - 1)/k: p depends on g1', so its
@@ -472,17 +490,20 @@ def _march(system, slabs: _Slabs, variants):
     Dmat, _, e = assemble_temporal_matrices(q, 1.0)
     S = data.S[:, :, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kappa, kM, kA = (_gemm(data.C, X.T) for X in (modes.R, modes.MR, modes.AR))
-        # tested with the modes V and, for the multiplier, with R1
-        rhs = _gemm(data.F - _slab_apply(Dmat, kM) - S * kA, VR)
-        # the known part of every slab's u_prev term: u0 on a mesh's first
-        # slab, else kappa's terminal value on the slab before
-        prev = np.empty((slabs.right.size, system.m))
+        # kappa M^T and kappa A^T tested with the modes V and, for the
+        # multiplier, with R1, formed at rank r from C
+        kM, kA = _gemm(data.C, modes.RMVR), _gemm(data.C, modes.RAVR)
+        rhs = _gemm(data.F, VR)
+        rhs -= _slab_apply(Dmat, kM)
+        rhs -= S * kA
+        # the known part of every slab's u_prev term, tested likewise: u0 on
+        # a mesh's first slab, else kappa's terminal value on the slab before
+        prev = np.empty((slabs.right.size, VR.shape[1]))
         prev[1:] = _end_values(kM[:-1])
-        prev[firsts] = modes.Mu0
-        prev = prev @ VR
+        prev[firsts] = modes.u0MVR
         w, wprev = _modal_solve(sigma, rhs[:, :, :mw], prev[:, :mw], slabs)
-        U = _gemm(w, V.T) + kappa
+        U = _gemm(w, V.T)
+        U += _gemm(data.C, modes.R.T)
         P = None
         if system.r1:
             # the momentum residual tested with R1 is S_ii p_i

@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .timecore import (BrokenFunction, Quadrature, SlabPoly, TimeMesh, _end_values, _is_count,
-                       _slab_apply, _Slabs)
+                       _legendre, _slab_apply, _Slabs)
 
 __all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
 
@@ -111,7 +110,7 @@ def _slab_nodes(slabs: _Slabs, quad: Quadrature) -> np.ndarray:
 
 def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> np.ndarray:
     """int_{I_n} phi_i v dt, i < q, from node values vals (N, npts, d); shape (N, q, d)."""
-    Phiw = npleg.legvander(2.0 * quad.nodes - 1.0, q - 1).T * quad.weights  # (q, npts)
+    Phiw = _legendre(quad, q).T * quad.weights  # (q, npts)
     return widths[:, None, None] * _slab_apply(Phiw, vals)
 
 

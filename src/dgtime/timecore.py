@@ -200,6 +200,22 @@ class Quadrature:
     def npoints(self) -> int:
         return self.nodes.size
 
+    @cached_property
+    def legendre(self) -> np.ndarray:
+        """(npoints, npoints), read-only: column j is P_j(2 x - 1) at the nodes x.
+
+        Built once per rule; the slab values and moments of degree below q
+        read its first q columns (_legendre).
+        """
+        return _readonly(npleg.legvander(2.0 * self.nodes - 1.0, self.npoints - 1))
+
+
+def _legendre(quad: Quadrature, q: int) -> np.ndarray:
+    """The shifted Legendre basis phi_j, j < q, at quad's nodes: (npoints, q), a view."""
+    if q > quad.npoints:
+        raise ValueError(f"a {quad.npoints}-point rule cannot resolve degree {q - 1}")
+    return quad.legendre[:, :q]
+
 
 _MAX_POINTS = 16  # largest Gauss rule gauss_legendre builds
 
@@ -418,9 +434,13 @@ def _slab_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return Y.reshape(A.shape[0], N, d).transpose(1, 0, 2)
 
 
-def _slab_values(coeffs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Values of broken coefficients (N, q, d) at reference nodes in [0, 1]; (N, npts, d)."""
-    return _slab_apply(npleg.legvander(2.0 * nodes - 1.0, coeffs.shape[1] - 1), coeffs)
+def _slab_values(coeffs: np.ndarray, quad: Quadrature) -> np.ndarray:
+    """Values of broken coefficients (N, q, d) at quad's nodes; (N, npts, d), from its table.
+
+    A fresh C-contiguous array: the norms subtract from it in place and
+    take its products at unit stride.
+    """
+    return np.ascontiguousarray(_slab_apply(_legendre(quad, coeffs.shape[1]), coeffs))
 
 
 def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:

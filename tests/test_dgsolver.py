@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import pickle
 import re
 import tracemalloc
@@ -392,13 +393,13 @@ def test_energy_identity_on_random_systems(seed, kind, m, r1, widths, q, use_pro
     U = sol.U
 
     def integral(X, W, Y):
-        vx, vy = _slab_values(X, quad.nodes), _slab_values(Y, quad.nodes)
+        vx, vy = _slab_values(X, quad), _slab_values(Y, quad)
         return float((((vx @ W) * vy).sum(axis=-1) @ quad.weights) @ mesh.widths)
 
     ts = mesh.breakpoints[:-1, None] + mesh.widths[:, None] * quad.nodes
     fv = np.moveaxis(system.f(ts.ravel()).reshape(m, *ts.shape), 0, -1)
     terms = [dh_form(U, U, system.M, quad), integral(U.coeffs, system.A, U.coeffs),
-             -float(((fv * _slab_values(U.coeffs, quad.nodes)).sum(axis=-1) @ quad.weights)
+             -float(((fv * _slab_values(U.coeffs, quad)).sum(axis=-1) @ quad.weights)
                     @ mesh.widths),
              -float(system.u0 @ system.M @ U.initial_value())]
     if system.r1:
@@ -1256,7 +1257,7 @@ def test_kept_reduction_is_read_only(problem):
     modes = dgsolver._modes(system)
     assert modes is system._reduction
     arrays = [a for a in modes if isinstance(a, np.ndarray)] + [modes.V]
-    assert len(arrays) == 11
+    assert len(arrays) == 9
     # V is the first mw columns of VR, not a second m x mw array
     assert modes.V.base is modes.VR and np.shares_memory(modes.V, modes.VR)
     for a in arrays:
@@ -1287,6 +1288,68 @@ def test_a_solved_and_validated_system_keeps_one_small_value(problem):
     for a in _arrays(kept["_reduction"]):
         assert not a.flags.writeable
         assert a is kept["_reduction"].VR or a.size <= limit, a.shape
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS) + ["spd", "combined"])
+def test_kept_products_are_the_known_part_tested_with_VR_at_rank_r(problem):
+    system = _BUILDERS[problem]() if problem in _BUILDERS else _random_system(4, problem, 6, 2)
+    red = dgsolver._modes(system)
+    M, A, R, VR, V = system.M, system.A, red.R, red.VR, red.V
+    for kept, reference in ((red.RMVR, R.T @ M @ VR), (red.RAVR, R.T @ A @ VR),
+                            (red.u0MVR, system.u0 @ M @ VR)):
+        assert kept.shape == reference.shape
+        scale = np.abs(reference).max(initial=0.0)
+        assert np.abs(kept - reference).max(initial=0.0) <= 1e-13 * scale
+    # the multiplier's R1^T M V and R1^T A V are views of their first r1 rows
+    R1 = R[:, :system.r1]
+    for view, kept, reference in ((red.RMV, red.RMVR, R1.T @ M @ V),
+                                  (red.RAV, red.RAVR, R1.T @ A @ V)):
+        assert view.base is kept and view.shape == reference.shape == (system.r1, red.sigma.size)
+        assert np.shares_memory(view, kept) or view.size == 0
+        assert not view.flags.writeable
+        np.testing.assert_allclose(view, reference, rtol=0.0,
+                                   atol=1e-13 * np.abs(reference).max(initial=0.0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_no_legendre_table_is_built_twice(q):
+    system, mesh = build_saddle_dae("stokes3"), build_uniform_mesh(1.0, 8)
+
+    def solve():
+        solve_constrained(system, mesh, SolverOptions(q=q))
+
+    def study():
+        analysis._run_studies(system, q, [4, 8], [True, False], ("energy", "nodal", "multiplier"))
+
+    with mock.patch.object(np.polynomial.legendre, "legvander",
+                           wraps=np.polynomial.legendre.legvander) as legvander:
+        for run in (solve, study):
+            run()  # the rules' tables may be built here, once per rule and process
+            legvander.reset_mock()
+            run()
+            assert legvander.call_count == 0, run.__name__
+
+
+def test_a_rule_keeps_its_read_only_legendre_table():
+    for n in range(1, 17):
+        quad = gauss_legendre(n)
+        table = quad.legendre
+        assert table is quad.legendre and not table.flags.writeable
+        expected = np.polynomial.legendre.legvander(2.0 * quad.nodes - 1.0, n - 1)
+        assert table.shape == (n, n) and table.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+
+def test_a_rule_with_fewer_points_than_coefficients_is_refused():
+    # its table has too few columns, and its nodes too few values to tell
+    # every polynomial of the degree from zero
+    mesh = build_uniform_mesh(1.0, 2)
+    U = BrokenFunction(mesh, np.ones((2, 4, 1)))
+    with pytest.raises(ValueError, match="a 2-point rule cannot resolve degree 3"):
+        error_l2_energy(U, lambda t: 0.0, 1.0, gauss_legendre(2))
+    with pytest.raises(ValueError, match="a 3-point rule cannot resolve degree 3"):
+        analysis.l2_project_broken(lambda t: t, mesh, 1, 4, gauss_legendre(3))
 
 
 @pytest.mark.parametrize("problem", ["stokes3", "heat1d", "heat1d-257", "spd", "saddle", "combined"])
@@ -1460,6 +1523,42 @@ def test_blocked_recurrence_on_short_and_empty_sequences(N, mw):
     w = dgsolver._terminal_values(alpha, r, np.array([0, N]))
     # up to three slabs, the blocks reduce to the sequential arithmetic
     np.testing.assert_array_equal(w, _sequential_terminal_values(alpha, r, float))
+
+
+def _per_block_terminal_values(alpha, r, starts):
+    """The blocked recurrence one block at a time: the reference for _terminal_values.
+
+    Each mesh of N slabs runs in blocks of b = isqrt(N - 1) + 1 slabs; each
+    block starts from zero with a running product of r, and a carry takes
+    each block's end into the next; a slab's value is loc + P carry.
+    """
+    w = np.zeros_like(alpha)
+    for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        b, carry, values = math.isqrt(e - s - 1) + 1, np.zeros(alpha.shape[1]), []
+        for first in range(s, e, b):
+            loc, P = alpha[first].copy(), r[first].copy()
+            block = [(loc, P)]
+            for n in range(first + 1, min(first + b, e)):
+                loc, P = alpha[n] + r[n] * loc, r[n] * P
+                block.append((loc, P))
+            values += [loc + P * carry for loc, P in block]
+            carry = loc + P * carry
+        w[s + 1:e] = np.reshape(values[:-1], (e - s - 1, alpha.shape[1]))
+    return w
+
+
+@pytest.mark.parametrize("counts, mw", [
+    ([1], 2), ([2], 2), ([3], 3), ([16], 2), ([25], 3),  # the shortest, and perfect squares
+    ([7], 2), ([10], 1), ([50], 3), ([1, 7, 2, 99, 3], 2),  # partial last blocks
+    ([32, 64, 128, 256, 512] * 2, 2),  # a two-variant study stack of 10 meshes
+    ([65536], 2)])
+def test_blocked_recurrence_matches_a_per_block_loop_bit_for_bit(counts, mw):
+    rng = np.random.default_rng(sum(counts) + mw)
+    starts = np.cumsum([0] + counts)
+    alpha, r = rng.standard_normal((starts[-1], mw)), rng.uniform(-1.0, 1.0, (starts[-1], mw))
+    w, reference = dgsolver._terminal_values(alpha, r, starts), _per_block_terminal_values(
+        alpha, r, starts)
+    assert w.shape == reference.shape and w.tobytes() == reference.tobytes()
 
 
 @settings(max_examples=12, deadline=None)

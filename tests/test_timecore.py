@@ -400,7 +400,7 @@ def _quadrature_forms(Y, X, M):
 
     def values(F, derivative=False):
         c = npleg.legder(F.coeffs, axis=1) * (2.0 / k)[:, None, None] if derivative else F.coeffs
-        return timecore._slab_values(c, quad.nodes)
+        return timecore._slab_values(c, quad)
 
     def integral(Yv, Xv):
         return np.einsum("npa,ab,npb,p,n->", Yv, M, Xv, quad.weights, k)

@@ -9,8 +9,11 @@ in a fresh interpreter that imports dgtime from its own src/:
 for P in stokes3 (norms energy, nodal, multiplier) and heat1d (energy,
 nodal) and Q = 1, 2, 3, which writes 12 CSV files, and the stacked U and P
 of the same studies, read from the march (dgsolver._march) that
-`--projection both` runs.  The script prints every CSV file that differs
-byte for byte and, per problem and q, the largest relative difference
+`--projection both` runs.  Both trees also run solve_constrained on graded
+meshes t_n = (n/N)^2, whose slabs all have their own widths: heat1d with
+64 elements (m = 129) at q = 3, N = 16, and stokes3 at q = 2, N = 512.
+The script prints every CSV file that differs byte for byte and, per
+problem and q, and per graded solve, the largest relative difference
 max |U - U_other| / max |U_other|, and the same for P.  It exits 1 when
 anything differs.  Standard library and numpy only.
 """
@@ -27,18 +30,28 @@ THIS = Path(__file__).resolve().parent.parent
 PROBLEMS = {"stokes3": "energy,nodal,multiplier", "heat1d": "energy,nodal"}
 QS = (1, 2, 3)
 NS = tuple(2 ** i for i in range(3, 11))
+# the graded solves: name -> (dgtime builder, its argument, q, N)
+GRADED = {"heat1d(64)": ("build_heat_1d", 64, 3, 16),
+          "stokes3": ("build_saddle_dae", "stokes3", 2, 512)}
 
-# run in each tree: argv = [src directory, output directory, [PROBLEMS, QS, NS] as JSON]
+# run in each tree: argv = [src directory, output directory, [PROBLEMS, QS, NS, GRADED] as JSON]
 WORKER = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from pathlib import Path
 import json
 import numpy as np
+import dgtime
 from dgtime import cli, dgsolver
 from dgtime.analysis import _resolve_problem
 from dgtime.timecore import _Slabs, build_uniform_mesh
-out, (problems, qs, Ns) = Path(sys.argv[2]), json.loads(sys.argv[3])
+out, (problems, qs, Ns, graded) = Path(sys.argv[2]), json.loads(sys.argv[3])
+for name, (builder, arg, q, N) in graded.items():
+    sol = dgsolver.solve_constrained(getattr(dgtime, builder)(arg),
+                                     dgtime.TimeMesh((np.arange(N + 1) / N) ** 2),
+                                     dgsolver.SolverOptions(q=q))
+    np.savez(out / f"graded_{name}.npz", U=sol.U.coeffs,
+             P=np.empty(0) if sol.P is None else sol.P.coeffs)
 slabs = _Slabs.of([build_uniform_mesh(1.0, N) for N in Ns])
 for problem, norms in problems.items():
     for q in qs:
@@ -56,7 +69,8 @@ for problem, norms in problems.items():
 
 def _run(tree: Path, out: Path) -> None:
     subprocess.run([sys.executable, "-c", WORKER, str(tree / "src"), str(out),
-                    json.dumps([PROBLEMS, QS, NS])], stdout=subprocess.DEVNULL, check=True)
+                    json.dumps([PROBLEMS, QS, NS, GRADED])], stdout=subprocess.DEVNULL,
+                   check=True)
 
 
 def _relative(a: np.ndarray, b: np.ndarray) -> float:
@@ -88,13 +102,14 @@ def main(argv) -> int:
             print(f"  differs: {name}")
         moved = bool(differ)
         print("largest relative difference of the stacked U and P (0 = bit-identical):")
-        for problem in PROBLEMS:
-            for q in QS:
-                with np.load(mine / f"{problem}_q{q}.npz") as a, \
-                        np.load(theirs / f"{problem}_q{q}.npz") as b:
-                    du, dp = _relative(a["U"], b["U"]), _relative(a["P"], b["P"])
-                moved |= du > 0.0 or dp > 0.0
-                print(f"  {problem} q = {q}: U {du:.3g}, P {dp:.3g}")
+        runs = [(f"{problem}_q{q}", f"{problem} q = {q}") for problem in PROBLEMS for q in QS]
+        runs += [(f"graded_{name}", f"{name} q = {q}, graded N = {N}")
+                 for name, (_, _, q, N) in GRADED.items()]
+        for stem, label in runs:
+            with np.load(mine / f"{stem}.npz") as a, np.load(theirs / f"{stem}.npz") as b:
+                du, dp = _relative(a["U"], b["U"]), _relative(a["P"], b["P"])
+            moved |= du > 0.0 or dp > 0.0
+            print(f"  {label}: U {du:.3g}, P {dp:.3g}")
     return 1 if moved else 0
 
 

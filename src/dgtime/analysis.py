@@ -46,7 +46,8 @@ STUDY_NORMS = ("energy", "nodal", "multiplier")
 def _l2_errors(coeffs: np.ndarray, exact: np.ndarray, W: np.ndarray, quad: Quadrature,
                slabs: _Slabs) -> list:
     """The L2-in-time error on every mesh of slabs; coeffs (S, q, d), exact (S, npts, d) at quad."""
-    D = _slab_values(coeffs, quad)
+    # fresh, so subtracted in place; in C order, so _slab_inner reads it at unit stride
+    D = np.ascontiguousarray(_slab_values(coeffs, quad))
     D -= exact
     squares = _slab_inner(D, W, D, quad)
     return [float(np.sqrt(s @ k)) for s, k in zip(slabs.split(squares), slabs.split(slabs.widths))]

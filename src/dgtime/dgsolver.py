@@ -36,7 +36,7 @@ B1 and B2, so they are computed once per system, on its first use, and
 kept on it (ConstrainedSystem._reduction), together with every product
 the march forms from the system alone: VR = [V, R1] and, at rank
 r = r1 + r2, the known part's products with M and A tested with it,
-(M R)^T VR, (A R)^T VR and (M u0)^T VR, whose first r1 rows give
+(M R)^T VR, (A R)^T VR and (M u0)^T VR, and, for the multiplier,
 R1^T M V and R1^T A V.  The solves of a convergence study, dg_residual
 and validate_system share them, and no solve after the first multiplies
 by M or A.  Tested with V, every slab, at any width k, splits
@@ -52,10 +52,11 @@ for z >= 0; modes with sigma < 0, which only an A indefinite on ker B has
 the only sequential step is the scalar recurrence of the modal terminal
 value, w_end_n = alpha_n + r_n w_end_{n-1}, with r_n = 1^T K^{-1} e the DG
 stability function at k sigma; it runs in blocks of about sqrt(N) slabs,
-sliced from the slabs, so about 2 sqrt(N) Python steps.  The first r1
-columns of R lie in ker B2 and invert B1; the multiplier is the momentum
-residual tested with them, divided by Smat.  Since U - kappa is solved on ker B, the solution does
-not depend on which right inverse of B builds kappa.
+sliced from the slabs, so about 2 sqrt(N) Python steps besides a few per
+mesh.  The first r1 columns of R lie in ker B2 and invert B1; the
+multiplier is the momentum residual tested with them, divided by Smat.
+Since U - kappa is solved on ker B, the solution does not depend on which
+right inverse of B builds kappa.
 
 A convergence study is one such march over all of its meshes: their slabs
 are stacked mesh after mesh, the data is sampled once per field for all of
@@ -357,10 +358,12 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     the blocks' ends, which it orders by block index and, within one, by
     the meshes' block counts, most first: so block j of every mesh that has
     one is a contiguous slice, and the carry takes one step per block
-    index.  That makes bmax + max nb Python steps, bmax = max b and nb a
-    mesh's block count, about 2 sqrt(max N).  A doubling scan would take
-    log N, but its error grows several times faster in N.  A block shorter
-    than the longest is padded with alpha = 0, r = 1, which carries its end
+    index.  That makes bmax + max nb array steps, bmax = max b and nb a
+    mesh's block count, about 2 sqrt(max N), besides up to four slice
+    copies in and two out per mesh, and list work in the meshes and
+    sum nb to order the ends.  A doubling scan would take log N, but its
+    error grows several times faster in N.  A block shorter than the
+    longest is padded with alpha = 0, r = 1, which carries its end
     unchanged, so every mesh gets the arithmetic it would get on its own.
     """
     mw, bounds = alpha.shape[1], starts.tolist()
@@ -383,7 +386,7 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     # have[j] meshes have a block j, the first have[j] of order; their block
     # j ends are the slice first[j]:first[j] + have[j] of the ends by block
     order = sorted(range(len(nb)), key=lambda i: -nb[i])
-    have = [sum(n > j for n in nb) for j in range(max(nb))]
+    have = list(accumulate(nb.count(n) for n in range(max(nb), 0, -1)))[::-1]
     first = list(accumulate(have, initial=0))
     by_block = [meshes[i][4] + j for j, n in enumerate(have) for i in order[:n]]
     end_loc, end_P = loc[-1, by_block], P[-1, by_block]

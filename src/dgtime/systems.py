@@ -99,21 +99,13 @@ class _Reduction(NamedTuple):
     RMVR: Optional[np.ndarray]
     RAVR: Optional[np.ndarray]
     u0MVR: Optional[np.ndarray]
+    RMV: Optional[np.ndarray]
+    RAV: Optional[np.ndarray]
 
     @property
     def V(self) -> np.ndarray:
         """The eigenbasis, (m, mw): the first mw columns of VR, a view."""
         return self.VR[:, :self.sigma.size]
-
-    @property
-    def RMV(self) -> np.ndarray:
-        """R1^T M V, (r1, mw): the first r1 rows and mw columns of RMVR, a view."""
-        return self.RMVR[:self.VR.shape[1] - self.sigma.size, :self.sigma.size]
-
-    @property
-    def RAV(self) -> np.ndarray:
-        """R1^T A V, (r1, mw): the first r1 rows and mw columns of RAVR, a view."""
-        return self.RAVR[:self.VR.shape[1] - self.sigma.size, :self.sigma.size]
 
 
 def _u0_mismatch(system) -> list:
@@ -232,14 +224,14 @@ class ConstrainedSystem:
         alone: VR = [Q W, R1], of which V = Q W is a view, with V^T M V = I
         and V^T A V = diag(sigma), and the products at rank r that test the
         known part with VR, RMVR = (M R)^T VR and RAVR = (A R)^T VR, (r,
-        mw + r1), and u0MVR = (M u0)^T VR.  The multiplier reads their
-        first r1 rows and mw columns, views, as RMV = R1^T M V and
-        RAV = R1^T A V, which they equal when M and A are symmetric on
-        ker B2, the span of R1 and V.  Otherwise they are None.  vt, Q, the
-        kernel pair and W are not kept: VR is m x (mw + r1), mw = m - r,
-        and no other array has more than m max(r, 1) entries.  Every array
-        is read-only.  A broken rule raises nothing here: dgsolver._modes
-        and validate_system apply them.
+        mw + r1), and u0MVR = (M u0)^T VR, and the multiplier's
+        RMV = R1^T M V and RAV = R1^T A V, (r1, mw).  These are their own
+        arrays, not slices of RMVR and RAVR, which hold R1^T M^T V and
+        R1^T A^T V there: A need only be symmetric on ker B.  Otherwise
+        they are None.  vt, Q, the kernel pair and W are not kept: VR is
+        m x (mw + r1), mw = m - r, and no other array has more than
+        m max(r, 1) entries.  Every array is read-only.  A broken rule
+        raises nothing here: dgsolver._modes and validate_system apply them.
         """
         B = np.vstack([self.B1, self.B2])
         r1, r = self.r1, B.shape[0]
@@ -253,14 +245,17 @@ class ConstrainedSystem:
             W = _lower_solve(L, Y, transpose=True)
         except np.linalg.LinAlgError:
             sigma = None
-        R, infsup, march = None, np.zeros(0), (None,) * 4
+        R, infsup, march = None, np.zeros(0), (None,) * 6
         if _full_row_rank(sv, r):
             R = (vt[:r].T / sv) @ u.T
             if r1:
                 infsup = (1.0 / np.linalg.svd(u[:r1] / sv, compute_uv=False))[::-1]
             if sigma is not None:
-                VR = np.hstack([Q @ W, R[:, :r1]])
-                march = (VR, (self.M @ R).T @ VR, (self.A @ R).T @ VR, (self.M @ self.u0) @ VR)
+                M, A, R1 = self.M, self.A, R[:, :r1]
+                VR = np.hstack([Q @ W, R1])
+                V = VR[:, :sigma.size]
+                march = (VR, (M @ R).T @ VR, (A @ R).T @ VR, (M @ self.u0) @ VR,
+                         R1.T @ M @ V, R1.T @ A @ V)
         value = _Reduction(sv, (_asymmetry(Mw), _asymmetry(Aw)), infsup, sigma, R, *march)
         for a in value:
             if isinstance(a, np.ndarray):

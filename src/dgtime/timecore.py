@@ -211,9 +211,13 @@ class Quadrature:
 
 
 def _legendre(quad: Quadrature, q: int) -> np.ndarray:
-    """The shifted Legendre basis phi_j, j < q, at quad's nodes: (npoints, q), a view."""
+    """The shifted Legendre basis phi_j, j < q, at quad's nodes: (npoints, q).
+
+    A view of the rule's table; a rule with fewer points than q, which has
+    too few columns, gets its own fresh table.
+    """
     if q > quad.npoints:
-        raise ValueError(f"a {quad.npoints}-point rule cannot resolve degree {q - 1}")
+        return npleg.legvander(2.0 * quad.nodes - 1.0, q - 1)
     return quad.legendre[:, :q]
 
 
@@ -435,12 +439,8 @@ def _slab_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _slab_values(coeffs: np.ndarray, quad: Quadrature) -> np.ndarray:
-    """Values of broken coefficients (N, q, d) at quad's nodes; (N, npts, d), from its table.
-
-    A fresh C-contiguous array: the norms subtract from it in place and
-    take its products at unit stride.
-    """
-    return np.ascontiguousarray(_slab_apply(_legendre(quad, coeffs.shape[1]), coeffs))
+    """Values of broken coefficients (N, q, d) at quad's nodes; (N, npts, d), from its table."""
+    return _slab_apply(_legendre(quad, coeffs.shape[1]), coeffs)
 
 
 def _gemm(x: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dgsolver import SlabSolveError, SolverOptions, _check_switch, _march
-from .projection import _sample, _slab_coeffs, _slab_nodes
+from .projection import _sample, _slab_nodes
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _end_values, _is_count, _slab_inner,
                        _Slabs, _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
@@ -35,7 +35,6 @@ __all__ = [
     "error_nodal_max",
     "error_l2_multiplier",
     "eoc",
-    "l2_project_broken",
     "run_study",
 ]
 
@@ -123,16 +122,6 @@ def eoc(errors: Sequence[float], Ns: Sequence[int]) -> list:
         else:
             out.append(math.log(e_prev / e_cur) / math.log(Ns[i] / Ns[i - 1]))
     return out
-
-
-def l2_project_broken(phi, mesh, dim: int, q: int, quad: Quadrature) -> BrokenFunction:
-    """Plain slab-wise L2 projection of degree q - 1 (measurement utility).
-
-    Unlike the endpoint-interpolating projection this matches q moments and
-    generally misses the breakpoint values; useful for comparing the two
-    data treatments.
-    """
-    return BrokenFunction(mesh, _slab_coeffs(phi, _Slabs.of([mesh]), quad, q, "phi", dim, False))
 
 
 @dataclass(frozen=True)
@@ -224,6 +213,8 @@ def _run_studies(problem: Union[str, ConstrainedSystem], q: int, Ns: Sequence[in
                          f"quadrature has q + 3 points; got {q}")
     _check_slab_counts(Ns)
     Ns = [int(N) for N in Ns]
+    if isinstance(norms, str):
+        raise ValueError(f"norms must be a sequence of norm names, not the string {norms!r}")
     norms = tuple(norms)
     if not norms:
         raise ValueError(f"norms must name at least one of {STUDY_NORMS}")

@@ -67,11 +67,12 @@ the meshes share its Python steps, bmax + max nb in all, bmax the longest
 block of any mesh and max nb the most blocks of one.
 A study with the projection both on and off (dgtime study --projection
 both) is still one march: the second variant's slabs are stacked as
-further meshes, g1 and g2 are sampled once at the nodes and right ends
-and reduced to both the projected and the L2 coefficients, and f is
-sampled once for both; only C differs between the variants, so each
-variant's rows equal those of its own study.  The march returns stacked
-arrays; only solve_constrained builds a MixedSolution.
+further meshes, one call of projection._slab_coeffs each samples g1 and
+g2 once at the nodes and right ends and reduces them to both the
+projected and the L2 coefficients, and f is sampled once for both; only
+C differs between the variants, so each variant's rows equal those of
+its own study.  The march returns stacked arrays; only solve_constrained
+builds a MixedSolution.
 
 solve_monolithic is the independent check, the paper's implicit treatment
 of both blocks: B2, like B1, gets a multiplier, so it needs no reduction.
@@ -95,8 +96,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .projection import (DataError, _coeff_samples, _coeffs_from_samples, _moments, _sample,
-                         _slab_nodes)
+from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
                        _is_count, _slab_apply, _Slabs, assemble_temporal_matrices, gauss_legendre)
 
@@ -192,17 +192,16 @@ def _constraint_data(system, slabs: _Slabs, variants) -> np.ndarray:
     """Slab coefficients of [g1; g2], (V S, q, r1 + r2), projected or L2-projected.
 
     variants are V SolverOptions of one q; the coefficients of each follow
-    its projection switch and are stacked like slabs.repeat(V).  g1 and g2
-    are each sampled in one call for all variants.
+    its projection switch and are stacked like slabs.repeat(V).  One call of
+    projection._slab_coeffs per field samples g1, resp. g2, once for all
+    variants and fills its column block of every variant's C.
     """
     q, quad, r1, r = variants[0].q, variants[0].quadrature(), system.r1, system.r1 + system.r2
     switches = [v.use_projection for v in variants]
     C = np.zeros((len(variants), slabs.right.size, q, r))
     for g, field, block in ((system.g1, "g1", C[..., :r1]), (system.g2, "g2", C[..., r1:])):
         if block.shape[-1]:
-            vals = _coeff_samples(g, slabs, quad, q, field, block.shape[-1], switches)
-            for copy, interpolate_end in zip(block, switches):
-                copy[...] = _coeffs_from_samples(vals, slabs.widths, quad, q, interpolate_end)
+            block[...] = _slab_coeffs(g, slabs, quad, q, field, block.shape[-1], switches)
     return C.reshape(C.shape[0] * C.shape[1], q, r)
 
 
@@ -210,8 +209,8 @@ def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
     """Sample f, g1 and g2 once over slabs and reduce them to the slab data of every variant.
 
     variants are SolverOptions of one q.  The data is stacked like
-    slabs.repeat(len(variants)): S and F repeat, C follows each variant's
-    projection switch.
+    slabs.repeat(len(variants)): S and F, the moments of f, repeat; C, from
+    _constraint_data, follows each variant's projection switch.
     """
     q, quad, k = variants[0].q, variants[0].quadrature(), slabs.widths
     F = _moments(_sample(system.f, _slab_nodes(slabs, quad), "f", system.m, slabs.number),

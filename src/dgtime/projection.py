@@ -24,6 +24,11 @@ and the endpoint condition fixes the last coefficient via phi_j(b) = 1:
 Moment integrals of non-polynomial data are computed with the quadrature
 carried by :class:`ProjectionSpec`; all stated identities are exact (up to
 rounding) whenever the rule integrates phi * psi exactly.
+
+Both projections are computed in one function, _slab_coeffs, for the
+public project_slab, project_broken and l2_project_broken and for the
+solver's constraint data (dgsolver._constraint_data).  It samples the data
+in one call and returns the coefficients of every choice it is given.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ import numpy as np
 from .timecore import (BrokenFunction, Quadrature, SlabPoly, TimeMesh, _end_values, _is_count,
                        _legendre, _slab_apply, _Slabs)
 
-__all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken"]
+__all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken",
+           "l2_project_broken"]
 
 
 class DataError(ValueError):
@@ -114,45 +120,31 @@ def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> 
     return widths[:, None, None] * _slab_apply(Phiw, vals)
 
 
-def _coeff_samples(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
-                   interpolate_ends) -> np.ndarray:
-    """func sampled in one call for its slab coefficients under every choice; (S, k, dim).
+def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
+                 interpolate_ends) -> np.ndarray:
+    """Modal coefficients of func projected slab-wise onto degree q - 1, (len(ends), S, q, dim).
 
-    interpolate_ends holds one projection choice per coefficient set
-    (_coeffs_from_samples).  The columns are the quadrature nodes, when a
-    choice matches moments, then the right end, when a choice interpolates.
+    interpolate_ends holds one projection choice per coefficient set: the
+    endpoint-interpolating projection (True), which matches q - 1 moments
+    and fixes the last coefficient from the right-end value, or the plain
+    L2 projection (False), which matches q moments.  func is sampled in one
+    call for all choices: at the quadrature nodes, when a choice matches
+    moments, then at the right ends, when a choice interpolates.
     """
     moments = q > 1 or not all(interpolate_ends)
     ts = _slab_nodes(slabs, quad) if moments else np.empty((slabs.right.size, 0))
     if any(interpolate_ends):
         ts = np.hstack([ts, slabs.right[:, None]])
-    return _sample(func, ts, field, dim, slabs.number)
-
-
-def _coeffs_from_samples(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int,
-                         interpolate_end: bool) -> np.ndarray:
-    """Modal coefficients (S, q, dim) of the slab-wise projection onto degree q - 1.
-
-    vals are _coeff_samples' values.  interpolate_end selects the
-    endpoint-interpolating projection; otherwise the plain L2 projection,
-    which matches q moments instead.
-    """
-    n_mom = q - 1 if interpolate_end else q
-    coeffs = np.zeros((widths.size, q, vals.shape[-1]))
-    if n_mom:
-        scale = (2.0 * np.arange(n_mom) + 1.0) / widths[:, None]
-        moments = _moments(vals[:, :quad.npoints], widths, quad, n_mom)
-        coeffs[:, :n_mom] = scale[:, :, None] * moments
-    if interpolate_end:
-        coeffs[:, q - 1] = vals[:, -1] - _end_values(coeffs[:, : q - 1])
+    vals, k = _sample(func, ts, field, dim, slabs.number), slabs.widths
+    coeffs = np.zeros((len(interpolate_ends), k.size, q, dim))
+    for out, interpolate_end in zip(coeffs, interpolate_ends):
+        n = q - 1 if interpolate_end else q  # the moments this choice matches
+        if n:
+            scale = (2.0 * np.arange(n) + 1.0) / k[:, None]
+            out[:, :n] = scale[:, :, None] * _moments(vals[:, :quad.npoints], k, quad, n)
+        if interpolate_end:
+            out[:, q - 1] = vals[:, -1] - _end_values(out[:, : q - 1])
     return coeffs
-
-
-def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
-                 interpolate_end: bool) -> np.ndarray:
-    """Modal coefficients (S, q, dim) of func projected slab-wise onto degree q - 1, one call."""
-    vals = _coeff_samples(func, slabs, quad, q, field, dim, [interpolate_end])
-    return _coeffs_from_samples(vals, slabs.widths, quad, q, interpolate_end)
 
 
 def project_slab(phi, interval, spec: ProjectionSpec) -> SlabPoly:
@@ -175,8 +167,8 @@ def project_slab(phi, interval, spec: ProjectionSpec) -> SlabPoly:
     if end.ndim != 1:
         raise ValueError("data function must return a scalar or 1-D vector")
     slab = _Slabs(np.array([a]), np.array([b]), np.array([0, 1]))
-    coeffs = _slab_coeffs(phi, slab, spec.quadrature, spec.q, "phi", end.size, True)
-    return SlabPoly(a, b, coeffs[0])
+    coeffs = _slab_coeffs(phi, slab, spec.quadrature, spec.q, "phi", end.size, [True])
+    return SlabPoly(a, b, coeffs[0, 0])
 
 
 def project_broken(phi, mesh: TimeMesh, dim: int, spec: ProjectionSpec) -> BrokenFunction:
@@ -188,5 +180,16 @@ def project_broken(phi, mesh: TimeMesh, dim: int, spec: ProjectionSpec) -> Broke
     within each slab.  A phi that maps an array of times (n,) to (dim, n)
     is called once, for all nodes and breakpoints together.
     """
-    coeffs = _slab_coeffs(phi, _Slabs.of([mesh]), spec.quadrature, spec.q, "phi", dim, True)
-    return BrokenFunction(mesh, coeffs)
+    coeffs = _slab_coeffs(phi, _Slabs.of([mesh]), spec.quadrature, spec.q, "phi", dim, [True])
+    return BrokenFunction(mesh, coeffs[0])
+
+
+def l2_project_broken(phi, mesh, dim: int, q: int, quad: Quadrature) -> BrokenFunction:
+    """Plain slab-wise L2 projection of degree q - 1 (measurement utility).
+
+    Unlike the endpoint-interpolating projection this matches q moments and
+    generally misses the breakpoint values; useful for comparing the two
+    data treatments.
+    """
+    coeffs = _slab_coeffs(phi, _Slabs.of([mesh]), quad, q, "phi", dim, [False])
+    return BrokenFunction(mesh, coeffs[0])

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .timecore import _readonly
+from .timecore import _is_count, _readonly
 
 __all__ = [
     "ConstrainedSystem",
@@ -393,8 +393,9 @@ def build_heat_1d(n_elements: int, solution: Optional[ManufacturedSolution1D] = 
     interior semidiscrete residual vanishes and rejects anything else.
     Returns a system with r1 = 0 and B2 selecting the two boundary dofs.
     """
-    if n_elements < 2:
-        raise ValueError("need at least 2 elements (boundary dofs must be distinct)")
+    if not _is_count(n_elements) or n_elements < 2:
+        raise ValueError("need an integer number of at least 2 elements (boundary dofs must be "
+                         f"distinct), got {n_elements!r}")
     sol = solution if solution is not None else DEFAULT_HEAT_SOLUTION
     h = 1.0 / n_elements
     m = 2 * n_elements + 1

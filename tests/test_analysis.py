@@ -241,6 +241,8 @@ def test_run_study_argument_validation():
         run_study("wave2d", 2, [4, 8])
     with pytest.raises(ValueError, match="integers"):
         run_study("stokes3", 2, (4.7, 8))
+    with pytest.raises(ValueError, match="not the string 'nodal'"):  # not n, o, d, a, l
+        run_study("stokes3", 2, [8, 16], norms="nodal")
 
 
 def test_run_study_rejects_empty_norms_before_solving(monkeypatch):

@@ -4,10 +4,11 @@ ConstrainedSystem._reduction, one functools.cached_property, holds the one
 SVD of [B1; B2] and the one eigendecomposition of the kernel pair; every
 solver and check reads it or, like the monolithic oracle, needs none, and
 nothing else keeps a value on a system.
-dgsolver._constraint_data holds the one projection of [g1; g2] that the
-march, the oracle and both residual checks read.  This reads
-src/dgtime/*.py with ast, never running it, so that a second reduction or
-a second constraint-data path cannot come back unnoticed.
+projection._slab_coeffs is the one projection of data: the public
+projections call it, and dgsolver._constraint_data calls it for the [g1; g2]
+coefficients that the march, the oracle and both residual checks read.
+This reads src/dgtime/*.py with ast, never running it, so that a second
+reduction or a second constraint-data path cannot come back unnoticed.
 """
 
 import ast
@@ -80,13 +81,13 @@ def test_no_module_writes_items_of_an_instance_dict():
 
 
 def test_the_solver_projects_its_constraint_data_in_one_place():
-    # the public projections are the other callers; the march, the oracle,
-    # dg_residual and constraint_residual all read _constraint_data, which
-    # reduces one sample of each field for every projection switch
-    assert _calls({"_slab_coeffs", "_coeffs_from_samples"}) == [
-        ("analysis.py", "l2_project_broken", "_slab_coeffs"),
-        ("dgsolver.py", "_constraint_data", "_coeffs_from_samples"),
-        ("projection.py", "_slab_coeffs", "_coeffs_from_samples"),
+    # projection._slab_coeffs is the one projection: the public projections
+    # call it, and so does _constraint_data, which the march, the oracle,
+    # dg_residual and constraint_residual all read; it samples each field
+    # once and returns the coefficients of every projection switch
+    assert _calls({"_slab_coeffs", "_coeff_samples", "_coeffs_from_samples"}) == [
+        ("dgsolver.py", "_constraint_data", "_slab_coeffs"),
         ("projection.py", "project_slab", "_slab_coeffs"),
         ("projection.py", "project_broken", "_slab_coeffs"),
+        ("projection.py", "l2_project_broken", "_slab_coeffs"),
     ]

@@ -13,12 +13,15 @@ from hypothesis import given, settings, strategies as st
 from dgtime import (
     BrokenFunction,
     ProjectionSpec,
+    TimeMesh,
     build_uniform_mesh,
     dh_form,
     gauss_legendre,
     project_broken,
     project_slab,
 )
+from dgtime.projection import _slab_coeffs
+from dgtime.timecore import _Slabs
 
 
 def _spec(q, npts=8):
@@ -201,3 +204,25 @@ def test_misbroadcasting_data_falls_back_to_per_time_calls():
     ref = project_broken(lambda t: t, mesh, 1, _spec(3))
     got = project_broken(reversed_ramp, mesh, 1, _spec(3))
     np.testing.assert_array_equal(got.coeffs, ref.coeffs)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_one_call_gives_every_choice_bit_for_bit(q):
+    # [True, False] returns what [True] and [False] return on their own,
+    # from one array call of the field plus its scalar probe
+    slabs = _Slabs.of([build_uniform_mesh(1.0, 3), TimeMesh([0.0, 0.1, 0.45, 1.0])])
+    calls = []
+
+    def g(t):
+        calls.append(np.ndim(t))
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.sin(3.0 * t), np.exp(t) - t * t])
+
+    quad = _spec(q).quadrature
+    both = _slab_coeffs(g, slabs, quad, q, "g", 2, [True, False])
+    assert calls == [1, 0]
+    assert both.shape == (2, 6, q, 2)
+    for got, choice in zip(both, [True, False]):
+        alone = _slab_coeffs(g, slabs, quad, q, "g", 2, [choice])
+        assert alone.shape == (1, 6, q, 2)
+        np.testing.assert_array_equal(got, alone[0])

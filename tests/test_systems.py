@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -132,6 +133,12 @@ def test_heat_rejects_unrepresentable_solutions():
 def test_heat_needs_two_elements():
     with pytest.raises(ValueError):
         build_heat_1d(1)
+
+
+@pytest.mark.parametrize("n_elements", [4.0, 4.5, "4", True])
+def test_heat_rejects_an_element_count_that_is_not_an_integer(n_elements):
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(n_elements))}"):
+        build_heat_1d(n_elements)
 
 
 def test_heat_stationary_solution():

@@ -140,7 +140,7 @@ class SolverOptions:
 
     def __post_init__(self):
         if not (_is_count(self.q) and 1 <= self.q <= _MAX_POINTS - 2):
-            raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q}")
+            raise ValueError(f"q must be in 1..{_MAX_POINTS - 2}, got {self.q!r}")
         _check_switch(self.use_projection)
 
     def quadrature(self) -> Quadrature:
@@ -352,29 +352,28 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     into the next block of its mesh, and a slab's value is loc + P carry.
     loc and P are (bmax, sum nb, mw), block j of a mesh its column
     col0 + j: a mesh's full blocks are a reshape of its slabs, copied in
-    by one slice, and its partial last block a second slice; the values
-    are read back the same way, shifted by one slab.  The carry reads only
-    the blocks' ends, which it orders by block index and, within one, by
-    the meshes' block counts, most first: so block j of every mesh that has
-    one is a contiguous slice, and the carry takes one step per block
-    index.  That makes bmax + max nb array steps, bmax = max b and nb a
-    mesh's block count, about 2 sqrt(max N), besides up to four slice
-    copies in and two out per mesh, and list work in the meshes and
-    sum nb to order the ends.  A doubling scan would take log N, but its
-    error grows several times faster in N.  A block shorter than the
-    longest is padded with alpha = 0, r = 1, which carries its end
-    unchanged, so every mesh gets the arithmetic it would get on its own.
+    by one slice, and its partial last block a second slice; one statement
+    per mesh reads its values back in whole blocks, shifted by one slab.
+    The carry copies every mesh's block ends by one slice into a
+    (max nb, meshes, mw) array, padded past a mesh's last block with loc 0
+    and P 1, and steps it once per block index for all meshes at once.
+    That makes bmax + max nb array steps, bmax = max b and nb a mesh's
+    block count, about 2 sqrt(max N), besides a few slice copies per mesh.
+    A doubling scan would take log N, but its error grows several times
+    faster in N.  A block shorter than the longest is padded with
+    alpha = 0, r = 1, which carries its end unchanged, so every mesh gets
+    the arithmetic it would get on its own.
     """
     mw, bounds = alpha.shape[1], starts.tolist()
     counts = [e - s for s, e in zip(bounds, bounds[1:])]
     bs = [math.isqrt(N - 1) + 1 for N in counts]
     nb = [-(-N // b) for N, b in zip(counts, bs)]
-    # (first slab, slab count, block length, full blocks, first block column)
-    meshes = list(zip(bounds, counts, bs, [N // b for N, b in zip(counts, bs)],
-                      accumulate(nb, initial=0)))
+    # (first slab, slab count, block length, block count, first block column)
+    meshes = list(zip(bounds, counts, bs, nb, accumulate(nb, initial=0)))
     shape = (max(bs), sum(nb), mw)
     loc, P = np.zeros(shape), np.ones(shape)
-    for s, N, b, full, c in meshes:
+    for s, N, b, n, c in meshes:
+        full = N // b
         for x, blocks in ((alpha, loc), (r, P)):
             blocks[:b, c:c + full] = x[s:s + full * b].reshape(full, b, mw).transpose(1, 0, 2)
             if N > full * b:
@@ -382,29 +381,23 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     for j in range(1, shape[0]):
         loc[j] += P[j] * loc[j - 1]
         P[j] *= P[j - 1]
-    # have[j] meshes have a block j, the first have[j] of order; their block
-    # j ends are the slice first[j]:first[j] + have[j] of the ends by block
-    order = sorted(range(len(nb)), key=lambda i: -nb[i])
-    have = list(accumulate(nb.count(n) for n in range(max(nb), 0, -1)))[::-1]
-    first = list(accumulate(have, initial=0))
-    by_block = [meshes[i][4] + j for j, n in enumerate(have) for i in order[:n]]
-    end_loc, end_P = loc[-1, by_block], P[-1, by_block]
-    carried = np.zeros_like(end_loc)  # each mesh's first block starts from zero
-    for a, c, n in zip(first, first[1:], have[1:]):
-        carried[c:c + n] = end_loc[a:a + n] + end_P[a:a + n] * carried[a:a + n]
-    carry = np.empty(shape[1:])
-    carry[by_block] = carried
-    P *= carry
+    ends = np.zeros((2, max(nb), len(nb), mw))  # loc 0, P 1 past a mesh's last block
+    ends[1] = 1.0
+    for i, (*_, n, c) in enumerate(meshes):
+        ends[:, :n, i] = loc[-1, c:c + n], P[-1, c:c + n]
+    carried = np.zeros(ends.shape[1:])  # each mesh's first block starts from zero
+    for k in range(1, carried.shape[0]):
+        carried[k] = ends[0, k - 1] + ends[1, k - 1] * carried[k - 1]
+    P *= np.concatenate([carried[:n, i] for i, n in enumerate(nb)])
     loc += P
-    # slab i's value is w of slab i + 1; the row past the last slab, and
-    # every mesh's first row, are overwritten or dropped
-    w = np.empty((alpha.shape[0] + 1, mw))
-    for s, N, b, full, c in meshes:
-        w[s + 1:s + 1 + full * b].reshape(full, b, mw)[...] = loc[:b, c:c + full].transpose(1, 0, 2)
-        if N > full * b:
-            w[s + 1 + full * b:s + 1 + N] = loc[:N - full * b, c + full]
+    # slab i's value is w of slab i + 1; each mesh writes whole blocks, and
+    # the rows they fill past its last slab, like every mesh's first row,
+    # are overwritten by the meshes after it, zeroed or dropped
+    w = np.empty((alpha.shape[0] + shape[0], mw))
+    for s, _, b, n, c in meshes:
+        w[s + 1:s + 1 + n * b].reshape(n, b, mw)[...] = loc[:b, c:c + n].transpose(1, 0, 2)
     w[bounds[:-1]] = 0.0
-    return w[:-1]
+    return w[:alpha.shape[0]]
 
 
 def _modal_solve(sigma: np.ndarray, b: np.ndarray, prev: np.ndarray, slabs: _Slabs):

@@ -109,13 +109,20 @@ class _Reduction(NamedTuple):
 
 
 def _u0_mismatch(system) -> list:
-    """(label, residual) for every constraint block that u0 violates at t = 0."""
+    """(label, residual) for every constraint block that u0 violates at t = 0.
+
+    A g(0) whose shape is not (r,), r the block's row count, raises; a
+    scalar counts as (1,).
+    """
     out = []
     for B, g, label in ((system.B1, system.g1, "g1"), (system.B2, system.g2, "g2")):
         if B.shape[0] == 0:
             continue
+        g0 = np.asarray(g(0.0), dtype=float)
+        if np.atleast_1d(g0).shape != (B.shape[0],):
+            raise ValueError(f"{label}(0) has shape {g0.shape}, expected ({B.shape[0]},)")
         Bu0 = B @ system.u0
-        res = float(np.abs(Bu0 - np.atleast_1d(np.asarray(g(0.0), dtype=float))).max())
+        res = float(np.abs(Bu0 - g0).max())
         if res > _COMPAT_TOL * (1.0 + float(np.abs(Bu0).max())):
             out.append((label, res))
     return out
@@ -152,9 +159,9 @@ class ConstrainedSystem:
 
     def __post_init__(self):
         M = _readonly(self.M)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"M must be a square matrix, got {self.M!r}")
         m = M.shape[0]
-        if M.shape != (m, m):
-            raise ValueError("M must be square")
         A = _readonly(self.A)
         if A.shape != (m, m):
             raise ValueError("A must match the shape of M")

@@ -129,8 +129,8 @@ class TimeMesh:
 
 def build_uniform_mesh(T: float, N: int) -> TimeMesh:
     """Uniform mesh of N slabs on (0, T]."""
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"final time T must be finite and positive, got {T}")
+    if not ((_is_count(T) or isinstance(T, (float, np.floating))) and 0.0 < T < np.inf):
+        raise ValueError(f"final time T must be finite and positive, got {T!r}")
     if not _is_count(N) or N < 1:
         raise ValueError(f"slab count N must be an integer >= 1, got {N!r}")
     return TimeMesh(np.linspace(0.0, float(T), int(N) + 1))

@@ -243,6 +243,8 @@ def test_run_study_argument_validation():
         run_study("stokes3", 2, (4.7, 8))
     with pytest.raises(ValueError, match="not the string 'nodal'"):  # not n, o, d, a, l
         run_study("stokes3", 2, [8, 16], norms="nodal")
+    with pytest.raises(ValueError, match="convergence study needs a system with exact_u"):
+        run_study(dataclasses.replace(build_saddle_dae("stokes3"), exact_u=None), 2, [4, 8])
 
 
 def test_run_study_rejects_empty_norms_before_solving(monkeypatch):

@@ -110,6 +110,17 @@ def test_study_stdout_markdown_both_variants(capsys):
     assert "### stokes3, q = 2, projection off" in out
 
 
+def test_study_stdout_csv_both_variants_is_two_studies_under_headers(capsys):
+    args = ["study", "--problem", "stokes3", "--q", "2", "--Ns", "4,8", "--format", "csv"]
+    alone = {}
+    for proj in ("on", "off"):
+        assert main(args + ["--projection", proj]) == 0
+        alone[proj] = capsys.readouterr().out
+    assert main(args + ["--projection", "both"]) == 0
+    assert capsys.readouterr().out == (f"# projection on\n{alone['on']}"
+                                       f"# projection off\n{alone['off']}")
+
+
 def test_study_writes_csv_file(tmp_path, capsys):
     out_file = tmp_path / "table.csv"
     rc = main(["study", "--problem", "heat1d", "--q", "1", "--Ns", "4,8",

@@ -135,6 +135,8 @@ def test_solver_options_reject_q_beyond_the_largest_gauss_rule():
     assert SolverOptions(q=14).quadrature().npoints == 16
     with pytest.raises(ValueError, match=r"q must be in 1\.\.14, got 15"):
         SolverOptions(q=15)
+    with pytest.raises(ValueError, match=r"q must be in 1\.\.14, got '2'"):
+        SolverOptions(q="2")
 
 
 # ---------------------------------------------------------------------------
@@ -1572,7 +1574,7 @@ def _per_block_terminal_values(alpha, r, starts):
     ([1], 2), ([2], 2), ([3], 3), ([16], 2), ([25], 3),  # the shortest, and perfect squares
     ([7], 2), ([10], 1), ([50], 3), ([1, 7, 2, 99, 3], 2),  # partial last blocks
     ([32, 64, 128, 256, 512] * 2, 2),  # a two-variant study stack of 10 meshes
-    ([65536], 2)])
+    ([65536], 2), ([5, 1, 40, 2], 0)])
 def test_blocked_recurrence_matches_a_per_block_loop_bit_for_bit(counts, mw):
     rng = np.random.default_rng(sum(counts) + mw)
     starts = np.cumsum([0] + counts)

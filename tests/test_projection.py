@@ -162,6 +162,8 @@ def test_spec_validates_quadrature_exactness():
     assert ProjectionSpec(np.int64(2), gauss_legendre(4)).q == 2
     with pytest.raises(ValueError):
         project_slab(np.exp, (1.0, 1.0), _spec(2))
+    with pytest.raises(ValueError, match="data function must return a scalar or 1-D vector"):
+        project_slab(lambda t: np.eye(2), (0.0, 1.0), _spec(2))
 
 
 def _continuous_piecewise_cubic(mesh, rng, d):

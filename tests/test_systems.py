@@ -223,6 +223,8 @@ def test_saddle_builder_rejects_rank_deficient_b1():
 def test_saddle_builder_unknown_preset():
     with pytest.raises(ValueError):
         build_saddle_dae("stokes4")
+    with pytest.raises(ValueError, match="matrices M, A and handles exact_u, exact_du are required"):
+        build_saddle_dae(M=np.eye(2), A=np.eye(2), exact_u=lambda t: np.zeros(2))
 
 
 def test_saddle_builder_requires_exact_p_with_b1():
@@ -392,10 +394,11 @@ def test_incompatible_initial_data_warning_points_at_the_caller():
 
 
 def test_compatible_initial_data_is_silent(recwarn):
-    ConstrainedSystem(
-        M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
-        u0=np.array([1.0, 0.0]),
-        B2=np.array([[1.0, 0.0]]), g2=lambda t: np.ones(1))
+    for g2 in (lambda t: np.ones(1), lambda t: 1.0):  # a scalar is valid for one row
+        ConstrainedSystem(
+            M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+            u0=np.array([1.0, 0.0]),
+            B2=np.array([[1.0, 0.0]]), g2=g2)
     assert len(recwarn) == 0
 
 
@@ -416,6 +419,24 @@ def test_constrained_system_shape_validation():
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2), B1=np.array([[1.0, 0.0]]),
                           g1=lambda t: np.zeros(1), normQ1=np.eye(2))
+    with pytest.raises(ValueError, match="M must be a square matrix, got 2.0"):
+        ConstrainedSystem(M=2.0, A=2.0, f=lambda t: 0.0, u0=0.0)
+    with pytest.raises(ValueError, match="M must be a square matrix"):
+        ConstrainedSystem(M=np.ones((2, 3)), A=np.eye(2), f=lambda t: np.zeros(2),
+                          u0=np.zeros(2))
+    with pytest.raises(ValueError, match="u0 must be a length-m vector"):
+        ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(3))
+    with pytest.raises(ValueError, match=r"B1 must have shape \(r1, m\)"):
+        ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+                          u0=np.zeros(2), B1=np.ones((1, 3)), g1=lambda t: 0.0)
+    # a g(0) of the wrong shape failed only at the first solve, or read as an incompatible u0
+    for g1, shape in ((np.zeros(3), r"\(3,\)"), (0.0, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"g1\(0\) has shape {shape}, expected \(2,\)"):
+            ConstrainedSystem(M=np.eye(3), A=np.eye(3), f=lambda t: np.zeros(3),
+                              u0=np.zeros(3), B1=np.eye(3)[:2], g1=lambda t, g1=g1: g1)
+    with pytest.raises(ValueError, match=r"g2\(0\) has shape \(2,\), expected \(1,\)"):
+        ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(2),
+                          B2=np.array([[1.0, 0.0]]), g2=lambda t: np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

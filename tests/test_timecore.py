@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from unittest import mock
 
@@ -107,8 +108,8 @@ def test_build_uniform_mesh_rejects_bad_args():
         build_uniform_mesh(1.0, 0)
     with pytest.raises(ValueError, match="integer"):
         build_uniform_mesh(1.0, 2.5)
-    for T in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
+    for T in (np.inf, np.nan, "1", None):
+        with pytest.raises(ValueError, match=f"finite and positive, got {re.escape(repr(T))}"):
             build_uniform_mesh(T, 2)
     assert build_uniform_mesh(1.0, np.int64(3)).N == 3
 
@@ -234,6 +235,20 @@ def test_slab_endpoint_values():
 def test_slab_rejects_degenerate_interval():
     with pytest.raises(ValueError):
         SlabPoly(1.0, 1.0, np.ones((2, 1)))
+    for coeffs in (np.ones(2), np.ones((0, 1))):
+        with pytest.raises(ValueError, match=r"coeffs must have shape \(q, d\) with q >= 1"):
+            SlabPoly(0.0, 1.0, coeffs)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((3, 2), r"coeffs must have shape \(N, q, d\)"),
+    ((4, 2, 1), "coefficient array has 4 slabs, mesh has 3"),
+    ((3, 0, 1), "need q >= 1 coefficients and dim >= 1"),
+    ((3, 2, 0), "need q >= 1 coefficients and dim >= 1"),
+])
+def test_broken_function_rejects_coefficients_of_the_wrong_shape(shape, message):
+    with pytest.raises(ValueError, match=message):
+        BrokenFunction(build_uniform_mesh(1.0, 3), np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +337,9 @@ def test_mismatched_meshes_rejected():
         dh_form(A, B, 1.0, gauss_legendre(2))
     with pytest.raises(ValueError):
         A - B
+    C = _constant_broken(build_uniform_mesh(1.0, 2), [1.0, 2.0])
+    with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+        dh_form(A, C, np.eye(2), gauss_legendre(2))
 
 
 # ---------------------------------------------------------------------------

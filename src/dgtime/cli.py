@@ -121,12 +121,16 @@ def parse_table_csv(text: str, problem: str = "", q: int = 0,
                              f"expected {len(CSV_COLUMNS)}")
         vals = [_parse_cell(cell) for cell in rec]
         rows.append(StudyRow(int(vals[0]), *vals[1:]))
+    if not rows:
+        raise ValueError("the CSV has no data rows")
     return EOCTable(problem=problem, q=q, use_projection=use_projection,
                     rows=tuple(rows))
 
 
 def format_markdown(table: EOCTable) -> str:
     """Markdown pipe table with one error/EOC column pair per selected norm."""
+    if not table.rows:
+        raise ValueError("the table has no rows")
     cols = [("N", "N"), ("k", "k")]
     first = table.rows[0]
     if first.err_energy is not None:

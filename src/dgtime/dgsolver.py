@@ -221,12 +221,6 @@ def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
     return _SlabData(S, F, _constraint_data(system, slabs, variants))
 
 
-def _check_explicit_block(system):
-    """Reject a B2 that fixes every state component."""
-    if system.r2 and system.m <= system.r2:
-        raise ValueError("B2 leaves no free state components")
-
-
 def _slab_matrix(q: int, width: float, M, A, B) -> np.ndarray:
     """The kron slab system for the state coefficients and the multipliers of B."""
     Dmat, Smat, _ = assemble_temporal_matrices(q, width)
@@ -253,7 +247,6 @@ def _width_inverses(system, q: int, k: np.ndarray):
     exact zero pivot, or _singular, raises SlabSolveError with its first
     slab.
     """
-    _check_explicit_block(system)
     B = np.vstack([system.B1, system.B2])
     widths, first, cls, counts = np.unique(k, return_index=True, return_inverse=True,
                                            return_counts=True)
@@ -281,15 +274,15 @@ def _conditions(system, q: int, k: np.ndarray) -> np.ndarray:
 def _modes(system, march: bool = True):
     """The system's kept reduction (ConstrainedSystem._reduction), after the march's rules.
 
-    B2 must leave a state component free (ValueError) and [B1; B2] have
-    full row rank (SlabSolveError on slab 1), so that R = pinv([B1; B2])
-    exists; dg_residual, with march False, needs no more.  The march also
-    needs M and A symmetric on the constraint kernel (ValueError) and M
-    positive definite there (SlabSolveError on slab 1), so that the
-    eigenbasis V and the products it forms from the system alone exist.
-    Nothing is kept here: a system that fails a rule raises on every call.
+    [B1; B2] must have full row rank (SlabSolveError on slab 1), so that
+    R = pinv([B1; B2]) exists; dg_residual, with march False, needs no
+    more.  A trivial constraint kernel, as when B2 fixes every component,
+    is no error.  The march also needs M and A symmetric on the constraint
+    kernel (ValueError) and M positive definite there (SlabSolveError on
+    slab 1), so that the eigenbasis V and the products it forms from the
+    system alone exist.  Nothing is kept here: a system that fails a rule
+    raises on every call.
     """
-    _check_explicit_block(system)
     red = system._reduction
     if red.R is None:
         raise SlabSolveError(1, _SINGULAR)

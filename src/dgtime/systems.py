@@ -164,16 +164,16 @@ class ConstrainedSystem:
         m = M.shape[0]
         A = _readonly(self.A)
         if A.shape != (m, m):
-            raise ValueError("A must match the shape of M")
+            raise ValueError(f"A must match the shape {(m, m)} of M, got {A.shape}")
         u0 = _readonly(self.u0)
         if u0.shape != (m,):
-            raise ValueError("u0 must be a length-m vector")
+            raise ValueError(f"u0 must have shape {(m,)}, got {u0.shape}")
         B1 = _readonly(self.B1 if self.B1 is not None else np.zeros((0, m)))
         B2 = _readonly(self.B2 if self.B2 is not None else np.zeros((0, m)))
         if B1.ndim != 2 or B1.shape[1] != m:
-            raise ValueError("B1 must have shape (r1, m)")
+            raise ValueError(f"B1 must have shape (r1, {m}), got {B1.shape}")
         if B2.ndim != 2 or B2.shape[1] != m:
-            raise ValueError("B2 must have shape (r2, m)")
+            raise ValueError(f"B2 must have shape (r2, {m}), got {B2.shape}")
         if B1.shape[0] > 0 and self.g1 is None:
             raise ValueError("g1 data required when B1 is present")
         if B2.shape[0] > 0 and self.g2 is None:
@@ -181,9 +181,9 @@ class ConstrainedSystem:
         normU = _readonly(self.normU if self.normU is not None else M + A)
         normQ1 = _readonly(self.normQ1 if self.normQ1 is not None else np.eye(B1.shape[0]))
         if normU.shape != (m, m):
-            raise ValueError("normU must have shape (m, m)")
+            raise ValueError(f"normU must have shape {(m, m)}, got {normU.shape}")
         if normQ1.shape != (B1.shape[0],) * 2:
-            raise ValueError("normQ1 must have shape (r1, r1)")
+            raise ValueError(f"normQ1 must have shape {(B1.shape[0],) * 2}, got {normQ1.shape}")
         for fld, val in (("M", M), ("A", A), ("B1", B1), ("B2", B2), ("u0", u0),
                          ("normU", normU), ("normQ1", normQ1)):
             if not np.isfinite(val).all():
@@ -295,9 +295,9 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
     """Check the structural assumptions the solvers rely on.
 
     Reads the system's kept reduction (ConstrainedSystem._reduction) and
-    applies the solvers' rules to it: full row rank of B = [B1; B2], M and
-    A symmetric and M positive definite on ker B (its Cholesky
-    factorization succeeds) and a free state component.  A is elliptic on
+    applies the solvers' rules to it: full row rank of B = [B1; B2], and M
+    and A symmetric and M positive definite on ker B (its Cholesky
+    factorization succeeds).  A trivial ker B passes.  A is elliptic on
     ker B when the smallest eigenvalue of (Q^T A Q, Q^T M Q) exceeds 1e-12
     times the largest in size.  B1 is checked for inf-sup rank on ker(B2)
     by the rank rule on its singular values there, which the reduction
@@ -321,10 +321,6 @@ def validate_system(system: ConstrainedSystem) -> ValidationReport:
     else:
         checks.append(Check("kernel ellipticity", bool(sigma[0] > _STRUCTURE_TOL * abs(sigma[-1])),
                             float(sigma[0]), f"smallest kernel eigenvalue {sigma[0]:.3e}"))
-    if system.r2 > 0:
-        free = system.m - system.r2
-        checks.append(Check("free state components", free > 0, float(free),
-                            f"{free} of {system.m} components not fixed by B2"))
     if system.r1 > 0:
         # empty without R, that is without full row rank of B, which fails the rank check too
         smin = float(red.infsup[-1]) if red.infsup.size else 0.0

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dgtime import load_system, run_study
+from dgtime import EOCTable, load_system, run_study
 from dgtime.cli import (
     CSV_COLUMNS,
     format_csv,
@@ -76,8 +76,15 @@ def test_parse_table_csv_rejects_a_projection_switch_that_is_not_a_bool():
 
 
 def test_parse_table_csv_rejects_an_empty_text():
-    with pytest.raises(ValueError, match="the CSV has no header line"):
-        parse_table_csv("")
+    for text, message in (("", "the CSV has no header line"),
+                          (",".join(CSV_COLUMNS) + "\n", "the CSV has no data rows")):
+        with pytest.raises(ValueError, match=message):
+            parse_table_csv(text)
+
+
+def test_format_markdown_rejects_a_table_without_rows():
+    with pytest.raises(ValueError, match="the table has no rows"):
+        format_markdown(EOCTable(problem="stokes3", q=2, use_projection=True, rows=()))
 
 
 def test_markdown_has_title_and_selected_columns_only():
@@ -307,8 +314,7 @@ def test_validate_heat_passes(capsys):
     assert rc == 0
     checks = [line.split(" — ")[0] for line in capsys.readouterr().out.splitlines()]
     assert checks == ["[PASS] kernel mass SPD", "[PASS] kernel stiffness symmetric",
-                      "[PASS] constraint row rank", "[PASS] kernel ellipticity",
-                      "[PASS] free state components"]
+                      "[PASS] constraint row rank", "[PASS] kernel ellipticity"]
 
 
 def test_validate_reports_failures(tmp_path, capsys):

@@ -15,9 +15,12 @@ from dgtime import (
     build_heat_1d,
     build_saddle_dae,
     build_uniform_mesh,
+    constraint_residual,
+    dg_residual,
     load_system,
     solve_constrained,
     solve_mixed,
+    solve_monolithic,
     validate_system,
 )
 from dgtime.systems import _BLOCK, _STOKES3_A, EL_MASS, EL_STIFF, _lower_solve, _p2_shapes
@@ -255,7 +258,7 @@ def test_validate_passes_on_heat():
     assert report.passed
     assert [c.name for c in report.checks] == [
         "kernel mass SPD", "kernel stiffness symmetric", "constraint row rank",
-        "kernel ellipticity", "free state components"]
+        "kernel ellipticity"]
 
 
 def test_validate_flags_rank_deficient_constraints():
@@ -312,13 +315,20 @@ def test_validate_flags_nonsymmetric_mass():
     assert "kernel mass SPD" in failed
 
 
-def test_validate_flags_b2_fixing_every_component():
-    system = ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
-                               u0=np.zeros(2), B2=np.eye(2), g2=lambda t: np.zeros(2))
-    failed = {c.name for c in validate_system(system).checks if not c.ok}
-    assert failed == {"free state components"}
-    with pytest.raises(ValueError, match="no free state components"):
-        solve_constrained(system, build_uniform_mesh(1.0, 2), SolverOptions(q=2))
+def test_b2_fixing_every_component_validates_and_is_solved():
+    # a trivial kernel: the solution is the projected g2
+    system = ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros((2,) + np.shape(t)),
+                               u0=np.zeros(2), B2=np.eye(2),
+                               g2=lambda t: np.array([np.sin(t), np.cos(t) - 1.0]))
+    report = validate_system(system)
+    assert report.passed
+    assert {c.name: c.detail for c in report.checks}["kernel ellipticity"] == "trivial kernel"
+    mesh, opts = build_uniform_mesh(1.0, 4), SolverOptions(q=2)
+    sol, mono = solve_constrained(system, mesh, opts), solve_monolithic(system, mesh, opts)
+    U = sol.U.coeffs
+    assert np.abs(U - mono.U.coeffs).max() <= 1e-10 * np.abs(mono.U.coeffs).max()
+    assert dg_residual(system, mesh, opts, sol.U).max() <= 1e-14
+    assert constraint_residual(system, mesh, opts, sol.U).max() <= 1e-14 * np.abs(U).max()
 
 
 def test_kernel_ellipticity_rule_is_relative():
@@ -403,7 +413,7 @@ def test_compatible_initial_data_is_silent(recwarn):
 
 
 def test_constrained_system_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"A must match the shape \(2, 2\) of M, got \(3, 3\)"):
         ConstrainedSystem(M=np.eye(2), A=np.eye(3),
                           f=lambda t: np.zeros(2), u0=np.zeros(2))
     with pytest.raises(ValueError):  # B2 without g2
@@ -412,10 +422,10 @@ def test_constrained_system_shape_validation():
     with pytest.raises(ValueError):  # B1 without g1
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2), B1=np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError, match="normU must have shape"):
+    with pytest.raises(ValueError, match=r"normU must have shape \(3, 3\), got \(2, 2\)"):
         ConstrainedSystem(M=np.eye(3), A=np.eye(3), f=lambda t: np.zeros(3),
                           u0=np.zeros(3), normU=np.eye(2))
-    with pytest.raises(ValueError, match="normQ1 must have shape"):
+    with pytest.raises(ValueError, match=r"normQ1 must have shape \(1, 1\), got \(2, 2\)"):
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2), B1=np.array([[1.0, 0.0]]),
                           g1=lambda t: np.zeros(1), normQ1=np.eye(2))
@@ -424,11 +434,14 @@ def test_constrained_system_shape_validation():
     with pytest.raises(ValueError, match="M must be a square matrix"):
         ConstrainedSystem(M=np.ones((2, 3)), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2))
-    with pytest.raises(ValueError, match="u0 must be a length-m vector"):
+    with pytest.raises(ValueError, match=r"u0 must have shape \(2,\), got \(3,\)"):
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2), u0=np.zeros(3))
-    with pytest.raises(ValueError, match=r"B1 must have shape \(r1, m\)"):
+    with pytest.raises(ValueError, match=r"B1 must have shape \(r1, 2\), got \(1, 3\)"):
         ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
                           u0=np.zeros(2), B1=np.ones((1, 3)), g1=lambda t: 0.0)
+    with pytest.raises(ValueError, match=r"B2 must have shape \(r2, 2\), got \(2,\)"):
+        ConstrainedSystem(M=np.eye(2), A=np.eye(2), f=lambda t: np.zeros(2),
+                          u0=np.zeros(2), B2=np.ones(2), g2=lambda t: 0.0)
     # a g(0) of the wrong shape failed only at the first solve, or read as an incompatible u0
     for g1, shape in ((np.zeros(3), r"\(3,\)"), (0.0, r"\(\)")):
         with pytest.raises(ValueError, match=rf"g1\(0\) has shape {shape}, expected \(2,\)"):

@@ -15,6 +15,8 @@ def test_a_tree_gives_the_same_results_as_itself(capsys):
     out = capsys.readouterr().out
     assert "CSV files: 12 of 12 byte-identical" in out
     assert "stokes3 q = 3: U 0, P 0" in out
+    assert "oracle heat1d(64) q = 3, graded N = 16: U 0, P 0" in out
+    assert "oracle stokes3 q = 2, graded N = 512: U 0, P 0" in out
 
 
 def test_a_changed_at_floor_rule_shows_in_the_csv_files_only(tmp_path, capsys):

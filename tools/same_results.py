@@ -11,11 +11,13 @@ nodal) and Q = 1, 2, 3, which writes 12 CSV files, and the stacked U and P
 of the same studies, read from the march (dgsolver._march) that
 `--projection both` runs.  Both trees also run solve_constrained on graded
 meshes t_n = (n/N)^2, whose slabs all have their own widths: heat1d with
-64 elements (m = 129) at q = 3, N = 16, and stokes3 at q = 2, N = 512.
-The script prints every CSV file that differs byte for byte and, per
-problem and q, and per graded solve, the largest relative difference
-max |U - U_other| / max |U_other|, and the same for P.  It exits 1 when
-anything differs.  Standard library and numpy only.
+64 elements (m = 129) at q = 3, N = 16, and stokes3 at q = 2, N = 512;
+and the oracle, solve_monolithic, on the same two graded meshes.  The
+script prints every CSV file that differs byte for byte and, per problem
+and q, per graded solve and per oracle solve (the `oracle` lines), the
+largest relative difference max |U - U_other| / max |U_other|, and the
+same for P.  It exits 1 when anything differs.  Standard library and
+numpy only.
 """
 
 import json
@@ -47,11 +49,13 @@ from dgtime.analysis import _resolve_problem
 from dgtime.timecore import _Slabs, build_uniform_mesh
 out, (problems, qs, Ns, graded) = Path(sys.argv[2]), json.loads(sys.argv[3])
 for name, (builder, arg, q, N) in graded.items():
-    sol = dgsolver.solve_constrained(getattr(dgtime, builder)(arg),
-                                     dgtime.TimeMesh((np.arange(N + 1) / N) ** 2),
-                                     dgsolver.SolverOptions(q=q))
-    np.savez(out / f"graded_{name}.npz", U=sol.U.coeffs,
-             P=np.empty(0) if sol.P is None else sol.P.coeffs)
+    args = (getattr(dgtime, builder)(arg), dgtime.TimeMesh((np.arange(N + 1) / N) ** 2),
+            dgsolver.SolverOptions(q=q))
+    for stem, solve in (("graded", dgsolver.solve_constrained),
+                        ("oracle", dgsolver.solve_monolithic)):
+        sol = solve(*args)
+        np.savez(out / f"{stem}_{name}.npz", U=sol.U.coeffs,
+                 P=np.empty(0) if sol.P is None else sol.P.coeffs)
 slabs = _Slabs.of([build_uniform_mesh(1.0, N) for N in Ns])
 for problem, norms in problems.items():
     for q in qs:
@@ -103,7 +107,8 @@ def main(argv) -> int:
         moved = bool(differ)
         print("largest relative difference of the stacked U and P (0 = bit-identical):")
         runs = [(f"{problem}_q{q}", f"{problem} q = {q}") for problem in PROBLEMS for q in QS]
-        runs += [(f"graded_{name}", f"{name} q = {q}, graded N = {N}")
+        runs += [(f"{stem}_{name}", f"{label}{name} q = {q}, graded N = {N}")
+                 for stem, label in (("graded", ""), ("oracle", "oracle "))
                  for name, (_, _, q, N) in GRADED.items()]
         for stem, label in runs:
             with np.load(mine / f"{stem}.npz") as a, np.load(theirs / f"{stem}.npz") as b:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dgsolver import SlabSolveError, SolverOptions, _check_switch, _march
-from .projection import _sample, _slab_nodes
+from .projection import _sample, _slab_times
 from .systems import ConstrainedSystem, build_heat_1d, build_saddle_dae
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, _end_values, _is_count, _slab_inner,
                        _Slabs, _slab_values, _weight_matrix, build_uniform_mesh, gauss_legendre)
@@ -76,7 +76,7 @@ def _checked(compute, norm: str, weight: str) -> float:
 def _l2_error(U: BrokenFunction, exact, W, quad: Quadrature, field: str, norm: str,
               weight: str) -> float:
     W, slabs = _weight_matrix(W, U.dim), _Slabs.of([U.mesh])
-    values = _sample(exact, _slab_nodes(slabs, quad), field, U.dim, slabs.number)
+    values = _sample(exact, _slab_times(slabs, quad)[:, :-1], field, U.dim, slabs)
     return _checked(lambda: _l2_errors(U.coeffs, values, W, quad, slabs)[0], norm, weight)
 
 
@@ -88,7 +88,7 @@ def error_l2_energy(U: BrokenFunction, exact, normU, quad: Quadrature) -> float:
 def error_nodal_max(U: BrokenFunction, exact, M) -> float:
     """max_n ||U^n - exact(t_n)||_M over the breakpoints t_1 .. t_N; see _checked."""
     W, slabs = _weight_matrix(M, U.dim), _Slabs.of([U.mesh])
-    values = _sample(exact, slabs.right[:, None], "exact_u", U.dim, slabs.number)[:, 0]
+    values = _sample(exact, slabs.right[:, None], "exact_u", U.dim, slabs)[:, 0]
     return _checked(lambda: _nodal_errors(U.coeffs, values, W, slabs)[0], "error_nodal_max", "M")
 
 
@@ -241,10 +241,9 @@ def _tables(system: ConstrainedSystem, Ns: list, variants: list, norms: tuple) -
     errquad = gauss_legendre(q + 3)
     slabs = _Slabs.of([build_uniform_mesh(1.0, N) for N in Ns])
     U, P, _ = _march(system, slabs, variants)
-    nodes = _slab_nodes(slabs, errquad)
-    u = _sample(system.exact_u, np.hstack([nodes, slabs.right[:, None]]), "exact_u", system.m,
-                slabs.number)
-    p = (_sample(system.exact_p, nodes, "exact_p", system.r1, slabs.number)
+    times = _slab_times(slabs, errquad)
+    u = _sample(system.exact_u, times, "exact_u", system.m, slabs)
+    p = (_sample(system.exact_p, times[:, :-1], "exact_p", system.r1, slabs)
          if "multiplier" in norms else None)
     tables, S = [], slabs.right.size
     for copy, variant in enumerate(variants):

@@ -58,6 +58,15 @@ multiplier is the momentum residual tested with them, divided by Smat.
 Since U - kappa is solved on ker B, the solution does not depend on which
 right inverse of B builds kappa.
 
+A solve's fixed cost, what depends on neither N nor m, is kept small.
+What only q fixes is built once per q and shared by every march,
+dg_residual and DG form: the unit-width Dmat and e
+(timecore._unit_matrices) and the odd numbers 2j + 1 of Smat
+(timecore._odd).  The data stage forms one read-only time array, every
+slab's nodes and right end (projection._slab_times), at whose columns f,
+g1 and g2 are sampled.  Slab numbers, which only an error message names,
+are computed only when something raises.
+
 A convergence study is one such march over all of its meshes: their slabs
 are stacked mesh after mesh, the data is sampled once per field for all of
 them, one sweep solves every level's blocks, and the recurrence
@@ -96,9 +105,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_nodes
+from .projection import DataError, _moments, _sample, _slab_coeffs, _slab_times
 from .timecore import (_MAX_POINTS, BrokenFunction, Quadrature, TimeMesh, _end_values, _gemm,
-                       _is_count, _slab_apply, _Slabs, assemble_temporal_matrices, gauss_legendre)
+                       _is_count, _odd, _slab_apply, _Slabs, _unit_matrices,
+                       assemble_temporal_matrices, gauss_legendre)
 
 __all__ = [
     "SolverOptions",
@@ -188,21 +198,24 @@ class _SlabData:
     C: np.ndarray
 
 
-def _constraint_data(system, slabs: _Slabs, variants) -> np.ndarray:
+def _constraint_data(system, slabs: _Slabs, variants, times=None) -> np.ndarray:
     """Slab coefficients of [g1; g2], (V S, q, r1 + r2), projected or L2-projected.
 
     variants are V SolverOptions of one q; the coefficients of each follow
     its projection switch and are stacked like slabs.repeat(V).  One call of
     projection._slab_coeffs per field samples g1, resp. g2, once for all
-    variants and fills its column block of every variant's C.
+    variants, at columns of times, the data stage's time array
+    (projection._slab_times), formed there when not given.  C is the one
+    field block there is, g1's and g2's joined by one concatenate, or
+    empty when there is neither; no block is copied into a zero-filled C.
     """
-    q, quad, r1, r = variants[0].q, variants[0].quadrature(), system.r1, system.r1 + system.r2
+    q, quad = variants[0].q, variants[0].quadrature()
     switches = [v.use_projection for v in variants]
-    C = np.zeros((len(variants), slabs.right.size, q, r))
-    for g, field, block in ((system.g1, "g1", C[..., :r1]), (system.g2, "g2", C[..., r1:])):
-        if block.shape[-1]:
-            block[...] = _slab_coeffs(g, slabs, quad, q, field, block.shape[-1], switches)
-    return C.reshape(C.shape[0] * C.shape[1], q, r)
+    blocks = [_slab_coeffs(g, slabs, quad, q, field, dim, switches, times)
+              for g, field, dim in ((system.g1, "g1", system.r1), (system.g2, "g2", system.r2))
+              if dim] or [np.zeros((len(variants), slabs.right.size, q, 0))]
+    C = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    return C.reshape(C.shape[0] * C.shape[1], q, C.shape[-1])
 
 
 def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
@@ -210,15 +223,17 @@ def _slab_data(system, slabs: _Slabs, variants) -> _SlabData:
 
     variants are SolverOptions of one q.  The data is stacked like
     slabs.repeat(len(variants)): S and F, the moments of f, repeat; C, from
-    _constraint_data, follows each variant's projection switch.
+    _constraint_data, follows each variant's projection switch.  The time
+    array (projection._slab_times) is formed once: f is sampled at its
+    nodes, g1 and g2 at the columns their projections need.
     """
     q, quad, k = variants[0].q, variants[0].quadrature(), slabs.widths
-    F = _moments(_sample(system.f, _slab_nodes(slabs, quad), "f", system.m, slabs.number),
-                 k, quad, q)
-    S, copies = k[:, None] / (2.0 * np.arange(q) + 1.0), len(variants)
+    times = _slab_times(slabs, quad)
+    F = _moments(_sample(system.f, times[:, :-1], "f", system.m, slabs), k, quad, q)
+    S, copies = k[:, None] / _odd(q), len(variants)
     if copies > 1:
         S, F = np.tile(S, (copies, 1)), np.tile(F, (copies, 1, 1))
-    return _SlabData(S, F, _constraint_data(system, slabs, variants))
+    return _SlabData(S, F, _constraint_data(system, slabs, variants, times))
 
 
 def _slab_matrix(q: int, width: float, M, A, B) -> np.ndarray:
@@ -347,9 +362,10 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     col0 + j: a mesh's full blocks are a reshape of its slabs, copied in
     by one slice, and its partial last block a second slice; one statement
     per mesh reads its values back in whole blocks, shifted by one slab.
-    The carry copies every mesh's block ends by one slice into a
-    (max nb, meshes, mw) array, padded past a mesh's last block with loc 0
-    and P 1, and steps it once per block index for all meshes at once.
+    The carry copies every mesh's block ends, loc and P by one slice each,
+    into a (max nb, meshes, mw) array, padded past a mesh's last block with
+    loc 0 and P 1, and steps it once per block index for all meshes at
+    once.
     That makes bmax + max nb array steps, bmax = max b and nb a mesh's
     block count, about 2 sqrt(max N), besides a few slice copies per mesh.
     A doubling scan would take log N, but its error grows several times
@@ -377,7 +393,7 @@ def _terminal_values(alpha: np.ndarray, r: np.ndarray, starts: np.ndarray) -> np
     ends = np.zeros((2, max(nb), len(nb), mw))  # loc 0, P 1 past a mesh's last block
     ends[1] = 1.0
     for i, (*_, n, c) in enumerate(meshes):
-        ends[:, :n, i] = loc[-1, c:c + n], P[-1, c:c + n]
+        ends[0, :n, i], ends[1, :n, i] = loc[-1, c:c + n], P[-1, c:c + n]
     carried = np.zeros(ends.shape[1:])  # each mesh's first block starts from zero
     for k in range(1, carried.shape[0]):
         carried[k] = ends[0, k - 1] + ends[1, k - 1] * carried[k - 1]
@@ -416,8 +432,8 @@ def _modal_solve(sigma: np.ndarray, b: np.ndarray, prev: np.ndarray, slabs: _Sla
     ends += T
     neg = np.flatnonzero(sigma < 0.0)
     if neg.size:
-        Dmat, _, e = assemble_temporal_matrices(q, 1.0)
-        K = Dmat + np.eye(q) * (z[:, neg, None, None] / (2.0 * np.arange(q) + 1.0))
+        Dmat, e = _unit_matrices(q)
+        K = Dmat + np.eye(q) * (z[:, neg, None, None] / _odd(q))
         # cond returns inf, and does not raise, for an exactly singular block
         singular = _singular(np.linalg.cond(K, 1), q).any(axis=1)
         if singular.any():
@@ -475,7 +491,7 @@ def _march(system, slabs: _Slabs, variants):
     data = _slab_data(system, slabs, variants)
     slabs = slabs.repeat(len(variants))
     q, mw, firsts = variants[0].q, sigma.size, slabs.starts[:-1]
-    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+    Dmat, e = _unit_matrices(q)
     S = data.S[:, :, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # kappa M^T and kappa A^T tested with the modes V and, for the
@@ -552,7 +568,7 @@ def solve_monolithic(system, mesh: TimeMesh, opts: SolverOptions) -> MixedSoluti
     """
     data = _slab_data(system, _Slabs.of([mesh]), [opts])
     q, m, N, r1 = opts.q, system.m, mesh.N, system.r1
-    _, _, e = assemble_temporal_matrices(q, 1.0)
+    e = _unit_matrices(q)[1]
     # the constraint rows are Smat times the coefficients of [g1; g2]
     rhs = np.concatenate([data.F.reshape(N, -1), (data.S[:, :, None] * data.C).reshape(N, -1)],
                          axis=1)
@@ -615,7 +631,7 @@ def dg_residual(system, mesh: TimeMesh, opts: SolverOptions, U: BrokenFunction,
     data = _solved_data(system, opts, U)
     if data is None:
         data = _slab_data(system, _Slabs.of([mesh]), [opts])
-    Dmat, _, e = assemble_temporal_matrices(opts.q, 1.0)
+    Dmat, e = _unit_matrices(opts.q)
     S = data.S[:, :, None]
     uc = U.coeffs
     uM = _gemm(uc, M.T)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .timecore import (BrokenFunction, Quadrature, SlabPoly, TimeMesh, _end_values, _is_count,
-                       _legendre, _slab_apply, _Slabs)
+                       _legendre, _odd, _slab_apply, _Slabs)
 
 __all__ = ["DataError", "ProjectionSpec", "project_slab", "project_broken",
            "l2_project_broken"]
@@ -84,13 +84,15 @@ def _batched(func, flat: np.ndarray, dim: int):
     return vals.T
 
 
-def _sample(func, ts: np.ndarray, field: str, dim: int, number: np.ndarray) -> np.ndarray:
+def _sample(func, ts: np.ndarray, field: str, dim: int, slabs: _Slabs) -> np.ndarray:
     """Values of the data callable func at the times ts, shape (S, k, dim).
 
-    Row s of ts (shape (S, k)) lies in slab number[s], counted from 1 in
-    its own mesh.  A callable that maps an array of times (n,) to (dim, n)
-    is called once; any other is called one time at a time.  Wrong shapes
-    and non-finite values raise DataError naming the field and that slab.
+    Row s of ts (shape (S, k)) lies in slab s of slabs.  A callable that
+    maps an array of times (n,) to (dim, n) is called once; any other is
+    called one time at a time.  Wrong shapes and non-finite values raise
+    DataError naming the field and that slab, counted from 1 in its own
+    mesh; only a raise reads slabs.number, so a call that succeeds
+    computes no slab numbers.
     """
     S, k = ts.shape
     flat = ts.ravel()
@@ -100,18 +102,28 @@ def _sample(func, ts: np.ndarray, field: str, dim: int, number: np.ndarray) -> n
         for i, t in enumerate(flat.tolist()):
             v = np.atleast_1d(np.asarray(func(t), dtype=float))
             if v.shape != (dim,):
-                raise DataError(f"{field} returned shape {v.shape} on slab {number[i // k]}, "
+                raise DataError(f"{field} returned shape {v.shape} on slab {slabs.number[i // k]}, "
                                 f"expected ({dim},)")
             vals[i] = v
     if not np.isfinite(vals).all():  # the per-time mask only to name the slab
         bad = ~np.isfinite(vals).all(axis=1)
-        raise DataError(f"non-finite {field} data on slab {number[int(np.argmax(bad)) // k]}")
+        raise DataError(f"non-finite {field} data on slab {slabs.number[int(np.argmax(bad)) // k]}")
     return vals.reshape(S, k, dim)
 
 
-def _slab_nodes(slabs: _Slabs, quad: Quadrature) -> np.ndarray:
-    """Quadrature nodes mapped into every slab; shape (S, npts)."""
-    return slabs.left[:, None] + slabs.widths[:, None] * quad.nodes
+def _slab_times(slabs: _Slabs, quad: Quadrature) -> np.ndarray:
+    """Every slab's quadrature nodes, then its right end; shape (S, npts + 1).
+
+    A data stage forms this one array and samples every field at the
+    columns it needs: the nodes ([:, :-1]), the right ends ([:, -1:]) or
+    both.  It is read-only, since a field sampled at both gets a view of
+    it: a callable that writes to its times raises in its array call and
+    is called one time at a time, and the next field's times stay put.
+    """
+    ts = np.empty((slabs.right.size, quad.npoints + 1))
+    ts[:, :-1], ts[:, -1] = slabs.left[:, None] + slabs.widths[:, None] * quad.nodes, slabs.right
+    ts.setflags(write=False)
+    return ts
 
 
 def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> np.ndarray:
@@ -121,7 +133,7 @@ def _moments(vals: np.ndarray, widths: np.ndarray, quad: Quadrature, q: int) -> 
 
 
 def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim: int,
-                 interpolate_ends) -> np.ndarray:
+                 interpolate_ends, times=None) -> np.ndarray:
     """Modal coefficients of func projected slab-wise onto degree q - 1, (len(ends), S, q, dim).
 
     interpolate_ends holds one projection choice per coefficient set: the
@@ -129,19 +141,21 @@ def _slab_coeffs(func, slabs: _Slabs, quad: Quadrature, q: int, field: str, dim:
     and fixes the last coefficient from the right-end value, or the plain
     L2 projection (False), which matches q moments.  func is sampled in one
     call for all choices: at the quadrature nodes, when a choice matches
-    moments, then at the right ends, when a choice interpolates.
+    moments, then at the right ends, when a choice interpolates.  Those
+    are columns of times, the data stage's _slab_times(slabs, quad), which
+    is formed here when not given.
     """
-    moments = q > 1 or not all(interpolate_ends)
-    ts = _slab_nodes(slabs, quad) if moments else np.empty((slabs.right.size, 0))
-    if any(interpolate_ends):
-        ts = np.hstack([ts, slabs.right[:, None]])
-    vals, k = _sample(func, ts, field, dim, slabs.number), slabs.widths
-    coeffs = np.zeros((len(interpolate_ends), k.size, q, dim))
+    npts, moments = quad.npoints, q > 1 or not all(interpolate_ends)
+    if times is None:
+        times = _slab_times(slabs, quad)
+    ts = times[:, 0 if moments else npts:npts + any(interpolate_ends)]
+    vals, k = _sample(func, ts, field, dim, slabs), slabs.widths
+    coeffs = np.empty((len(interpolate_ends), k.size, q, dim))  # every entry is set below
     for out, interpolate_end in zip(coeffs, interpolate_ends):
         n = q - 1 if interpolate_end else q  # the moments this choice matches
         if n:
-            scale = (2.0 * np.arange(n) + 1.0) / k[:, None]
-            out[:, :n] = scale[:, :, None] * _moments(vals[:, :quad.npoints], k, quad, n)
+            scale = _odd(n) / k[:, None]
+            out[:, :n] = scale[:, :, None] * _moments(vals[:, :npts], k, quad, n)
         if interpolate_end:
             out[:, q - 1] = vals[:, -1] - _end_values(out[:, : q - 1])
     return coeffs

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -153,7 +154,7 @@ class _Slabs:
     def of(cls, meshes) -> "_Slabs":
         bps = [mesh.breakpoints for mesh in meshes]
         return cls(np.concatenate([bp[:-1] for bp in bps]), np.concatenate([bp[1:] for bp in bps]),
-                   np.cumsum([0] + [bp.size - 1 for bp in bps]))
+                   np.array([0, *accumulate(bp.size - 1 for bp in bps)]))
 
     @cached_property
     def widths(self) -> np.ndarray:
@@ -264,6 +265,24 @@ def assemble_temporal_matrices(q: int, width: float):
             Dmat[i, jj] += 2.0
     Smat = np.diag(width / (2.0 * j + 1.0))
     return Dmat, Smat, e
+
+
+@lru_cache(maxsize=None)
+def _unit_matrices(q: int):
+    """(Dmat, e) of assemble_temporal_matrices(q, 1.0), read-only and built once per q.
+
+    Neither depends on the width, so every march, dg_residual and DG form
+    of one q shares this pair; assemble_temporal_matrices itself still
+    returns fresh, writable arrays.
+    """
+    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+    return _readonly(Dmat), _readonly(e)
+
+
+@lru_cache(maxsize=None)
+def _odd(n: int) -> np.ndarray:
+    """2j + 1 for j < n, read-only and built once per n: Smat_jj = width / (2j + 1)."""
+    return _readonly(2.0 * np.arange(n) + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,13 +486,13 @@ def _form_terms(Y: BrokenFunction, X: BrokenFunction, M, quad: Quadrature):
 
     With G = X M^T, one GEMM of N q rows, T_ij = sum_n <y_ni, G_nj> and
     c = sum_{n>=2} <Y_{n-1}(t_{n-1}), G_n(t_{n-1}+)>; Dmat and e are
-    assemble_temporal_matrices(q, 1.0)'s.
+    assemble_temporal_matrices(q, 1.0)'s, kept per q (_unit_matrices).
     """
     _check_same_domain(Y, X, quad)
     q = max(Y.coeffs.shape[1], X.coeffs.shape[1])
     y, x = _padded(Y.coeffs, q), _padded(X.coeffs, q)
     G = _gemm(x, _weight_matrix(M, Y.dim).T)
-    Dmat, _, e = assemble_temporal_matrices(q, 1.0)
+    Dmat, e = _unit_matrices(q)
     T = np.tensordot(y, G, axes=([0, 2], [0, 2]))
     c = float((_end_values(y[:-1]) * (e @ G[1:])).sum())
     return Dmat, e, T, c

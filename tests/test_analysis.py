@@ -379,6 +379,10 @@ def _failing_levels():
     stokes3 = build_saddle_dae("stokes3")
     # 0.75 is the right end of slab 3 at N = 4; N = 2 samples g1 only at other times
     nan_g1 = dataclasses.replace(stokes3, g1=_nan_at(stokes3.g1, 0.75))
+    # a node of slab 2 at N = 4, where projection._slab_times puts it; the
+    # levels N = 2 and 8 sample f at other times
+    node = 0.25 + 0.25 * SolverOptions(q=2).quadrature().nodes[1]
+    nan_f = dataclasses.replace(stokes3, f=_nan_at(stokes3.f, node))
     # q = 1 blocks are 1 - 2k: singular at k = 0.5, the width of the N = 2 level only
     growth = ConstrainedSystem(M=np.eye(1), A=-2.0 * np.eye(1), f=lambda t: 0.0 * np.asarray(t),
                                u0=np.ones(1), normU=np.eye(1),
@@ -398,6 +402,8 @@ def _failing_levels():
     return {
         "data error on a finer level": (nan_g1, 2, (2, 4, 8), DataError,
                                         "non-finite g1 data on slab 3"),
+        "f data error on a finer level": (nan_f, 2, (2, 4, 8), DataError,
+                                          "non-finite f data on slab 2"),
         "singular width of one level": (growth, 1, (1, 2, 4), SlabSolveError,
                                         "slab 1: singular slab system"),
         "non-finite error": (indefinite, 2, (4, 8), ValueError,
@@ -428,7 +434,7 @@ def test_a_failing_level_raises_what_its_own_solve_raises(case):
 def _failing_variants():
     stokes3 = build_saddle_dae("stokes3")
     # at q = 1 only the L2 projection samples g1 at the nodes; this is the
-    # first node of slab 2 at N = 4, the times _slab_nodes computes
+    # first node of slab 2 at N = 4, the times projection._slab_times computes
     node = 0.25 + 0.25 * SolverOptions(q=1).quadrature().nodes[0]
     nan_node = dataclasses.replace(stokes3, g1=_nan_at(stokes3.g1, node))
     return {

@@ -45,8 +45,9 @@ from dgtime import (
     solve_monolithic,
     validate_system,
 )
+from dgtime.projection import _slab_coeffs, _slab_times
 from dgtime.systems import _STOKES3_A, _stokes3_handles
-from dgtime.timecore import _slab_values, _Slabs
+from dgtime.timecore import _odd, _slab_values, _Slabs, _unit_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -1720,3 +1721,109 @@ def test_a_study_makes_one_block_solve_call(problem):
         assert solve.call_count == 1
         # every variant's slabs are right-hand sides of the one solve
         assert solve.call_args.args[1].shape[0] == len(projections) * sum(Ns)
+
+
+# ---------------------------------------------------------------------------
+# a call's fixed cost: per-q constants, slab numbers only on error, one time
+# array per data stage
+
+
+@pytest.mark.parametrize("q", range(1, 15))
+def test_per_q_constants_are_built_once_read_only_and_equal_the_public_ones(q):
+    Dmat, e = _unit_matrices(q)
+    public_Dmat, _, public_e = assemble_temporal_matrices(q, 1.0)
+    for kept, public in ((Dmat, public_Dmat), (e, public_e), (_odd(q), 2.0 * np.arange(q) + 1.0)):
+        assert kept.dtype == public.dtype and kept.shape == public.shape
+        assert kept.tobytes() == public.tobytes()
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0.0
+    again = _unit_matrices(q)
+    assert again[0] is Dmat and again[1] is e and _odd(q) is _odd(q)
+    # the public function still returns fresh, writable arrays
+    assert all(a.flags.writeable for a in assemble_temporal_matrices(q, 1.0))
+    assert assemble_temporal_matrices(q, 1.0)[0] is not public_Dmat
+
+
+@pytest.mark.parametrize("problem", sorted(_BUILDERS))
+def test_writing_to_the_public_temporal_matrices_changes_no_later_solve(problem):
+    system, mesh, opts = _BUILDERS[problem](), _RANDOM_MESH, SolverOptions(q=3)
+    before = _solution_arrays(system, mesh, opts)
+    fresh_before = dg_residual(system, mesh, opts, BrokenFunction(mesh, before[0]),
+                               None if before[1] is None else BrokenFunction(mesh, before[1]))
+    for a in assemble_temporal_matrices(opts.q, 1.0):
+        a[...] = 7.0
+    after = _solution_arrays(system, mesh, opts)
+    fresh_after = dg_residual(system, mesh, opts, BrokenFunction(mesh, after[0]),
+                              None if after[1] is None else BrokenFunction(mesh, after[1]))
+    for x, y in zip(before + (fresh_before,), after + (fresh_after,)):
+        assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+
+def test_calls_that_succeed_compute_no_slab_numbers(monkeypatch):
+    reads, number = [], _Slabs.number
+    monkeypatch.setattr(_Slabs, "number",
+                        property(lambda slabs: reads.append(slabs) or number.func(slabs)))
+    mesh, opts, off = _RANDOM_MESH, SolverOptions(q=2), SolverOptions(q=2, use_projection=False)
+    for problem in sorted(_BUILDERS):
+        system = _BUILDERS[problem]()
+        norms = ("energy", "nodal") + (("multiplier",) if system.r1 else ())
+        sol = solve_constrained(system, mesh, opts)
+        analysis._run_studies(system, 2, (4, 8, 16), [True, False], norms)
+        error_l2_energy(sol.U, system.exact_u, system.normU, gauss_legendre(5))
+        error_nodal_max(sol.U, system.exact_u, system.M)
+        if sol.P is not None:
+            error_l2_multiplier(sol.P, system.exact_p, system.normQ1, gauss_legendre(5))
+        # the solve's own data, then data sampled afresh
+        copy = BrokenFunction(mesh, sol.U.coeffs)
+        for U in (sol.U, copy):
+            dg_residual(system, mesh, opts, U, sol.P)
+            constraint_residual(system, mesh, opts, U)
+        constraint_residual(system, mesh, off, copy)
+        solve_monolithic(system, mesh, opts)
+    assert reads == []
+    # a raise still names the slab within its own mesh
+    system = _BUILDERS["stokes3"]()
+    bad = replace(system, f=lambda t: system.f(t) + np.where(np.asarray(t) > 1.0, np.nan, 0.0))
+    with pytest.raises(DataError, match="non-finite f data on slab 3"):
+        solve_constrained(bad, mesh, opts)
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("projections", [[True], [True, False]], ids=["one", "two"])
+@pytest.mark.parametrize("name", ["B1", "B2", "both", "none"])
+def test_constraint_data_joins_its_blocks_as_a_zero_filled_array_held_them(name, projections):
+    system = _constraint_configurations()[name]
+    slabs = _Slabs.of([_RANDOM_MESH, build_uniform_mesh(2.3, 3)])
+    r1, r = system.r1, system.r1 + system.r2
+    for q in (1, 3):
+        variants = [SolverOptions(q=q, use_projection=p) for p in projections]
+        quad = variants[0].quadrature()
+        # each field's coefficients copied into its column block of zeros
+        expected = np.zeros((len(variants), slabs.right.size, q, r))
+        for g, field, block in ((system.g1, "g1", expected[..., :r1]),
+                                (system.g2, "g2", expected[..., r1:])):
+            if block.shape[-1]:
+                block[...] = _slab_coeffs(g, slabs, quad, q, field, block.shape[-1], projections)
+        for times in (None, _slab_times(slabs, quad)):
+            C = dgsolver._constraint_data(system, slabs, variants, times)
+            assert C.shape == (len(variants) * slabs.right.size, q, r)
+            assert C.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("projections", [[True], [True, False]], ids=["one", "two"])
+def test_a_callable_that_writes_to_its_times_moves_no_other_fields_times(projections):
+    system = _constraint_configurations()["both"]
+
+    def g1_writing(t):
+        values = system.g1(t)
+        t += 1.0  # in place on an array, which the data stage hands out read-only
+        return values
+
+    writing = replace(system, g1=g1_writing)
+    slabs, r1 = _Slabs.of([_RANDOM_MESH]), system.r1
+    variants = [SolverOptions(q=3, use_projection=p) for p in projections]
+    C, C_writing = (dgsolver._slab_data(s, slabs, variants).C for s in (system, writing))
+    # g1 is called one time at a time; g2 is sampled at the times it always was
+    assert C_writing[..., r1:].tobytes() == C[..., r1:].tobytes()
+    np.testing.assert_allclose(C_writing[..., :r1], C[..., :r1], rtol=1e-13, atol=1e-15)

@@ -17,6 +17,10 @@ def test_a_tree_gives_the_same_results_as_itself(capsys):
     assert "stokes3 q = 3: U 0, P 0" in out
     assert "oracle heat1d(64) q = 3, graded N = 16: U 0, P 0" in out
     assert "oracle stokes3 q = 2, graded N = 512: U 0, P 0" in out
+    # the graded systems with both constraint blocks and with neither
+    for label in ("stokes3 with B2", "unconstrained"):
+        assert f"\n  {label} q = 3, graded N = 128: U 0, P 0" in out
+        assert f"oracle {label} q = 3, graded N = 128: U 0, P 0" in out
 
 
 def test_a_changed_at_floor_rule_shows_in_the_csv_files_only(tmp_path, capsys):

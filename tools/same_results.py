@@ -11,8 +11,11 @@ nodal) and Q = 1, 2, 3, which writes 12 CSV files, and the stacked U and P
 of the same studies, read from the march (dgsolver._march) that
 `--projection both` runs.  Both trees also run solve_constrained on graded
 meshes t_n = (n/N)^2, whose slabs all have their own widths: heat1d with
-64 elements (m = 129) at q = 3, N = 16, and stokes3 at q = 2, N = 512;
-and the oracle, solve_monolithic, on the same two graded meshes.  The
+64 elements (m = 129) at q = 3, N = 16, which has only B2; stokes3 at
+q = 2, N = 512, which has only B1; and, at q = 3, N = 128, stokes3 with
+one B2 row, [1, 0, 0] with g2 the first component of its exact u, which
+has both, and stokes3's M and A without B1, which has neither.  The
+oracle, solve_monolithic, runs on the same four graded meshes.  The
 script prints every CSV file that differs byte for byte and, per problem
 and q, per graded solve and per oracle solve (the `oracle` lines), the
 largest relative difference max |U - U_other| / max |U_other|, and the
@@ -32,9 +35,13 @@ THIS = Path(__file__).resolve().parent.parent
 PROBLEMS = {"stokes3": "energy,nodal,multiplier", "heat1d": "energy,nodal"}
 QS = (1, 2, 3)
 NS = tuple(2 ** i for i in range(3, 11))
-# the graded solves: name -> (dgtime builder, its argument, q, N)
-GRADED = {"heat1d(64)": ("build_heat_1d", 64, 3, 16),
-          "stokes3": ("build_saddle_dae", "stokes3", 2, 512)}
+# the graded solves: name -> (the system, as an expression the worker evaluates, q, N)
+GRADED = {"heat1d(64)": ("dgtime.build_heat_1d(64)", 3, 16),
+          "stokes3": ("stokes3", 2, 512),
+          "stokes3 with B2": ("replace(stokes3, B2=np.array([[1.0, 0.0, 0.0]]), "
+                              "g2=lambda t: stokes3.exact_u(t)[:1])", 3, 128),
+          "unconstrained": ("dgtime.build_saddle_dae(M=np.eye(3), A=_STOKES3_A, "
+                            "exact_u=u, exact_du=du)", 3, 128)}
 
 # run in each tree: argv = [src directory, output directory, [PROBLEMS, QS, NS, GRADED] as JSON]
 WORKER = """
@@ -42,14 +49,17 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from pathlib import Path
 import json
+from dataclasses import replace
 import numpy as np
 import dgtime
 from dgtime import cli, dgsolver
 from dgtime.analysis import _resolve_problem
+from dgtime.systems import _STOKES3_A, _stokes3_handles
 from dgtime.timecore import _Slabs, build_uniform_mesh
 out, (problems, qs, Ns, graded) = Path(sys.argv[2]), json.loads(sys.argv[3])
-for name, (builder, arg, q, N) in graded.items():
-    args = (getattr(dgtime, builder)(arg), dgtime.TimeMesh((np.arange(N + 1) / N) ** 2),
+stokes3, (u, du, _) = dgtime.build_saddle_dae("stokes3"), _stokes3_handles()
+for name, (expr, q, N) in graded.items():
+    args = (eval(expr), dgtime.TimeMesh((np.arange(N + 1) / N) ** 2),
             dgsolver.SolverOptions(q=q))
     for stem, solve in (("graded", dgsolver.solve_constrained),
                         ("oracle", dgsolver.solve_monolithic)):
@@ -109,7 +119,7 @@ def main(argv) -> int:
         runs = [(f"{problem}_q{q}", f"{problem} q = {q}") for problem in PROBLEMS for q in QS]
         runs += [(f"{stem}_{name}", f"{label}{name} q = {q}, graded N = {N}")
                  for stem, label in (("graded", ""), ("oracle", "oracle "))
-                 for name, (_, _, q, N) in GRADED.items()]
+                 for name, (_, q, N) in GRADED.items()]
         for stem, label in runs:
             with np.load(mine / f"{stem}.npz") as a, np.load(theirs / f"{stem}.npz") as b:
                 du, dp = _relative(a["U"], b["U"]), _relative(a["P"], b["P"])
